@@ -7,9 +7,11 @@ GO ?= go
 all: build vet test
 
 # check is the CI gate: build, vet, and the full test suite (including the
-# fault-injection matrix) under the race detector.
+# fault-injection matrix) under the race detector, then vet and unit tests
+# of perfbench, which is its own Go module and so outside ./...
 check: build vet
 	$(GO) test -race -short ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...

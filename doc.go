@@ -29,8 +29,13 @@
 // light, allocates an array per heavy key and per hash range of light keys
 // using a precise high-probability size estimate, scatters all records into
 // their arrays with atomic claims, locally sorts the small light buckets,
-// and packs everything into one contiguous output. See DESIGN.md and the
-// internal/core package for the full construction.
+// and packs everything into one contiguous output. That is the paper's
+// construction, selected with ScatterProbing. The default planner keeps
+// the sampling and classification but places records deterministically:
+// duplicate-heavy inputs and fused reductions through a two-pass counting
+// scatter, everything else through a heavy-key split plus a top-down MSD
+// radix recursion, so default output is byte-identical across Procs. See
+// DESIGN.md and the internal/core package for the full construction.
 //
 // # Fused aggregation
 //
@@ -53,9 +58,10 @@
 // is captured with its stack and returned as an error wrapping *PanicError,
 // never re-thrown on an unrelated goroutine. RecordsCtx (or Config.Context)
 // cancels cooperatively, checked at phase and chunk boundaries only so the
-// hot path is unaffected. Bucket overflow — the algorithm's Las Vegas
-// failure mode — retries adaptively and, if retries are exhausted, degrades
-// to a deterministic sequential semisort instead of failing. See DESIGN.md,
+// hot path is unaffected. Bucket overflow — the probing scatter's Las
+// Vegas failure mode, which the default deterministic routes cannot hit —
+// retries adaptively and, if retries are exhausted, degrades to a
+// deterministic sequential semisort instead of failing. See DESIGN.md,
 // "Failure model & recovery guarantees".
 //
 // # Observability

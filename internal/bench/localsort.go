@@ -114,7 +114,10 @@ func schedTable(o Options, P int) *Table {
 	var ws core.Workspace
 	var uniformLS time.Duration
 	for _, uniform := range []bool{true, false} {
-		cfg := &core.Config{Procs: P, Seed: o.Seed + 7, UniformLocalSortChunks: uniform}
+		// Probing pinned: the default planner sends this all-light input
+		// to the dovetail route, whose Phase 4 has no bucket schedule.
+		cfg := &core.Config{Procs: P, Seed: o.Seed + 7, UniformLocalSortChunks: uniform,
+			ScatterStrategy: core.ScatterProbing}
 		var stats core.Stats
 		total := timeIt(o.Reps, func() {
 			out, st, err := core.SemisortWS(&ws, a, cfg)

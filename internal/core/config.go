@@ -62,14 +62,19 @@ const (
 type ScatterStrategy int
 
 const (
-	// ScatterAuto resolves the strategy per attempt from the sample:
-	// counting when at least autoHeavySampleFrac of the sampled keys fall
-	// in heavy runs (duplication makes CAS contention expensive and the
-	// histogram cheap), probing otherwise. The zero value.
+	// ScatterAuto is the deterministic planner, resolved per attempt from
+	// the sample: a duplicate-heavy sample (at least autoHeavySampleFrac
+	// of the estimated record mass in heavy runs) or a fused reduce goes
+	// to the counting scatter, anything else to the dovetail route (a
+	// heavy-key split, then an MSD radix recursion). Unless a non-linear
+	// Config.Probe forces probing, its output is byte-identical across
+	// Procs and Attempts is always 1. The zero value.
 	ScatterAuto ScatterStrategy = iota
 	// ScatterProbing is the paper's placement: a pseudo-random slot per
 	// record, claimed with CAS, probing on collision (parameterized by
-	// Config.Probe). Overflow triggers the Las Vegas retry ladder.
+	// Config.Probe). Overflow triggers the Las Vegas retry ladder. Only
+	// an explicit request (or a non-linear Probe) selects it: it is the
+	// paper-reproduction mode every internal/bench table pins.
 	ScatterProbing
 	// ScatterCounting is the deterministic two-pass counting scatter: a
 	// per-block histogram over bucket ids, prefix sums to exact write
@@ -77,18 +82,15 @@ const (
 	// that flush cache-line-sized runs. No CAS, no probing, and no
 	// overflow retries — the offsets are exact, so the path cannot fail.
 	ScatterCounting
-	// ScatterDovetail is the skew-adaptive hybrid: the planner reads the
-	// Phase 1 sample and routes by duplication. A duplicate-heavy top
-	// level resolves to the counting scatter (the radix recursion would
-	// only rediscover the same few heavy keys at every node); otherwise
-	// one deterministic counting pass splits the sampled heavy keys into
-	// packed front groups and the light remainder is grouped by a
-	// top-down MSD radix recursion (internal/sortint's dovetail sort)
-	// that re-samples at every node, pulling that node's heavy keys out
-	// of its distribution pass. Deterministic like the counting scatter;
-	// no CAS, no probing, no overflow retries. Per-node decisions are
-	// reported in Stats.PlannerRoutes. A fused reduce has no dovetail
-	// arm and resolves as Auto would.
+	// ScatterDovetail names the planner's radix route: one deterministic
+	// counting pass splits the sampled heavy keys into packed front
+	// groups, and the light remainder is grouped by a top-down MSD radix
+	// recursion (internal/sortint's dovetail sort) that re-samples at
+	// every node, pulling that node's heavy keys out of its distribution
+	// pass. Per-node decisions are reported in Stats.PlannerRoutes. As a
+	// Config value it is equivalent to ScatterAuto, which takes this
+	// route for light-dominated plain semisorts; it is kept for API
+	// compatibility.
 	ScatterDovetail
 )
 
@@ -170,8 +172,9 @@ type Config struct {
 	Probe ProbeKind
 	// ScatterStrategy selects the Phase 3 placement: the paper's CAS +
 	// probing scatter, the deterministic two-pass counting scatter, or
-	// (the default) an automatic per-attempt choice driven by the
-	// sample's heavy fraction.
+	// (the default) the deterministic planner's per-attempt choice
+	// between counting and the dovetail route, driven by the sample's
+	// heavy fraction.
 	ScatterStrategy ScatterStrategy
 	// MaxRetries bounds Las Vegas restarts after bucket overflow. The
 	// retry policy is adaptive: the first restarts regrow only the
@@ -313,14 +316,15 @@ type Stats struct {
 	// to claim a slot in Phase 3 — the empirical counterpart of the
 	// paper's O(log n) w.h.p. probe-cluster bound (Section 3, placement
 	// problem). A value far above ~log2(n) means the size estimate f(s)
-	// is too tight for the workload. Always zero on the counting path,
-	// which does not probe.
+	// is too tight for the workload. Always zero on the counting and
+	// dovetail routes, which do not probe.
 	MaxProbeCluster int
 
 	// ScatterStrategy names the Phase 3 placement the last attempt used:
-	// "probing", "counting" or "dovetail" (ScatterAuto resolves to
-	// probing or counting per attempt, from that attempt's sample;
-	// ScatterDovetail resolves to counting under heavy duplication).
+	// "probing", "counting" or "dovetail". ScatterAuto (and its alias
+	// ScatterDovetail) resolves per attempt, from that attempt's sample:
+	// counting under heavy duplication or on a fused reduce, dovetail
+	// otherwise; only an explicit ScatterProbing reports "probing".
 	// Empty only when no attempt reached Phase 2.
 	ScatterStrategy string
 	// PlannerRoutes breaks down the skew-adaptive planner's routing
@@ -335,7 +339,9 @@ type Stats struct {
 	// LocalSortRanges is the number of size-aware bucket ranges the Phase
 	// 4 schedule cut the light buckets into (1 at Procs == 1, at most
 	// 8 × Procs otherwise; the bucket count per worker under
-	// UniformLocalSortChunks). Zero when the attempt had no light buckets.
+	// UniformLocalSortChunks). Zero when the attempt had no light
+	// buckets, and on the dovetail route, whose Phase 4 is the radix
+	// recursion rather than a per-bucket schedule.
 	LocalSortRanges int
 
 	// Recovery bookkeeping (Attempts == 1 and the rest zero on a clean
@@ -380,9 +386,9 @@ type Stats struct {
 // heavily duplicated ones; see docs/OBSERVABILITY.md.
 type PlannerRoutes struct {
 	// ScatterNodes is 1 when the top level routed to the probing or
-	// counting scatter — including a ScatterDovetail run whose sample
-	// was duplicate-heavy enough to resolve to counting — and 0 when the
-	// dovetail radix path ran.
+	// counting scatter — including a planner run whose sample was
+	// duplicate-heavy enough, or whose call was a fused reduce, to
+	// resolve to counting — and 0 when the dovetail radix path ran.
 	ScatterNodes int
 	// RadixNodes counts dovetail recursion nodes whose sample found no
 	// heavy key, so they ran a plain MSD radix distribution pass.
@@ -418,43 +424,34 @@ func (e *overflowError) Error() string {
 
 func (e *overflowError) Unwrap() error { return ErrOverflow }
 
-// autoHeavySampleFrac is the ScatterAuto decision threshold: when at
+// autoHeavySampleFrac is the planner's decision threshold: when at
 // least this fraction of the estimated record mass fell in heavy runs,
-// the input is duplicate-heavy enough that the counting scatter's extra
-// histogram pass costs less than the CAS contention it removes. (Under a
-// uniform one-shot sample the mass ratio equals the heavy-sample
-// fraction the planner historically used.) At the representative
-// workloads, exponential λ=n/10^3 (~70% heavy) and Zipf M=10^4 (~2/3
-// heavy) resolve to counting; uniform N=n (no heavy keys) to probing.
+// the counting scatter beats the dovetail route, whose radix recursion
+// would rediscover the same few heavy keys at every node. (Under a
+// uniform one-shot sample the mass ratio is the heavy-sample fraction.)
+// Exponential λ=n/10^3 (~70% heavy) and Zipf M=10^4 (~2/3 heavy)
+// resolve to counting; uniform N=n (no heavy keys) to dovetail.
 const autoHeavySampleFrac = 0.5
 
 // resolveScatter picks the Phase 3 placement for one attempt — the
-// planner's top-level route. Non-linear probe kinds parameterize the
-// probing scatter and force it; an empty sample gives Auto nothing to
-// predict with and falls back to probing. ScatterDovetail is itself a
-// per-attempt decision: a duplicate-heavy sample routes the whole input
-// to the counting scatter (the radix recursion would rediscover the same
-// few heavy keys at every node while paying a full distribution pass per
-// level), a fused reduce has no dovetail arm and resolves as Auto, and
-// everything else takes the dovetail radix path.
+// planner's top-level route. Explicit ScatterProbing and ScatterCounting
+// are honored, and non-linear probe kinds parameterize the probing
+// scatter and force it. Everything else (ScatterAuto, or its alias
+// ScatterDovetail) is the deterministic planner: a duplicate-heavy
+// sample, or a fused reduce (whose counting pass 2 folds records as it
+// stores them), goes to the counting scatter, and a light-dominated
+// plain semisort — including an empty sample, which predicts nothing —
+// to the dovetail route.
 func resolveScatter(c *Config, heavyMass, totalMass float64, fused bool) ScatterStrategy {
 	if c.Probe != ProbeLinear {
 		return ScatterProbing
 	}
-	heavyDominated := totalMass > 0 && heavyMass >= autoHeavySampleFrac*totalMass
 	switch c.ScatterStrategy {
 	case ScatterProbing, ScatterCounting:
 		return c.ScatterStrategy
-	case ScatterDovetail:
-		if !fused {
-			if heavyDominated {
-				return ScatterCounting
-			}
-			return ScatterDovetail
-		}
 	}
-	if heavyDominated {
+	if fused || (totalMass > 0 && heavyMass >= autoHeavySampleFrac*totalMass) {
 		return ScatterCounting
 	}
-	return ScatterProbing
+	return ScatterDovetail
 }

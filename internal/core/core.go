@@ -18,15 +18,15 @@
 //     fewer than Delta samples are merged (the ~10% memory optimization of
 //     Phase 2).
 //  3. Scattering (scatter_probing.go, scatter_counting.go,
-//     scatter_dovetail.go): write every record to a pseudo-random slot of
-//     its bucket, claiming slots with compare-and-swap and linear probing
-//     on collision — or, when Config.ScatterStrategy selects (or the
-//     sample predicts) heavy duplication, place records with a
-//     deterministic two-pass counting scatter that computes exact
-//     per-bucket offsets and needs no atomics. A third, skew-adaptive
-//     route (ScatterDovetail) splits the sampled heavy keys into packed
-//     front groups with one counting pass and hands the light remainder
-//     to a top-down MSD radix recursion that keeps re-deciding per node.
+//     scatter_dovetail.go): the paper's placement (ScatterProbing) writes
+//     every record to a pseudo-random slot of its bucket, claiming slots
+//     with compare-and-swap and linear probing on collision. The default
+//     planner is deterministic instead: a duplicate-heavy sample or a
+//     fused reduce takes a two-pass counting scatter that computes exact
+//     per-bucket offsets and needs no atomics; anything else splits the
+//     sampled heavy keys into packed front groups with one counting pass
+//     and hands the light remainder to a top-down MSD radix recursion
+//     that keeps re-deciding per node (the dovetail route).
 //  4. Local sort (localsort.go): compact each light bucket and semisort it
 //     locally (hybrid comparison sort by default, or the Rajasekaran–Reif
 //     style naming + two-pass counting sort).
@@ -40,11 +40,11 @@
 // allocating. The three Phase 3 placements implement one scatterStage
 // contract; each determines how Phases 4 and 5 traverse its layout.
 //
-// A scatter overflow (a bucket smaller than its actual multiplicity, which
-// has probability O(n^{-c})) is detected and the algorithm restarts with
-// doubled slack, making the implementation Las Vegas with respect to
-// bucket sizing, exactly as the end of Section 3 prescribes. The retry
-// ladder lives in semisortInto below.
+// A probing scatter overflow (a bucket smaller than its actual
+// multiplicity, which has probability O(n^{-c})) is detected and the
+// algorithm restarts with doubled slack, making that mode Las Vegas with
+// respect to bucket sizing, exactly as the end of Section 3 prescribes.
+// The retry ladder lives in semisortInto below.
 package core
 
 import (

@@ -252,9 +252,11 @@ func TestSemisortNoBucketMerging(t *testing.T) {
 
 func TestSemisortOverflowRetry(t *testing.T) {
 	// A pathologically small slack forces bucket overflow; the Las Vegas
-	// path must retry with doubled slack and still succeed.
+	// path must retry with doubled slack and still succeed. Probing is
+	// pinned: it is the only placement with slack to exhaust.
 	a := mkRecords(50000, 200, 15)
-	out, stats, err := Semisort(a, &Config{Procs: 4, Slack: 0.05, C: 0.01, MaxRetries: 12})
+	out, stats, err := Semisort(a, &Config{Procs: 4, Slack: 0.05, C: 0.01, MaxRetries: 12,
+		ScatterStrategy: ScatterProbing})
 	if err != nil {
 		t.Fatalf("retry path failed: %v (retries=%d)", err, stats.Retries)
 	}
@@ -270,8 +272,10 @@ func TestSemisortOverflowRetry(t *testing.T) {
 func TestSemisortOverflowExhaustion(t *testing.T) {
 	// With MaxRetries=1, absurd sizing and the fallback disabled, the
 	// failure must surface as ErrOverflow rather than wrong output.
+	// Probing is pinned: the default planner's routes cannot overflow.
 	a := mkRecords(50000, 3, 16) // few huge keys
-	cfg := Config{Slack: 0.001, C: 0.0001, SampleRate: 50000, MaxRetries: 1, DisableFallback: true}
+	cfg := Config{Slack: 0.001, C: 0.0001, SampleRate: 50000, MaxRetries: 1, DisableFallback: true,
+		ScatterStrategy: ScatterProbing}
 	_, _, err := Semisort(a, &cfg)
 	if err == nil {
 		t.Skip("sizing survived; cannot force overflow with this input")

@@ -86,12 +86,12 @@ func TestDifferentialStrategies(t *testing.T) {
 				}
 				sameGrouping(t, label, d.data, out, refKeys)
 				switch {
-				case stats.FallbackUsed || strat == ScatterAuto:
-					// Auto resolves per attempt; a fallback run reports
-					// the failing attempts' strategy.
-				case strat == ScatterDovetail:
+				case stats.FallbackUsed:
+					// A fallback run reports the failing attempts' strategy.
+				case strat == ScatterAuto || strat == ScatterDovetail:
 					// The planner may route a duplicate-heavy sample to
-					// the counting scatter — that is the point.
+					// the counting scatter — that is the point — but
+					// never to probing.
 					if stats.ScatterStrategy != "dovetail" && stats.ScatterStrategy != "counting" {
 						t.Errorf("%s: Stats.ScatterStrategy = %q, want dovetail or counting",
 							label, stats.ScatterStrategy)

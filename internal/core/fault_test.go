@@ -232,24 +232,44 @@ func TestInjectedStageFlushBypass(t *testing.T) {
 	}
 }
 
-// Auto must route an all-distinct input to probing, where the injected
-// overflows drive the usual retry accounting.
+// An explicit ScatterProbing run on an all-distinct input must drive the
+// usual retry accounting under injected overflows; the default planner
+// on the same input, with the same injector armed, must never reach the
+// probing scatter, so the injector never fires and Attempts stays 1.
 func TestAutoProbingOverflowAccounting(t *testing.T) {
 	a := mkRecords(30000, 0, 37) // unique keys: no heavy duplication
 	withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 2))
-	out, stats, err := Semisort(a, &Config{Procs: 2, MaxRetries: 4})
+	out, stats, err := Semisort(a, &Config{Procs: 2, MaxRetries: 4, ScatterStrategy: ScatterProbing})
 	if err != nil {
-		t.Fatalf("auto semisort after 2 injected overflows: %v", err)
+		t.Fatalf("probing semisort after 2 injected overflows: %v", err)
 	}
-	checkSemisorted(t, "auto overflow accounting", a, out)
+	checkSemisorted(t, "probing overflow accounting", a, out)
 	if stats.ScatterStrategy != "probing" {
-		t.Fatalf("ScatterStrategy = %q, want probing for distinct keys", stats.ScatterStrategy)
+		t.Fatalf("ScatterStrategy = %q, want probing", stats.ScatterStrategy)
 	}
 	if stats.Retries != 2 || stats.Attempts != 3 {
 		t.Errorf("Retries=%d Attempts=%d, want 2 and 3", stats.Retries, stats.Attempts)
 	}
 	if stats.OverflowedBuckets < 2 {
 		t.Errorf("OverflowedBuckets = %d, want >= 2", stats.OverflowedBuckets)
+	}
+
+	inj := fault.New(1).Arm(fault.ScatterOverflow, 0, 2)
+	withInjector(t, inj)
+	out, stats, err = Semisort(a, &Config{Procs: 2, MaxRetries: 4})
+	if err != nil {
+		t.Fatalf("default semisort with ScatterOverflow armed: %v", err)
+	}
+	checkSemisorted(t, "default route with overflow armed", a, out)
+	if stats.ScatterStrategy == "probing" {
+		t.Fatalf("default config resolved to probing on distinct keys")
+	}
+	if stats.Attempts != 1 || stats.Retries != 0 || stats.OverflowedBuckets != 0 {
+		t.Errorf("Attempts=%d Retries=%d OverflowedBuckets=%d, want 1, 0, 0",
+			stats.Attempts, stats.Retries, stats.OverflowedBuckets)
+	}
+	if f := inj.Fired(fault.ScatterOverflow); f != 0 {
+		t.Errorf("ScatterOverflow fired %d times on the default route", f)
 	}
 }
 

@@ -63,7 +63,7 @@ func stageFor(s ScatterStrategy) scatterStage {
 // heavy-sample fraction; adaptive densities sharpen it, because heavy
 // ranges' masses are estimated at their own rates.) A probing or
 // counting route decides the whole input at once (one scatter node);
-// under ScatterDovetail the radix recursion keeps planning per node, and
+// on the dovetail route the radix recursion keeps planning per node, and
 // its decisions merge into Stats.PlannerRoutes after Phase 4.
 func (pl *plan) planScatter() {
 	pl.strat = resolveScatter(&pl.cfg, float64(pl.heavyMass.Load()), pl.massTotal, pl.red != nil)

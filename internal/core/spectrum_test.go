@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/distgen"
 	"repro/internal/hash"
 	"repro/internal/rec"
 	"repro/internal/seqsemi"
@@ -151,5 +152,65 @@ func TestSpectrumPlannerFlip(t *testing.T) {
 	}
 	if !sawScatter {
 		t.Error("sweep never hit the counting-scatter regime at high duplication")
+	}
+}
+
+// TestDovetailDefaultByteDeterminismAcrossProcs pins the default
+// planner's determinism contract: with a zero ScatterStrategy (and only
+// Procs varying), every distgen shape — HeavyHead included — must give
+// byte-identical output at Procs 1, 2 and 8, both for a plain semisort
+// and for a fused reduce, and every call must finish in one attempt.
+// The default never resolves to the CAS probing scatter, whose races
+// reorder records within a group.
+func TestDovetailDefaultByteDeterminismAcrossProcs(t *testing.T) {
+	const n = 60000
+	shapes := []struct {
+		name string
+		spec distgen.Spec
+	}{
+		{"uniform", distgen.Spec{Kind: distgen.Uniform, Param: n}},
+		{"uniform-dup", distgen.Spec{Kind: distgen.Uniform, Param: n / 100}},
+		{"exponential", distgen.Spec{Kind: distgen.Exponential, Param: n / 1000}},
+		{"zipfian", distgen.Spec{Kind: distgen.Zipfian, Param: 10000}},
+		{"heavy-head", distgen.Spec{Kind: distgen.HeavyHead, Param: 4}},
+	}
+	for _, sh := range shapes {
+		a := distgen.Generate(2, n, sh.spec, 41)
+		refKeys := rec.KeyCounts(seqsemi.TwoPhase(append([]rec.Record(nil), a...)))
+		_, refSum, refVals := refAgg(a)
+		var plain, fused []rec.Record
+		for _, procs := range []int{1, 2, 8} {
+			label := fmt.Sprintf("%s/procs=%d", sh.name, procs)
+			cfg := &Config{Procs: procs, Seed: 17}
+			out, stats, err := Semisort(a, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			sameGrouping(t, label, a, out, refKeys)
+			if stats.ScatterStrategy == "probing" || stats.Attempts != 1 {
+				t.Errorf("%s: route %q in %d attempts, want a deterministic route in 1",
+					label, stats.ScatterStrategy, stats.Attempts)
+			}
+			if plain == nil {
+				plain = out
+			} else if !sameRecords(out, plain) {
+				t.Fatalf("%s: plain output differs from procs=1", label)
+			}
+
+			red, reps, stats, err := ReduceShared(nil, a, cfg, sumSpec())
+			if err != nil {
+				t.Fatalf("%s fused: %v", label, err)
+			}
+			checkReduced(t, label+" fused", red, reps, refSum, refVals)
+			if stats.ScatterStrategy != "counting" || stats.Attempts != 1 {
+				t.Errorf("%s fused: route %q in %d attempts, want counting in 1",
+					label, stats.ScatterStrategy, stats.Attempts)
+			}
+			if fused == nil {
+				fused = red // a nil Workspace: nothing reuses this buffer
+			} else if !sameRecords(red, fused) {
+				t.Fatalf("%s: fused output differs from procs=1", label)
+			}
+		}
 	}
 }

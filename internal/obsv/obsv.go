@@ -167,14 +167,16 @@ type Span struct {
 	// Outcome is one of the Outcome* constants.
 	Outcome string
 	// Strategy names the placement algorithm of a scatter span —
-	// "probing" (the CAS scatter) or "counting" (the two-pass counting
-	// scatter); empty on every other phase.
+	// "probing" (the CAS scatter), "counting" (the two-pass counting
+	// scatter) or "dovetail" (the heavy-key split ahead of the radix
+	// recursion); empty on every other phase.
 	Strategy string
 	// Flushes counts the staging-buffer flushes the counting scatter
 	// performed; set on counting-strategy scatter spans only.
 	Flushes int64
 	// Kernel names the Phase 4 local-sort kernel of a localsort span —
-	// "hybrid", "counting" or "bucket"; empty on every other phase.
+	// "hybrid", "counting", "bucket", "radix" (the dovetail route) or
+	// "reduce" (a fused reduce); empty on every other phase.
 	Kernel string
 	// Ranges is the number of size-aware bucket ranges the Phase 4
 	// schedule used (localsort spans), or the number of hash ranges an

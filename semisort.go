@@ -44,12 +44,15 @@ const (
 // ScatterStrategy selects the Phase 3 placement algorithm (see Config).
 type ScatterStrategy = core.ScatterStrategy
 
-// Scatter strategy options: Auto (the default) picks Counting when the
-// sample predicts heavy duplication and Probing otherwise; Probing and
-// Counting force one placement; Dovetail enables the skew-adaptive
-// hybrid, which routes duplicate-heavy inputs to the counting scatter
-// and everything else through a heavy-key split plus a top-down MSD
-// radix recursion (see Stats.PlannerRoutes for where records went).
+// Scatter strategy options: Auto (the default) is the deterministic
+// planner — it picks Counting when the sample predicts heavy duplication
+// or the call is a fused reduce, and otherwise sends the records through
+// a heavy-key split plus a top-down MSD radix recursion (the dovetail
+// route; see Stats.PlannerRoutes for where records went). Its output is
+// byte-identical across Procs and it never retries. Counting forces the
+// counting scatter; Probing selects the paper's CAS scatter with its Las
+// Vegas retry ladder, the reproduction mode. Dovetail is equivalent to
+// Auto, kept for compatibility.
 const (
 	ScatterAuto     = core.ScatterAuto
 	ScatterProbing  = core.ScatterProbing
@@ -59,8 +62,8 @@ const (
 
 // PlannerRoutes breaks down the skew-adaptive planner's routing
 // decisions for the attempt that produced the output (see
-// Stats.PlannerRoutes): the top-level probing/counting choice plus,
-// under ScatterDovetail, the radix recursion's per-node decisions.
+// Stats.PlannerRoutes): the top-level probing/counting choice plus, on
+// the dovetail route, the radix recursion's per-node decisions.
 type PlannerRoutes = core.PlannerRoutes
 
 // ErrOverflow is returned (wrapped) if every Las Vegas retry overflowed a

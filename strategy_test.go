@@ -67,8 +67,10 @@ func TestScatterStrategiesPublicAPI(t *testing.T) {
 	}
 }
 
-// Auto must route heavy duplication to counting and distinct keys to
-// probing — the heuristic the config documentation promises.
+// Auto must route heavy duplication to counting, distinct keys to the
+// dovetail radix route on a plain semisort, and distinct keys to the
+// counting scatter on a fused reduce — never to probing, the contract
+// the config documentation promises.
 func TestAutoResolution(t *testing.T) {
 	in := strategyInputs(20000)
 	_, stats, err := RecordsWithStats(in["heavy"], &Config{Procs: 2})
@@ -82,16 +84,29 @@ func TestAutoResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.ScatterStrategy != "probing" {
-		t.Errorf("distinct input resolved to %q, want probing", stats.ScatterStrategy)
+	if stats.ScatterStrategy != "dovetail" {
+		t.Errorf("distinct input resolved to %q, want dovetail", stats.ScatterStrategy)
+	}
+	for name := range in {
+		out, stats, err := NewSorter(&Config{Procs: 2}).ReduceShared(in[name], sumReducer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.ScatterStrategy != "counting" {
+			t.Errorf("fused reduce of %s input resolved to %q, want counting", name, stats.ScatterStrategy)
+		}
+		if groups := len(rec.KeyCounts(in[name])); len(out) != groups || stats.Attempts != 1 {
+			t.Errorf("fused reduce of %s input: %d groups in %d attempts, want %d in 1",
+				name, len(out), stats.Attempts, groups)
+		}
 	}
 }
 
 // Strategy resolution must be invariant across the sampling modes: the
 // heavy-mass signal the planner consumes comes from the estimator, so
 // one-shot, pilot-only, and cap-forced adaptive runs must all route
-// heavy duplication to counting and distinct keys to probing, grouping
-// correctly throughout.
+// heavy duplication to counting and distinct keys to dovetail (counting
+// on a fused reduce), grouping correctly throughout.
 func TestAutoResolutionAcrossSamplingModes(t *testing.T) {
 	in := strategyInputs(20000)
 	modes := []struct {
@@ -104,7 +119,7 @@ func TestAutoResolutionAcrossSamplingModes(t *testing.T) {
 		{"cap-forced", Config{SampleTolerance: 0.0001, SampleMaxRounds: 6}},
 	}
 	for _, m := range modes {
-		for name, want := range map[string]string{"heavy": "counting", "distinct": "probing"} {
+		for name, want := range map[string]string{"heavy": "counting", "distinct": "dovetail"} {
 			cfg := m.cfg
 			cfg.Procs = 2
 			out, stats, err := RecordsWithStats(in[name], &cfg)
@@ -117,6 +132,14 @@ func TestAutoResolutionAcrossSamplingModes(t *testing.T) {
 			if stats.ScatterStrategy != want {
 				t.Errorf("%s: %s input resolved to %q, want %q",
 					m.name, name, stats.ScatterStrategy, want)
+			}
+			_, stats, err = NewSorter(&cfg).ReduceShared(in[name], sumReducer)
+			if err != nil {
+				t.Fatalf("%s/%s fused: %v", m.name, name, err)
+			}
+			if stats.ScatterStrategy != "counting" {
+				t.Errorf("%s: fused reduce of %s input resolved to %q, want counting",
+					m.name, name, stats.ScatterStrategy)
 			}
 		}
 	}
