@@ -2,19 +2,26 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-smoke fuzz check stress sweep sample-sweep soak-smoke outofcore-smoke repro repro-quick examples clean
+.PHONY: all build fmt-check vet test race cover bench bench-smoke fuzz check stress sweep sample-sweep soak-smoke outofcore-smoke repro repro-quick examples clean
 
 all: build vet test
 
-# check is the CI gate: build, vet, and the full test suite (including the
-# fault-injection matrix) under the race detector, then vet and unit tests
-# of perfbench, which is its own Go module and so outside ./...
-check: build vet
+# check is the CI gate: gofmt cleanliness, build, vet, and the full test
+# suite (including the fault-injection matrix) under the race detector,
+# then vet and unit tests of perfbench, which is its own Go module and so
+# outside ./...
+check: fmt-check build vet
 	$(GO) test -race -short ./...
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails, listing the files, when any Go source (perfbench
+# included; dot-directories such as .bench_build excluded) is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l $$(find . -name '*.go' -not -path './.*')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -35,10 +42,11 @@ stress:
 
 # sweep runs the duplication-spectrum differential suite twice (the
 # second pass exercises warm-workspace reuse on the same process) plus
-# the planner-resolution tests — the acceptance gate for the
-# skew-adaptive dovetail route.
+# the planner-resolution tests and the radix kernel's own dovetail tests
+# (width-rule determinism, cancellation, allocation bounds) — the
+# acceptance gate for the skew-adaptive dovetail route.
 sweep:
-	$(GO) test -race -count=2 -run 'Spectrum|Dovetail' ./internal/core/ .
+	$(GO) test -race -count=2 -run 'Spectrum|Dovetail' ./internal/core/ ./internal/sortint/ .
 
 # sample-sweep mirrors the CI adaptive-sampling step: the multi-round
 # estimator's proc-count determinism, budget/round-cap contracts,

@@ -108,7 +108,7 @@ func skewedInput(n int, seed uint64) []rec.Record {
 func schedTable(o Options, P int) *Table {
 	a := skewedInput(o.N, o.Seed+3)
 	tab := &Table{
-		Title: fmt.Sprintf("Phase 4 scheduling under skew — dominant block of light buckets (~75%% of records), n=%d, p=%d", o.N, P),
+		Title:   fmt.Sprintf("Phase 4 scheduling under skew — dominant block of light buckets (~75%% of records), n=%d, p=%d", o.N, P),
 		Headers: []string{"schedule", "ranges", "localsort(s)", "total(s)", "vs uniform"},
 	}
 	var ws core.Workspace

@@ -5,8 +5,10 @@ package core
 // without allocating anything beyond the returned output slice (and
 // nothing at all through SemisortShared). testing.AllocsPerRun pins
 // GOMAXPROCS to 1, and parallel dispatch inherently allocates goroutine
-// closures, so the contract is stated — and tested — for the serial
-// dispatch path.
+// closures, so the zero-allocation contract is stated — and tested — for
+// the serial dispatch path. At Procs > 1 the default route's contract is
+// a fixed per-call bound that does not grow with n
+// (TestSteadyStateAllocsParallelDefault).
 
 import (
 	"fmt"
@@ -236,5 +238,43 @@ func TestBoostMapRetained(t *testing.T) {
 	m2[1] = 2
 	if len(m1) != 1 {
 		t.Fatal("getBoost did not return the retained map")
+	}
+}
+
+// coreParallelAllocBound is the allocation budget of a warm default-route
+// SemisortShared at Procs 2 on a light input: the goroutines and closures
+// of each phase's parallel loops, about 120 in all (the radix kernel's
+// share is bounded by sortint's own gate). It does not grow with n: the
+// count tables and scratch are workspace-owned, and both radix
+// recursions (the Phase 1 sample sort and the Phase 4 kernel) hand their
+// subtrees below 2^15 records to closure-free serial code. Measured
+// 99 allocs at 2^18 and 122 at 2^20, 2^21 and 2^22.
+const coreParallelAllocBound = 160
+
+func TestSteadyStateAllocsParallelDefault(t *testing.T) {
+	for _, n := range []int{1 << 18, 1 << 20} {
+		a := distgen.Generate(2, n, distgen.Spec{Kind: distgen.Uniform, Param: float64(n)}, 8)
+		cfg := &Config{Procs: 2, Seed: 11}
+		ws := &Workspace{}
+		for i := 0; i < 2; i++ {
+			if _, _, err := SemisortShared(ws, a, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, stats, err := SemisortShared(ws, a, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.ScatterStrategy != "dovetail" {
+			t.Fatalf("n=%d: default route resolved to %v, want the dovetail route", n, stats.ScatterStrategy)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, _, err := SemisortShared(ws, a, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > coreParallelAllocBound {
+			t.Errorf("n=%d: SemisortShared at Procs 2: %.0f allocs/run, want <= %d", n, allocs, coreParallelAllocBound)
+		}
 	}
 }

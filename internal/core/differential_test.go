@@ -43,7 +43,7 @@ func diffMatrix(n int, seed uint64) []diffDist {
 	}
 	return []diffDist{
 		{"uniform", distgen.Generate(2, n, distgen.Spec{Kind: distgen.Uniform, Param: float64(n)}, seed)},
-		{"zipf", distgen.Generate(2, n, distgen.Spec{Kind: distgen.Zipfian, Param: 1000}, seed + 1)},
+		{"zipf", distgen.Generate(2, n, distgen.Spec{Kind: distgen.Zipfian, Param: 1000}, seed+1)},
 		{"all-equal", allEqual},
 		{"all-distinct", mkRecords(n, 0, int64(seed)+2)},
 		{"few-heavy", fewHeavy},

@@ -126,8 +126,8 @@ type plan struct {
 	rsGrain   int
 	numRuns   int
 	// Classification.
-	runGrain     int
-	runBlocks    int
+	runGrain    int
+	runBlocks   int
 	blockHeavy  []int32
 	heavyRuns   []heavyRun
 	numHeavy    int

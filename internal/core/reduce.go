@@ -77,8 +77,8 @@ type ReduceSpec struct {
 	Histogram bool
 }
 
-func histFold(acc, _, _ uint64) uint64    { return acc + 1 }
-func histMerge(a, _, b, _ uint64) uint64  { return a + b }
+func histFold(acc, _, _ uint64) uint64   { return acc + 1 }
+func histMerge(a, _, b, _ uint64) uint64 { return a + b }
 
 // ReduceShared semisort-reduces a through ws: the output holds one record
 // per distinct key — Key the group's key, Value its final accumulator —

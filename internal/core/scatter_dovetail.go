@@ -14,10 +14,14 @@
 // identity and degenerates to one parallel copy.
 //
 // Phase 4 then groups the light region with internal/sortint's dovetail
-// semisort: a top-down MSD radix recursion that re-samples at every
-// node and pulls that node's heavy keys out of its distribution pass.
-// Its out-of-place passes run against the workspace-owned radix
-// scratch, so warm runs allocate nothing. Phase 5 is the same placement
+// semisort: a top-down MSD radix recursion with size-adaptive digits
+// that re-samples every large node and pulls that node's heavy keys out
+// of its distribution pass. Its out-of-place passes run against the
+// workspace-owned radix scratch and count tables (rxScratch, rxTables),
+// so warm runs allocate nothing at Procs 1 and a fixed number of
+// goroutine closures at Procs > 1 (about 120 per call for the whole
+// route on a light input, whatever its size;
+// TestSteadyStateAllocsParallelDefault). Phase 5 is the same placement
 // invariant check as the counting path — the scatter already packed.
 //
 // Determinism matches the counting scatter's: the split is stable in
@@ -34,7 +38,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/prim"
-	"repro/internal/sortint"
 )
 
 // dovetailStage is the hybrid placement's scatterStage.
@@ -201,7 +204,7 @@ func (pl *plan) dovetailLocalSortBody() error {
 	light := pl.out[pl.heavyEnd:]
 	if len(light) > 1 {
 		scratch := grow(&pl.ws.rxScratch, len(light))
-		if err := sortint.DovetailSemisortWith(pl.ctx, pl.procs, light, scratch, &pl.dov); err != nil {
+		if err := pl.ws.rxTables.Semisort(pl.ctx, pl.procs, light, scratch, &pl.dov); err != nil {
 			return err
 		}
 	}

@@ -9,6 +9,10 @@
 //   - CountingSort / ParallelCountingSort: the stable counting sort from
 //     Rajasekaran and Reif's integer sorting algorithm, used by the
 //     semisort's counting-sort-based local sort and by tests.
+//   - DovetailTables.Semisort / DovetailSemisortWith (dovetail.go): the
+//     dovetail semisort, an MSD radix recursion with size-adaptive digits
+//     that pulls each node's heavy keys out of its distribution pass; the
+//     default route's Phase 4 kernel.
 //
 // All sorts order rec.Record values by Key ascending and treat Value as an
 // opaque payload.

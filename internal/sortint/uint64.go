@@ -35,8 +35,7 @@ func SortUint64With(procs int, keys, scratch []uint64) {
 		u64SortSerial(keys, scratch[:len(keys)], 64-radixBits)
 		return
 	}
-	lim := parallel.NewLimiter(procs)
-	u64SortInPlace(procs, lim, keys, scratch[:len(keys)], 64-radixBits)
+	u64SortInPlace(procs, keys, scratch[:len(keys)], 64-radixBits)
 }
 
 // u64SortSerial is u64SortInPlace specialized to one worker with the
@@ -83,30 +82,26 @@ func u64SortSerialInto(src, dst []uint64, shift int) {
 	}
 }
 
-func u64SortInPlace(procs int, lim parallel.Joiner, a, scratch []uint64, shift int) {
-	n := len(a)
-	if n <= smallCutoff {
-		u64InsertionSort(a)
+// u64SortInPlace is the recursion of parallel sorts. Nodes below
+// seqCutoff take the closure-free serial recursion, so a parallel sort
+// allocates only at its few large nodes.
+func u64SortInPlace(procs int, a, scratch []uint64, shift int) {
+	if len(a) < seqCutoff {
+		u64SortSerial(a, scratch, shift)
 		return
 	}
 	if shift < 0 {
 		return
 	}
 	starts := u64RadixPass(procs, a, scratch, shift)
-	u64RecurseBuckets(lim, starts, func(lo, hi int) {
-		if hi-lo == 1 {
-			a[lo] = scratch[lo]
-			return
-		}
-		u64SortInto(procs, lim, scratch[lo:hi], a[lo:hi], shift-radixBits)
+	u64RecurseBuckets(procs, starts, func(lo, hi int) {
+		u64SortInto(procs, scratch[lo:hi], a[lo:hi], shift-radixBits)
 	})
 }
 
-func u64SortInto(procs int, lim parallel.Joiner, src, dst []uint64, shift int) {
-	n := len(src)
-	if n <= smallCutoff {
-		copy(dst, src)
-		u64InsertionSort(dst)
+func u64SortInto(procs int, src, dst []uint64, shift int) {
+	if len(src) < seqCutoff {
+		u64SortSerialInto(src, dst, shift)
 		return
 	}
 	if shift < 0 {
@@ -114,32 +109,28 @@ func u64SortInto(procs int, lim parallel.Joiner, src, dst []uint64, shift int) {
 		return
 	}
 	starts := u64RadixPass(procs, src, dst, shift)
-	u64RecurseBuckets(lim, starts, func(lo, hi int) {
-		u64SortInPlace(procs, lim, dst[lo:hi], src[lo:hi], shift-radixBits)
+	u64RecurseBuckets(procs, starts, func(lo, hi int) {
+		u64SortInPlace(procs, dst[lo:hi], src[lo:hi], shift-radixBits)
 	})
 }
 
-func u64RecurseBuckets(lim parallel.Joiner, starts [radixBuckets + 1]int, body func(lo, hi int)) {
-	n := starts[radixBuckets]
-	if !lim.Parallel() || n < seqCutoff {
-		for b := 0; b < radixBuckets; b++ {
-			if starts[b+1] > starts[b] {
-				body(starts[b], starts[b+1])
+// u64RecurseBuckets invokes body on every non-empty bucket of a parallel
+// node: parallel.For hands out bucket ranges for the buckets below
+// seqCutoff (serial subtrees), then the larger buckets recurse one at a
+// time, each with parallel passes of its own.
+func u64RecurseBuckets(procs int, starts [radixBuckets + 1]int, body func(lo, hi int)) {
+	parallel.For(procs, radixBuckets, parallel.Grain(radixBuckets, procs, 1), func(blo, bhi int) {
+		for b := blo; b < bhi; b++ {
+			if lo, hi := starts[b], starts[b+1]; hi > lo && hi-lo < seqCutoff {
+				body(lo, hi)
 			}
 		}
-		return
-	}
-	var fns []func()
+	})
 	for b := 0; b < radixBuckets; b++ {
-		lo, hi := starts[b], starts[b+1]
-		switch {
-		case hi-lo == 1:
+		if lo, hi := starts[b], starts[b+1]; hi-lo >= seqCutoff {
 			body(lo, hi)
-		case hi-lo > 1:
-			fns = append(fns, func() { body(lo, hi) })
 		}
 	}
-	lim.JoinAll(fns...)
 }
 
 func u64RadixPass(procs int, src, dst []uint64, shift int) [radixBuckets + 1]int {
