@@ -65,6 +65,7 @@ func uniSpec(n int) distgen.Spec {
 
 func benchSemisort(b *testing.B, a []rec.Record, cfg core.Config) {
 	b.Helper()
+	cfg.ScatterStrategy = core.ScatterProbing // the paper's scatter, not the default planner
 	var ws core.Workspace
 	b.SetBytes(int64(len(a)) * 16)
 	b.ResetTimer()
@@ -119,7 +120,8 @@ func benchBreakdown(b *testing.B, spec distgen.Spec) {
 	var agg core.PhaseTimes
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := core.Semisort(a, &core.Config{Seed: 7})
+		// The paper's scatter, not the default planner.
+		_, st, err := core.Semisort(a, &core.Config{Seed: 7, ScatterStrategy: core.ScatterProbing})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -397,16 +399,6 @@ func BenchmarkAblation_ProbeStrategy(b *testing.B) {
 	})
 	b.Run("random", func(b *testing.B) {
 		benchSemisort(b, a, core.Config{Probe: core.ProbeRandom, Seed: 7})
-	})
-}
-
-func BenchmarkAblation_LocalSort(b *testing.B) {
-	a := workload(benchN, uniSpec(benchN), 1)
-	b.Run("hybrid", func(b *testing.B) {
-		benchSemisort(b, a, core.Config{LocalSort: core.LocalSortHybrid, Seed: 7})
-	})
-	b.Run("counting", func(b *testing.B) {
-		benchSemisort(b, a, core.Config{LocalSort: core.LocalSortCounting, Seed: 7})
 	})
 }
 

@@ -13,7 +13,7 @@
 //
 // Experiments: table1 table2 table3 table4 table5 fig1 fig2 fig3 fig4 fig5
 // seqbaselines rrcompare schedulers ablation scatter faults observe reuse
-// localsort reduce dovetail sampling outofcore all.
+// reduce dovetail sampling outofcore all.
 package main
 
 import (
@@ -45,7 +45,6 @@ var experiments = map[string]func(bench.Options) []*bench.Table{
 	"faults":       bench.RunFaults,
 	"observe":      bench.RunObserve,
 	"reuse":        bench.RunReuse,
-	"localsort":    bench.RunLocalSort,
 	"reduce":       bench.RunReduce,
 	"dovetail":     bench.RunDovetail,
 	"sampling":     bench.RunSampling,
@@ -56,7 +55,7 @@ var experiments = map[string]func(bench.Options) []*bench.Table{
 var order = []string{
 	"table1", "table2", "table3", "table4", "table5",
 	"fig1", "fig2", "fig3", "fig4", "fig5", "seqbaselines", "rrcompare", "schedulers", "ablation",
-	"scatter", "faults", "observe", "reuse", "localsort", "reduce", "dovetail", "sampling",
+	"scatter", "faults", "observe", "reuse", "reduce", "dovetail", "sampling",
 	"outofcore",
 }
 

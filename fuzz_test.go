@@ -137,7 +137,6 @@ func FuzzConfigs(f *testing.F) {
 			DisableBucketMerging: merge,
 			ExactBucketSizes:     exact,
 			Probe:                core.ProbeKind(probe % 2),
-			LocalSort:            core.LocalSortKind(probe % 2),
 			ScatterStrategy:      core.ScatterStrategy(strat % 4),
 			Seed:                 uint64(rate) ^ uint64(buckets),
 			// The adaptive-sampling dimension: pilot density, convergence

@@ -119,25 +119,6 @@ func RunAblation(o Options) []*Table {
 	prTab.Notes = append(prTab.Notes, "paper uses linear probing for cache locality over the theoretical random re-probe and block-synchronous rounds")
 	out = append(out, prTab)
 
-	// Local sort algorithm.
-	lsTab := &Table{
-		Title:   "Ablation — light bucket local sort",
-		Headers: []string{"local_sort", "exp_time(s)", "uni_time(s)"},
-	}
-	for _, ls := range []struct {
-		kind  core.LocalSortKind
-		label string
-	}{
-		{core.LocalSortHybrid, "hybrid(introsort)"},
-		{core.LocalSortCounting, "naming+counting(RR)"},
-		{core.LocalSortBucket, "bucket sort"},
-	} {
-		et, _, ut, _ := run(core.Config{LocalSort: ls.kind})
-		lsTab.AddRow(ls.label, secs(et), secs(ut))
-	}
-	lsTab.Notes = append(lsTab.Notes, "paper tried bucket/hybrid/STL sorts and found similar times, shipping std::sort; the RR counting sort is the theory-faithful variant")
-	out = append(out, lsTab)
-
 	// Bucket sizing: the paper's power-of-two round-up vs exact ⌈slack·f(s)⌉.
 	szTab := &Table{
 		Title:   "Ablation — bucket sizing (pow2 round-up vs exact)",

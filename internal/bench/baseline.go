@@ -44,12 +44,13 @@ type Baseline struct {
 	TotalSec float64 `json:"total_sec"`
 	// AllocsPerOp is the steady-state heap allocations per warm-workspace
 	// semisort call at one worker, keyed by scatter strategy ("probing",
-	// "counting"), by pinned Phase 4 kernel for baselines written after
-	// the arena kernels ("kernel_counting", "kernel_bucket"), and by
-	// fused aggregation entry point for baselines written after the
-	// collect-reduce work ("reduce", "histogram"). Absent from baselines
-	// written before the pipeline refactor; Compare gates only the keys
-	// the stored baseline has.
+	// "counting", "dovetail") and by fused aggregation entry point
+	// ("reduce", "histogram"). Absent from baselines written before the
+	// pipeline refactor. Compare gates only the keys the stored baseline
+	// has, and fails on a stored key the current measurement lacks — so
+	// baselines that still hold the retired Phase 4 kernel keys
+	// ("kernel_counting", "kernel_bucket") no longer compare; the CI
+	// cache namespace was versioned when those keys were dropped.
 	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
 }
 
@@ -280,22 +281,6 @@ func MeasureBaseline(o Options) Baseline {
 		"dovetail": allocsPerOp(allocReps, func() {
 			if _, _, err := core.SemisortWS(&ws, a, &core.Config{Procs: 1, Seed: o.Seed + 7,
 				ScatterStrategy: core.ScatterDovetail}); err != nil {
-				panic(err)
-			}
-		}),
-		// The non-default Phase 4 kernels share the workspace arenas, so a
-		// warm call must stay allocation-free for them too; a per-bucket
-		// naming table or scratch slice that slips off the arena shows up
-		// here before it shows up as time.
-		"kernel_counting": allocsPerOp(allocReps, func() {
-			if _, _, err := core.SemisortWS(&ws, exp, &core.Config{Procs: 1, Seed: o.Seed + 7,
-				LocalSort: core.LocalSortCounting}); err != nil {
-				panic(err)
-			}
-		}),
-		"kernel_bucket": allocsPerOp(allocReps, func() {
-			if _, _, err := core.SemisortWS(&ws, a, &core.Config{Procs: 1, Seed: o.Seed + 7,
-				LocalSort: core.LocalSortBucket}); err != nil {
 				panic(err)
 			}
 		}),

@@ -10,34 +10,6 @@ import (
 	"repro/internal/parallel"
 )
 
-// LocalSortKind selects the Phase 4 algorithm for light buckets.
-type LocalSortKind int
-
-const (
-	// LocalSortHybrid sorts each light bucket with the introsort hybrid
-	// (the paper's final choice: "the sort in the C++ Standard Library").
-	LocalSortHybrid LocalSortKind = iota
-	// LocalSortCounting semisorts each light bucket with the naming
-	// problem (a small hash table assigning dense labels) followed by two
-	// passes of stable counting sort, as in the theoretical algorithm.
-	LocalSortCounting
-	// LocalSortBucket sorts each light bucket with a classic bucket sort
-	// over the (near-uniform) hashed keys — one of the alternatives the
-	// paper reports trying in Phase 4 before settling on std::sort.
-	LocalSortBucket
-)
-
-func (k LocalSortKind) String() string {
-	switch k {
-	case LocalSortCounting:
-		return "counting"
-	case LocalSortBucket:
-		return "bucket"
-	default:
-		return "hybrid"
-	}
-}
-
 // ProbeKind selects the Phase 3 collision strategy.
 type ProbeKind int
 
@@ -107,10 +79,12 @@ func (s ScatterStrategy) String() string {
 	}
 }
 
-// Config holds the algorithm's tuning parameters. The zero value selects
-// the paper's defaults (Section 4): p = 1/16, δ = 16, 2^16 light buckets,
-// c = 1.25, slack 1.1, bucket merging on, hybrid local sort, linear
-// probing.
+// Config holds the algorithm's tuning parameters. The zero value keeps
+// the paper's parameters (Section 4): p = 1/16, δ = 16, 2^16 light
+// buckets, c = 1.25, slack 1.1, bucket merging on, linear probing. Its
+// Phase 3 placement is the deterministic planner (ScatterAuto: counting
+// or the dovetail radix route), not the paper's; the paper's CAS scatter
+// and probing needs ScatterStrategy: ScatterProbing.
 type Config struct {
 	// Procs is the number of workers; <= 0 means GOMAXPROCS.
 	Procs int
@@ -157,14 +131,6 @@ type Config struct {
 	// the paper's Phase 2 but reduces slot memory (and hence scatter
 	// traffic) by ~1.4x on average; see the ablation benches.
 	ExactBucketSizes bool
-	// LocalSort selects the Phase 4 algorithm.
-	LocalSort LocalSortKind
-	// UniformLocalSortChunks disables the size-aware Phase 4 schedule,
-	// splitting the light buckets into one uniform-bucket-count range per
-	// worker regardless of bucket sizes (ablation: under skew one giant
-	// merged bucket then serializes the phase behind whichever worker
-	// drew it).
-	UniformLocalSortChunks bool
 	// Probe selects the Phase 3 collision strategy (probing scatter only).
 	// A non-linear probe kind forces ScatterProbing — the alternative
 	// probes parameterize the probing placement, so combining them with
@@ -338,10 +304,9 @@ type Stats struct {
 	ScatterFlushes int64
 	// LocalSortRanges is the number of size-aware bucket ranges the Phase
 	// 4 schedule cut the light buckets into (1 at Procs == 1, at most
-	// 8 × Procs otherwise; the bucket count per worker under
-	// UniformLocalSortChunks). Zero when the attempt had no light
-	// buckets, and on the dovetail route, whose Phase 4 is the radix
-	// recursion rather than a per-bucket schedule.
+	// 8 × Procs otherwise). Zero when the attempt had no light buckets,
+	// and on the dovetail route, whose Phase 4 is the radix recursion
+	// rather than a per-bucket schedule.
 	LocalSortRanges int
 
 	// Recovery bookkeeping (Attempts == 1 and the rest zero on a clean

@@ -27,9 +27,11 @@
 //     sampled heavy keys into packed front groups with one counting pass
 //     and hands the light remainder to a top-down MSD radix recursion
 //     that keeps re-deciding per node (the dovetail route).
-//  4. Local sort (localsort.go): compact each light bucket and semisort it
-//     locally (hybrid comparison sort by default, or the Rajasekaran–Reif
-//     style naming + two-pass counting sort).
+//  4. Local sort (localsort.go): compact each light bucket and group it
+//     locally with the introsort hybrid (the paper's std::sort choice)
+//     over size-aware bucket ranges; the dovetail route runs its MSD
+//     radix recursion over the light region instead, and a fused reduce
+//     folds each bucket in a naming table (reduce.go).
 //  5. Packing (pack.go): compact the heavy region with the interval
 //     technique (Section 4, Phase 5) and copy the already-compact light
 //     buckets, all into one contiguous output array.

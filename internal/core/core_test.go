@@ -213,17 +213,6 @@ func TestSemisortInputUnmodified(t *testing.T) {
 	}
 }
 
-func TestSemisortLocalSortCounting(t *testing.T) {
-	for _, keyRange := range []uint64{0, 100, 5000} {
-		a := mkRecords(60000, keyRange, 12)
-		out, _, err := Semisort(a, &Config{Procs: 4, LocalSort: LocalSortCounting})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkSemisorted(t, "counting local sort", a, out)
-	}
-}
-
 func TestSemisortProbeRandom(t *testing.T) {
 	a := mkRecords(60000, 500, 13)
 	out, _, err := Semisort(a, &Config{Procs: 4, Probe: ProbeRandom})
@@ -393,53 +382,6 @@ func TestSizeEstimateQuick(t *testing.T) {
 		return got >= 4 && got >= s*rate && got&(got-1) == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCountingSemisortDirect(t *testing.T) {
-	seg := []rec.Record{
-		{Key: 7, Value: 0}, {Key: 3, Value: 1}, {Key: 7, Value: 2},
-		{Key: 9, Value: 3}, {Key: 3, Value: 4}, {Key: 7, Value: 5},
-	}
-	orig := append([]rec.Record(nil), seg...)
-	var ar lsArena
-	ar.countingSemisort(seg)
-	if !rec.IsSemisorted(seg) {
-		t.Fatalf("countingSemisort output not semisorted: %v", seg)
-	}
-	if !rec.SamePermutation(orig, seg) {
-		t.Fatal("countingSemisort lost records")
-	}
-}
-
-func TestCountingSemisortEdge(t *testing.T) {
-	var ar lsArena
-	ar.countingSemisort(nil)
-	one := []rec.Record{{Key: 5}}
-	ar.countingSemisort(one)
-	if one[0].Key != 5 {
-		t.Error("single record mutated")
-	}
-	same := []rec.Record{{Key: 5, Value: 1}, {Key: 5, Value: 2}}
-	ar.countingSemisort(same)
-	if same[0].Key != 5 || same[1].Key != 5 {
-		t.Error("all-equal segment broken")
-	}
-}
-
-func TestCountingSemisortQuick(t *testing.T) {
-	prop := func(keys []uint8) bool {
-		seg := make([]rec.Record, len(keys))
-		for i, k := range keys {
-			seg[i] = rec.Record{Key: uint64(k % 23), Value: uint64(i)}
-		}
-		orig := append([]rec.Record(nil), seg...)
-		var ar lsArena
-		ar.countingSemisort(seg)
-		return rec.IsSemisorted(seg) && rec.SamePermutation(orig, seg)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

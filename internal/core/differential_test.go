@@ -153,20 +153,6 @@ func TestDifferentialAdaptiveSampling(t *testing.T) {
 	}
 }
 
-// TestDifferentialCountingLocalSorts crosses the counting scatter with
-// every Phase 4 algorithm.
-func TestDifferentialCountingLocalSorts(t *testing.T) {
-	a := distgen.Generate(2, 30000, distgen.Spec{Kind: distgen.Zipfian, Param: 10000}, 17)
-	ref := rec.KeyCounts(seqsemi.TwoPhase(append([]rec.Record(nil), a...)))
-	for _, ls := range []LocalSortKind{LocalSortHybrid, LocalSortCounting, LocalSortBucket} {
-		out, _, err := Semisort(a, &Config{Procs: 4, LocalSort: ls, ScatterStrategy: ScatterCounting})
-		if err != nil {
-			t.Fatalf("localsort %v: %v", ls, err)
-		}
-		sameGrouping(t, fmt.Sprintf("localsort=%v", ls), a, out, ref)
-	}
-}
-
 // TestCountingDeterministic: the counting scatter's and the dovetail
 // hybrid's output must be byte-identical across worker counts and
 // repeated runs — the split's per-bucket order equals input order

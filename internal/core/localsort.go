@@ -1,40 +1,29 @@
 // Phase 4 — local sort (paper Section 4, Phase 4): semisort each light
 // bucket locally. The phase orchestrator delegates the traversal to the
 // scatter stage (the probing stage compacts slot ranges first; the
-// counting stage works in place in the output); the per-segment kernels
-// here are shared by both.
+// counting stage works in place in the output; the dovetail stage runs
+// its radix recursion over the whole light region instead).
 //
-// Two cache/allocation properties distinguish this file from a naive
-// per-bucket implementation (they are where the flexible-semisort
-// follow-up, arXiv:2304.10078, attributes most of its practical
-// speedup):
+// On the probing and counting routes every light bucket is grouped by
+// the introsort hybrid (sortcmp.Introsort) — the paper's final choice,
+// "the sort in the C++ Standard Library", after it tried bucket, counting
+// and hybrid sorts; EXPERIMENTS.md records the same ranking here. The
+// buckets are traversed in size-aware ranges: a prefix sum over the
+// per-bucket sizes is cut into near-equal-weight contiguous ranges
+// (prim.BalancedBounds), so under skew a giant light bucket gets a range
+// of its own instead of dragging its neighbors onto one worker's critical
+// path.
 //
-//   - Every kernel runs on a per-worker lsArena owned by the Workspace:
-//     the naming problem uses a reusable flat open-addressing table
-//     instead of a Go map, and the label/scratch/count arrays grow once
-//     per worker instead of being allocated per bucket, so a warm
-//     workspace executes Phase 4 without touching the heap for any
-//     LocalSortKind.
-//
-//   - Buckets are traversed in size-aware ranges: a prefix sum over the
-//     per-bucket sizes is cut into near-equal-weight contiguous ranges
-//     (prim.BalancedBounds), so under skew a giant light bucket gets a
-//     range of its own instead of dragging its uniform-chunk neighbors
-//     onto one worker's critical path, and each worker claims one arena
-//     per range instead of per bucket.
+// A fused reduce replaces the sort with reduceSeg (reduce.go), which
+// folds each bucket in a per-worker arena owned by the Workspace.
 package core
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 	"time"
 
-	"repro/internal/hash"
 	"repro/internal/obsv"
 	"repro/internal/prim"
-	"repro/internal/rec"
-	"repro/internal/sortcmp"
 )
 
 // localSortPhase runs Phase 4 through the stage. On a fused reduce the
@@ -44,10 +33,10 @@ func (pl *plan) localSortPhase(st scatterStage) error {
 	if err := phaseGate(pl.ctx, "local sort"); err != nil {
 		return err
 	}
-	ph, kernel := obsv.PhaseLocalSort, pl.cfg.LocalSort.String()
+	ph, kernel := obsv.PhaseLocalSort, "hybrid"
 	if pl.strat == ScatterDovetail {
-		// The dovetail route ignores Config.LocalSort: its Phase 4 is the
-		// radix recursion over the light region.
+		// The dovetail route's Phase 4 is the radix recursion over the
+		// light region.
 		kernel = "radix"
 	}
 	if pl.red != nil {
@@ -66,17 +55,15 @@ func (pl *plan) localSortPhase(st scatterStage) error {
 
 // lsRangesPerProc is how many size-aware ranges each worker gets on
 // average: enough that the chunk-claiming cursor can absorb residual
-// imbalance, few enough that per-range costs (an arena acquire, a
-// cursor bump) stay negligible.
+// imbalance, few enough that per-range costs (an arena acquire on a
+// fused reduce, a cursor bump) stay negligible.
 const lsRangesPerProc = 8
 
 // planLightRanges cuts the merged light buckets into pl.lsRanges
 // contiguous ranges of near-equal total weight, where weightOf prices
 // one bucket's Phase 4 work (slot-array length on the probing path,
 // exact record count on the counting path). The boundaries land in
-// workspace-owned buffers, so the steady state allocates nothing. With
-// Config.UniformLocalSortChunks set (ablation) the ranges are instead
-// uniform in bucket count, one per worker — the schedule PR 4 shipped.
+// workspace-owned buffers, so the steady state allocates nothing.
 func (pl *plan) planLightRanges(weightOf func(*plan, int) int64) {
 	nb := pl.numLightMerged
 	if nb == 0 {
@@ -86,20 +73,10 @@ func (pl *plan) planLightRanges(weightOf func(*plan, int) int64) {
 	}
 	ranges := min(nb, pl.procs*lsRangesPerProc)
 	if pl.procs == 1 {
-		// One serial range: no scheduling to balance, one arena acquire.
+		// One serial range: no scheduling to balance.
 		ranges = 1
 	}
 	bounds := grow(&pl.ws.lsBounds, ranges+1)
-	if pl.cfg.UniformLocalSortChunks {
-		uniform := min(nb, pl.procs)
-		bounds = grow(&pl.ws.lsBounds, uniform+1)
-		for i := 0; i <= uniform; i++ {
-			bounds[i] = int32(i * nb / uniform)
-		}
-		pl.lsBounds, pl.lsRanges = bounds, uniform
-		pl.stats.LocalSortRanges = uniform
-		return
-	}
 	cum := grow(&pl.ws.lsCum, nb)
 	var run int64
 	for j := 0; j < nb; j++ {
@@ -109,261 +86,4 @@ func (pl *plan) planLightRanges(weightOf func(*plan, int) int64) {
 	prim.BalancedBounds(bounds, cum)
 	pl.lsCum, pl.lsBounds, pl.lsRanges = cum, bounds, ranges
 	pl.stats.LocalSortRanges = ranges
-}
-
-// An lsArena is one worker's Phase 4 scratch: the naming table, label
-// arrays, record scratch and counting buffers every local-sort kernel
-// needs. Arenas live in the Workspace and are handed to workers through
-// a buffered-channel free-list (the same pattern as the counting
-// scatter's staging slots), one acquire per size-aware range; each
-// buffer grows to the largest segment its worker has seen and is then
-// reused, so a warm workspace sorts without allocating.
-type lsArena struct {
-	labels     []int32
-	labScratch []int32
-	scratch    []rec.Record
-	counts     []int32
-	offs       []int32
-	// Flat open-addressing naming table (countingSemisort): tabLabs
-	// stores label+1 so the zero value means vacant and reuse is a
-	// memclr of the sized view; any uint64 — including 0 and ^0 — is a
-	// valid key.
-	tabKeys []uint64
-	tabLabs []int32
-	// Fused-reduce segment buffers (reduceSeg): per-distinct-key
-	// accumulators, representatives and keys, indexed by naming-table
-	// label.
-	redAccs []uint64
-	redReps []uint64
-	redKeys []uint64
-}
-
-// sortSeg groups one light bucket's records in place with the
-// configured local-sort algorithm (Phase 4); both scatter strategies
-// share it.
-func (ar *lsArena) sortSeg(kind LocalSortKind, seg []rec.Record) {
-	switch kind {
-	case LocalSortCounting:
-		ar.countingSemisort(seg)
-	case LocalSortBucket:
-		ar.bucketLocalSort(seg)
-	default:
-		sortcmp.Introsort(seg)
-	}
-}
-
-// countingSemisort groups equal keys in seg using the naming problem (a
-// flat open-addressing table assigning dense labels in first-appearance
-// order) followed by two stable counting-sort passes over the label
-// digits — the Rajasekaran–Reif style local semisort from Step 7c of
-// Algorithm 1. Labels are identical to the historical map-based
-// implementation (first appearance order), so the output is unchanged.
-func (ar *lsArena) countingSemisort(seg []rec.Record) {
-	n := len(seg)
-	if n <= 1 {
-		return
-	}
-	// Naming: dense labels in [0, m) via linear probing at load ≤ 1/2.
-	labels := grow(&ar.labels, n)
-	size := 4
-	if n > 2 {
-		size = 1 << uint(bits.Len(uint(2*n-1)))
-	}
-	if cap(ar.tabKeys) < size {
-		ar.tabKeys = make([]uint64, size)
-		ar.tabLabs = make([]int32, size)
-	}
-	keys := ar.tabKeys[:size]
-	labs := ar.tabLabs[:size]
-	clear(labs)
-	mask := uint64(size - 1)
-	var m int32
-	for i, r := range seg {
-		h := hash.Fmix64(r.Key) & mask
-		for {
-			l := labs[h]
-			if l == 0 {
-				keys[h] = r.Key
-				m++
-				labs[h] = m
-				labels[i] = m - 1
-				break
-			}
-			if keys[h] == r.Key {
-				labels[i] = l - 1
-				break
-			}
-			h = (h + 1) & mask
-		}
-	}
-	if m == 1 {
-		return
-	}
-	// Two passes of stable counting sort on base-⌈sqrt(m)⌉ digits.
-	base := int(math.Ceil(math.Sqrt(float64(m))))
-	hi := (int(m)+base-1)/base + 1
-	scratch := grow(&ar.scratch, n)
-	labScratch := grow(&ar.labScratch, n)
-	counts := grow(&ar.counts, max(base, hi)+1)
-	countingPass(seg, scratch, labels, labScratch, counts, base, func(l int32) int { return int(l) % base })
-	countingPass(seg, scratch, labels, labScratch, counts, hi, func(l int32) int { return int(l) / base })
-}
-
-// countingPass stably sorts seg (and its labels, kept in lockstep) by
-// digit(label) in [0, m), using the first m+1 entries of counts as its
-// (cleared) histogram.
-func countingPass(seg, scratch []rec.Record, labels, labScratch, counts []int32, m int, digit func(int32) int) {
-	counts = counts[:m+1]
-	clear(counts)
-	for _, l := range labels {
-		counts[digit(l)+1]++
-	}
-	for b := 0; b < m; b++ {
-		counts[b+1] += counts[b]
-	}
-	for i, r := range seg {
-		d := digit(labels[i])
-		scratch[counts[d]] = r
-		labScratch[counts[d]] = labels[i]
-		counts[d]++
-	}
-	copy(seg, scratch)
-	copy(labels, labScratch)
-}
-
-// bucketLocalSort sorts seg by key with a classic bucket sort: since the
-// keys within a light bucket are hash values falling in one hash range,
-// they are near-uniform, so distributing them over ~len(seg) sub-buckets
-// by linear interpolation leaves O(1) expected records per sub-bucket,
-// finished with insertion sort. One of the Phase 4 alternatives from the
-// paper's implementation section.
-func (ar *lsArena) bucketLocalSort(seg []rec.Record) {
-	n := len(seg)
-	if n <= 32 {
-		sortcmp.Introsort(seg)
-		return
-	}
-	lo, hi := seg[0].Key, seg[0].Key
-	for _, r := range seg[1:] {
-		if r.Key < lo {
-			lo = r.Key
-		}
-		if r.Key > hi {
-			hi = r.Key
-		}
-	}
-	if lo == hi {
-		return // all keys equal
-	}
-	m := 1 << uint(bits.Len(uint(n-1))) // sub-buckets ≈ n, power of two
-	span := hi - lo
-	// Monotone near-uniform map of [lo, hi] onto [0, m): drop the bits of
-	// (k - lo) below the top log2(m) bits of the span.
-	sh := uint(0)
-	if sb, mb := bits.Len64(span), bits.Len(uint(m-1)); sb > mb {
-		sh = uint(sb - mb)
-	}
-	idx := func(k uint64) int {
-		b := int((k - lo) >> sh)
-		if b >= m {
-			b = m - 1
-		}
-		return b
-	}
-	counts := grow(&ar.counts, m+1)
-	clear(counts)
-	for _, r := range seg {
-		counts[idx(r.Key)+1]++
-	}
-	for b := 0; b < m; b++ {
-		counts[b+1] += counts[b]
-	}
-	scratch := grow(&ar.scratch, n)
-	offs := grow(&ar.offs, m)
-	copy(offs, counts[:m])
-	for _, r := range seg {
-		b := idx(r.Key)
-		scratch[offs[b]] = r
-		offs[b]++
-	}
-	copy(seg, scratch)
-	for b := 0; b < m; b++ {
-		sub := seg[counts[b]:counts[b+1]]
-		if len(sub) > 1 {
-			sortcmp.Introsort(sub)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Legacy per-bucket-allocating kernels.
-//
-// These are the PR 4 implementations, retained verbatim as the baseline
-// arm of the localsort experiment (semibench -experiment localsort) and
-// the kernel microbenchmarks: they produce identical output to the
-// arena kernels but allocate a map, label arrays, scratch records and
-// count arrays per bucket. Nothing on the semisort path calls them.
-
-// localSortSegAlloc dispatches to the legacy allocating kernels.
-func localSortSegAlloc(kind LocalSortKind, seg []rec.Record) {
-	switch kind {
-	case LocalSortCounting:
-		countingSemisortAlloc(seg)
-	case LocalSortBucket:
-		bucketLocalSortAlloc(seg)
-	default:
-		sortcmp.Introsort(seg)
-	}
-}
-
-func countingSemisortAlloc(seg []rec.Record) {
-	n := len(seg)
-	if n <= 1 {
-		return
-	}
-	labels := make([]int32, n)
-	tbl := make(map[uint64]int32, 16)
-	for i, r := range seg {
-		l, ok := tbl[r.Key]
-		if !ok {
-			l = int32(len(tbl))
-			tbl[r.Key] = l
-		}
-		labels[i] = l
-	}
-	m := len(tbl)
-	if m == 1 {
-		return
-	}
-	base := int(math.Ceil(math.Sqrt(float64(m))))
-	hi := (m+base-1)/base + 1
-	scratch := make([]rec.Record, n)
-	labScratch := make([]int32, n)
-	counts := make([]int32, max(base, hi)+1)
-	countingPass(seg, scratch, labels, labScratch, counts, base, func(l int32) int { return int(l) % base })
-	countingPass(seg, scratch, labels, labScratch, counts, hi, func(l int32) int { return int(l) / base })
-}
-
-func bucketLocalSortAlloc(seg []rec.Record) {
-	var ar lsArena // fresh arena: every buffer is allocated for this call
-	ar.bucketLocalSort(seg)
-}
-
-// LocalSortKernel sorts each segment in place with the chosen Phase 4
-// kernel; legacy selects the per-bucket-allocating PR 4 implementations,
-// otherwise one reused arena serves every segment the way a warm
-// workspace worker would. Exported for the localsort experiment and the
-// kernel microbenchmarks only — the semisort pipeline drives the kernels
-// through its scatter stages.
-func LocalSortKernel(kind LocalSortKind, legacy bool, segs [][]rec.Record) {
-	if legacy {
-		for _, s := range segs {
-			localSortSegAlloc(kind, s)
-		}
-		return
-	}
-	var ar lsArena
-	for _, s := range segs {
-		ar.sortSeg(kind, s)
-	}
 }

@@ -1,14 +1,10 @@
 package core
 
-// Phase 4 arena-kernel tests: the arena-backed kernels must produce
-// byte-identical output to the legacy per-bucket-allocating kernels
-// (the naming table assigns labels in first-appearance order either
-// way), arena reuse across segments must not leak state, and the
-// size-aware schedule must preserve the pipeline's output while
-// reporting its range count.
+// Phase 4 tests: arena reuse across segments must not leak naming-table
+// state, and the size-aware schedule must preserve the pipeline's output
+// while reporting its range count.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -16,84 +12,56 @@ import (
 	"repro/internal/rec"
 )
 
-// randSegs builds segments shaped like light buckets: a mix of sizes,
-// duplicate densities, and one segment holding the reserved ^0 key.
-func randSegs(r *rand.Rand) [][]rec.Record {
-	sizes := []int{0, 1, 2, 7, 31, 32, 33, 100, 977, 5000}
-	segs := make([][]rec.Record, 0, len(sizes)+1)
-	for _, n := range sizes {
-		seg := make([]rec.Record, n)
-		distinct := 1 + r.Intn(n+1)
-		for i := range seg {
-			seg[i] = rec.Record{Key: r.Uint64() % uint64(distinct), Value: uint64(i)}
-		}
-		segs = append(segs, seg)
-	}
-	segs = append(segs, []rec.Record{
-		{Key: ^uint64(0), Value: 0}, {Key: 0, Value: 1}, {Key: ^uint64(0), Value: 2},
-	})
-	return segs
-}
-
-func cloneSegs(segs [][]rec.Record) [][]rec.Record {
-	out := make([][]rec.Record, len(segs))
-	for i, s := range segs {
-		out[i] = append([]rec.Record(nil), s...)
-	}
-	return out
-}
-
-// TestArenaKernelsMatchLegacy: for every LocalSortKind, the arena kernels
-// (one arena reused across all segments, as a Phase 4 worker would) and
-// the legacy allocating kernels produce identical bytes.
-func TestArenaKernelsMatchLegacy(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	for _, kind := range []LocalSortKind{LocalSortHybrid, LocalSortCounting, LocalSortBucket} {
-		t.Run(kind.String(), func(t *testing.T) {
-			segs := randSegs(r)
-			arena, legacy := cloneSegs(segs), cloneSegs(segs)
-			LocalSortKernel(kind, false, arena)
-			LocalSortKernel(kind, true, legacy)
-			for si := range segs {
-				for i := range arena[si] {
-					if arena[si][i] != legacy[si][i] {
-						t.Fatalf("kind %v seg %d record %d: arena %v, legacy %v",
-							kind, si, i, arena[si][i], legacy[si][i])
-					}
-				}
-				if !rec.SamePermutation(segs[si], arena[si]) {
-					t.Fatalf("kind %v seg %d: records lost", kind, si)
-				}
-			}
-		})
-	}
-}
-
-// TestArenaCountingSemisortGrouped: the counting kernel on a dirty arena
-// (reused across wildly different segments) still groups correctly —
-// stale naming-table entries or label arrays must not leak between
-// segments.
+// TestArenaCountingSemisortGrouped: the arena's flat naming table, reused
+// dirty across wildly different segments, must not leak stale entries
+// between segments. reduceSeg is the table's only user, so the test
+// drives it with a fold that counts each group (high 32 bits) and sums
+// its values (low 32 bits), and checks every segment's per-key folds,
+// first-appearance group order and representatives against a map.
 func TestArenaCountingSemisortGrouped(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
+	sp := &ReduceSpec{Fold: func(acc, _, v uint64) uint64 { return acc + 1<<32 + v }}
 	var ar lsArena
+	sizes := []int{1, 2, 3, 17, 400, 4000}
 	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.Intn(400)
+		n := sizes[r.Intn(len(sizes))]
+		distinct := 1 + r.Intn(n)
 		seg := make([]rec.Record, n)
 		for i := range seg {
-			seg[i] = rec.Record{Key: r.Uint64() % uint64(1+r.Intn(40)), Value: uint64(i)}
+			k := r.Uint64() % uint64(distinct)
+			if k == 1 {
+				k = ^uint64(0) // the table must accept every uint64 key
+			}
+			seg[i] = rec.Record{Key: k, Value: uint64(i)}
 		}
-		orig := append([]rec.Record(nil), seg...)
-		ar.countingSemisort(seg)
-		if !rec.IsSemisorted(seg) || !rec.SamePermutation(orig, seg) {
-			t.Fatalf("trial %d: arena counting semisort broke on %v", trial, orig)
+		want := map[uint64]uint64{}
+		first := map[uint64]uint64{}
+		var order []uint64
+		for _, x := range seg {
+			if _, ok := want[x.Key]; !ok {
+				first[x.Key] = x.Value
+				order = append(order, x.Key)
+			}
+			want[x.Key] += 1<<32 + x.Value
+		}
+		reps := make([]uint64, n)
+		m := ar.reduceSeg(sp, seg, reps)
+		if m != len(order) {
+			t.Fatalf("trial %d (n=%d): %d groups, want %d", trial, n, m, len(order))
+		}
+		for l, k := range order {
+			if seg[l].Key != k || seg[l].Value != want[k] || reps[l] != first[k] {
+				t.Fatalf("trial %d (n=%d) group %d: got {%#x %#x} rep %d, want {%#x %#x} rep %d",
+					trial, n, l, seg[l].Key, seg[l].Value, reps[l], k, want[k], first[k])
+			}
 		}
 	}
 }
 
 // TestSizeAwareScheduleStats: a parallel run reports a size-aware range
-// count in (0, 8*procs]; a serial run collapses to one range; the
-// uniform ablation uses at most procs ranges. Output must be identical
-// across all three (the counting scatter is deterministic at any procs).
+// count in (0, 8*procs]; a serial run collapses to one range. Output must
+// be identical across both (the counting scatter is deterministic at any
+// procs).
 func TestSizeAwareScheduleStats(t *testing.T) {
 	a := distgen.Generate(4, 60000, distgen.Spec{Kind: distgen.Uniform, Param: 60000}, 12)
 	base := &Config{Procs: 4, Seed: 5, ScatterStrategy: ScatterCounting}
@@ -115,50 +83,30 @@ func TestSizeAwareScheduleStats(t *testing.T) {
 		t.Errorf("serial LocalSortRanges = %d, want 1", stS.LocalSortRanges)
 	}
 
-	uniform := *base
-	uniform.UniformLocalSortChunks = true
-	outU, stU, err := Semisort(a, &uniform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stU.LocalSortRanges <= 0 || stU.LocalSortRanges > 4 {
-		t.Errorf("uniform LocalSortRanges = %d, want in (0, procs]", stU.LocalSortRanges)
-	}
-
 	for i := range out {
-		if out[i] != outS[i] || out[i] != outU[i] {
-			t.Fatalf("schedule changed output at %d: sized %v serial %v uniform %v",
-				i, out[i], outS[i], outU[i])
+		if out[i] != outS[i] {
+			t.Fatalf("schedule changed output at %d: sized %v serial %v", i, out[i], outS[i])
 		}
 	}
 }
 
-// TestSizeAwareScheduleProbing: same invariants on the probing path,
-// which weighs buckets by slot-range length; probing is deterministic at
-// Procs == 1, so compare serial runs of both schedules.
+// TestSizeAwareScheduleProbing: the same range-count invariants on the
+// probing path, which weighs buckets by slot-range length. Probing
+// reorders records within groups above Procs 1, so the parallel run is
+// checked for grouping rather than bytes.
 func TestSizeAwareScheduleProbing(t *testing.T) {
 	a := distgen.Generate(4, 60000, distgen.Spec{Kind: distgen.Zipfian, Param: 1000}, 13)
-	for _, kind := range []LocalSortKind{LocalSortHybrid, LocalSortCounting} {
-		t.Run(fmt.Sprintf("kind=%v", kind), func(t *testing.T) {
-			sized := &Config{Procs: 1, Seed: 5, ScatterStrategy: ScatterProbing, LocalSort: kind}
-			out, st, err := Semisort(a, sized)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.LocalSortRanges != 1 {
-				t.Errorf("serial LocalSortRanges = %d, want 1", st.LocalSortRanges)
-			}
-			uniform := *sized
-			uniform.UniformLocalSortChunks = true
-			outU, _, err := Semisort(a, &uniform)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range out {
-				if out[i] != outU[i] {
-					t.Fatalf("uniform ablation changed probing output at %d", i)
-				}
-			}
-		})
+	for _, procs := range []int{1, 4} {
+		out, st, err := Semisort(a, &Config{Procs: procs, Seed: 5, ScatterStrategy: ScatterProbing})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if procs == 1 && st.LocalSortRanges != 1 {
+			t.Errorf("serial LocalSortRanges = %d, want 1", st.LocalSortRanges)
+		}
+		if st.LocalSortRanges <= 0 || st.LocalSortRanges > 8*procs {
+			t.Errorf("procs=%d: LocalSortRanges = %d, want in (0, %d]", procs, st.LocalSortRanges, 8*procs)
+		}
+		checkSemisorted(t, "probing size-aware schedule", a, out)
 	}
 }

@@ -65,60 +65,3 @@ func TestScatterBlockRoundsWithExactSizes(t *testing.T) {
 		t.Fatal("invalid output")
 	}
 }
-
-func TestLocalSortBucket(t *testing.T) {
-	for _, spec := range []distgen.Spec{
-		{Kind: distgen.Uniform, Param: 1e12},
-		{Kind: distgen.Uniform, Param: 3000},
-		{Kind: distgen.Zipfian, Param: 1e5},
-	} {
-		a := distgen.Generate(4, 80000, spec, 17)
-		out, _, err := Semisort(a, &Config{Procs: 4, LocalSort: LocalSortBucket})
-		if err != nil {
-			t.Fatalf("%v: %v", spec, err)
-		}
-		if !rec.IsSemisorted(out) || !rec.SamePermutation(a, out) {
-			t.Fatalf("%v: invalid output", spec)
-		}
-	}
-}
-
-func TestBucketLocalSortDirect(t *testing.T) {
-	cases := [][]uint64{
-		{},
-		{5},
-		{5, 5, 5, 5},
-		{9, 1, 8, 2, 7, 3},
-		{^uint64(0), 0, 1 << 63, 42},
-	}
-	for _, keys := range cases {
-		seg := make([]rec.Record, len(keys))
-		for i, k := range keys {
-			seg[i] = rec.Record{Key: k, Value: uint64(i)}
-		}
-		orig := append([]rec.Record(nil), seg...)
-		var ar lsArena
-		ar.bucketLocalSort(seg)
-		if !rec.IsSorted(seg) {
-			t.Errorf("keys %v: not sorted: %v", keys, seg)
-		}
-		if !rec.SamePermutation(orig, seg) {
-			t.Errorf("keys %v: records lost", keys)
-		}
-	}
-}
-
-func TestBucketLocalSortLarge(t *testing.T) {
-	// Above the introsort fallback threshold, with duplicates and a narrow
-	// span to stress the index mapping.
-	seg := make([]rec.Record, 5000)
-	for i := range seg {
-		seg[i] = rec.Record{Key: 1<<40 + uint64(i*i%977), Value: uint64(i)}
-	}
-	orig := append([]rec.Record(nil), seg...)
-	var ar lsArena
-	ar.bucketLocalSort(seg)
-	if !rec.IsSorted(seg) || !rec.SamePermutation(orig, seg) {
-		t.Fatal("large bucket sort failed")
-	}
-}

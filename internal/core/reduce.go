@@ -11,10 +11,10 @@
 //     pack phase merges the per-worker cells once with MergeFunc.
 //
 //   - Light buckets reduce in-arena during Phase 4: the arena's naming
-//     table (the same flat open-addressing table countingSemisort uses)
-//     assigns each distinct key a dense label and folds values as it
-//     names, so a light bucket of k records with g groups writes g
-//     records instead of sorting and packing k.
+//     table (a flat open-addressing table, the naming problem of the
+//     Rajasekaran–Reif local semisort) assigns each distinct key a dense
+//     label and folds values as it names, so a light bucket of k records
+//     with g groups writes g records instead of sorting and packing k.
 //
 //   - On the counting strategy, Histogram (FoldFunc == count) reuses the
 //     pass-1 histogram for the heavy counts: heavy records are neither
@@ -174,13 +174,33 @@ func (pl *plan) ensureReduceState() {
 	}
 }
 
+// An lsArena is one worker's fused-reduce scratch (reduceSeg): the naming
+// table and the per-distinct-key buffers. Arenas live in the Workspace
+// and are handed to workers through a buffered-channel free-list (the
+// same pattern as the counting scatter's staging slots), one acquire per
+// size-aware range; each buffer grows to the largest segment its worker
+// has seen and is then reused, so a warm workspace reduces without
+// allocating.
+type lsArena struct {
+	// Flat open-addressing naming table: tabLabs stores label+1 so the
+	// zero value means vacant and reuse is a memclr of the sized view;
+	// any uint64 — including 0 and ^0 — is a valid key.
+	tabKeys []uint64
+	tabLabs []int32
+	// Per-distinct-key accumulators, representatives and keys, indexed
+	// by naming-table label.
+	redAccs []uint64
+	redReps []uint64
+	redKeys []uint64
+}
+
 // reduceSeg folds one light bucket's records into one record per distinct
 // key, in place: seg[:m] receives {key, accumulator} records in first-
 // appearance order and reps[:m] each group's representative Value, where
-// m (returned) is the number of distinct keys. The naming loop is
-// countingSemisort's — a flat open-addressing table assigning dense
-// labels — except the label's payload is an accumulator folded on the
-// spot instead of a record list to sort.
+// m (returned) is the number of distinct keys. The naming loop is a flat
+// open-addressing table assigning dense labels at load ≤ 1/2, and each
+// label's payload is an accumulator folded on the spot instead of a
+// record list to sort.
 func (ar *lsArena) reduceSeg(sp *ReduceSpec, seg []rec.Record, reps []uint64) int {
 	n := len(seg)
 	if n == 0 {

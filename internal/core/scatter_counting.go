@@ -36,6 +36,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/parallel"
 	"repro/internal/prim"
+	"repro/internal/sortcmp"
 )
 
 const (
@@ -241,13 +242,14 @@ func (pl *plan) countingPassChunk(blo, bhi int) {
 
 // localSort semisorts each light bucket in place in the output (Phase 4);
 // the counting scatter already placed every bucket at its final packed
-// offset. Buckets are traversed in size-aware ranges (planLightRanges),
-// each range served by one workspace arena; this path knows every
-// bucket's exact record count from pass 1, so that is the weight.
+// offset. Buckets are traversed in size-aware ranges (planLightRanges);
+// this path knows every bucket's exact record count from pass 1, so that
+// is the weight. A fused reduce serves each range from one workspace
+// arena.
 func (countingStage) localSort(pl *plan) error {
 	pl.planLightRanges((*plan).countingBucketWeight)
-	pl.ws.ensureArenas(pl.procs)
 	if pl.red != nil {
+		pl.ws.ensureArenas(pl.procs)
 		pl.redDistinct = grow(&pl.ws.redDistinct, pl.numLightMerged)
 		return pl.tr.labeledPhase(pl, "reduce", (*plan).countingReduceBody)
 	}
@@ -263,15 +265,11 @@ func (pl *plan) countingLocalSortBody() error {
 }
 
 func (pl *plan) countingLocalSortRange(ri int) {
-	slot := pl.ws.acquireArena()
-	ar := &pl.ws.lsArenas[slot]
-	kind := pl.cfg.LocalSort
 	for j := int(pl.lsBounds[ri]); j < int(pl.lsBounds[ri+1]); j++ {
 		b := pl.firstLight + j
 		lo := int(pl.cbase[b])
-		ar.sortSeg(kind, pl.out[lo:lo+int(pl.counts[b])])
+		sortcmp.Introsort(pl.out[lo : lo+int(pl.counts[b])])
 	}
-	pl.ws.releaseArena(slot)
 }
 
 // pack is a no-op invariant check: the scatter already packed. The fused

@@ -192,9 +192,9 @@ func (pl *plan) dovetailPassChunk(blo, bhi int) {
 }
 
 // localSort groups the light region with the dovetail radix recursion
-// (Phase 4; span kernel "radix"). Config.LocalSort does not apply on
-// this route — the recursion is the local sort. The recursion's per-node
-// routing counters merge into Stats.PlannerRoutes here.
+// (Phase 4; span kernel "radix") — the recursion is the local sort. The
+// recursion's per-node routing counters merge into Stats.PlannerRoutes
+// here.
 func (dovetailStage) localSort(pl *plan) error {
 	return pl.tr.labeledPhase(pl, "localsort", (*plan).dovetailLocalSortBody)
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/prim"
+	"repro/internal/sortcmp"
 )
 
 // probingStage is the paper's placement: CAS + probing into slack-sized
@@ -147,14 +148,15 @@ func (pl *plan) recordOverflow(bid int64) {
 
 // localSort compacts each light bucket within its slot range and semisorts
 // it there (Phase 4); the compacted counts feed the pack phase. Buckets
-// are traversed in size-aware ranges (planLightRanges), each range served
-// by one workspace arena; on this path a bucket's cost is dominated by
-// scanning its slot range, so the weight is the slot-array length.
+// are traversed in size-aware ranges (planLightRanges); on this path a
+// bucket's cost is dominated by scanning its slot range, so the weight is
+// the slot-array length. A fused reduce serves each range from one
+// workspace arena.
 func (probingStage) localSort(pl *plan) error {
 	pl.lightCnt = grow(&pl.ws.lightCnt, pl.numLightMerged)
 	pl.planLightRanges((*plan).probeBucketWeight)
-	pl.ws.ensureArenas(pl.procs)
 	if pl.red != nil {
+		pl.ws.ensureArenas(pl.procs)
 		pl.redDistinct = grow(&pl.ws.redDistinct, pl.numLightMerged)
 		pl.redStageReps = grow(&pl.ws.redStageReps, int(pl.slotTotal))
 		return pl.tr.labeledPhase(pl, "reduce", (*plan).probeReduceBody)
@@ -171,9 +173,6 @@ func (pl *plan) probeLocalSortBody() error {
 }
 
 func (pl *plan) probeLocalSortRange(ri int) {
-	slot := pl.ws.acquireArena()
-	ar := &pl.ws.lsArenas[slot]
-	kind := pl.cfg.LocalSort
 	for j := int(pl.lsBounds[ri]); j < int(pl.lsBounds[ri+1]); j++ {
 		bk := pl.buckets[pl.firstLight+j]
 		lo, hi := bk.off, bk.off+int64(bk.sz)
@@ -186,9 +185,8 @@ func (pl *plan) probeLocalSortRange(ri int) {
 		}
 		cnt := int(w - lo)
 		pl.lightCnt[j] = int32(cnt)
-		ar.sortSeg(kind, pl.slots[lo:lo+int64(cnt)])
+		sortcmp.Introsort(pl.slots[lo : lo+int64(cnt)])
 	}
-	pl.ws.releaseArena(slot)
 }
 
 // pack compacts the heavy region with the interval technique and copies

@@ -65,8 +65,8 @@ type Workspace struct {
 	rxScratch []rec.Record
 	rxTables  sortint.DovetailTables
 
-	// Phase 4: per-worker local-sort arenas and the size-aware schedule's
-	// prefix-sum/boundary buffers (localsort.go).
+	// Phase 4: per-worker fused-reduce arenas (reduce.go) and the
+	// size-aware schedule's prefix-sum/boundary buffers (localsort.go).
 	lsArenas []lsArena
 	lsFree   chan int
 	lsCum    []int64
@@ -233,7 +233,7 @@ func (w *Workspace) acquireStage() int { return <-w.stageFree }
 func (w *Workspace) releaseStage(s int) { w.stageFree <- s }
 
 // ensureArenas sizes the Phase 4 arena pool for `workers` concurrent
-// local-sort ranges and refills its free-list. Arenas keep their grown
+// fused-reduce ranges and refills its free-list. Arenas keep their grown
 // buffers across calls (that is the point); only the pool bookkeeping is
 // reset here.
 func (w *Workspace) ensureArenas(workers int) {
@@ -289,9 +289,7 @@ func (w *Workspace) RetainedBytes() int64 {
 	arenas := w.lsArenas[:cap(w.lsArenas)]
 	for i := range arenas {
 		ar := &arenas[i]
-		n += int64(cap(ar.labels)+cap(ar.labScratch)+cap(ar.counts)+
-			cap(ar.offs)+cap(ar.tabLabs)) * 4
-		n += int64(cap(ar.scratch))*16 + int64(cap(ar.tabKeys))*8
+		n += int64(cap(ar.tabLabs))*4 + int64(cap(ar.tabKeys))*8
 		n += int64(cap(ar.redAccs)+cap(ar.redReps)+cap(ar.redKeys)) * 8
 	}
 	n += int64(cap(w.lsCum))*8 + int64(cap(w.lsBounds))*4

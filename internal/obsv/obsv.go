@@ -175,8 +175,9 @@ type Span struct {
 	// performed; set on counting-strategy scatter spans only.
 	Flushes int64
 	// Kernel names the Phase 4 local-sort kernel of a localsort span —
-	// "hybrid", "counting", "bucket", "radix" (the dovetail route) or
-	// "reduce" (a fused reduce); empty on every other phase.
+	// "hybrid" (introsort per light bucket, the probing and counting
+	// routes), "radix" (the dovetail route) or "reduce" (a fused reduce);
+	// empty on every other phase.
 	Kernel string
 	// Ranges is the number of size-aware bucket ranges the Phase 4
 	// schedule used (localsort spans), or the number of hash ranges an

@@ -14,10 +14,12 @@ import (
 // grouped together by Records.
 type Record = rec.Record
 
-// Config tunes the algorithm; the zero value (and a nil *Config) selects
-// the paper's defaults: sampling probability 1/16, heavy threshold δ=16,
-// up to 2^16 light buckets, estimate constant c=1.25, slack 1.1, bucket
-// merging enabled, hybrid local sort and linear probing.
+// Config tunes the algorithm; the zero value (and a nil *Config) keeps
+// the paper's parameters — sampling probability 1/16, heavy threshold
+// δ=16, up to 2^16 light buckets, estimate constant c=1.25, slack 1.1,
+// bucket merging enabled, linear probing — but places records with the
+// deterministic planner (ScatterAuto). The paper's algorithm, CAS
+// scatter with probing, needs ScatterStrategy: ScatterProbing.
 type Config = core.Config
 
 // Stats reports what one semisort execution did: sample size, heavy/light
@@ -29,16 +31,10 @@ type Stats = core.Stats
 // construction, scatter, local sort, pack).
 type PhaseTimes = core.PhaseTimes
 
-// LocalSortKind selects the Phase 4 per-bucket kernel (see Config).
-type LocalSortKind = core.LocalSortKind
-
-// Local-sort and probing strategy options (see Config).
+// Probing strategy options (see Config).
 const (
-	LocalSortHybrid   = core.LocalSortHybrid
-	LocalSortCounting = core.LocalSortCounting
-	LocalSortBucket   = core.LocalSortBucket
-	ProbeLinear       = core.ProbeLinear
-	ProbeRandom       = core.ProbeRandom
+	ProbeLinear = core.ProbeLinear
+	ProbeRandom = core.ProbeRandom
 )
 
 // ScatterStrategy selects the Phase 3 placement algorithm (see Config).
