@@ -12,8 +12,8 @@
 //	semibench -compare BENCH_semisort.json                            # CI perf gate
 //
 // Experiments: table1 table2 table3 table4 table5 fig1 fig2 fig3 fig4 fig5
-// seqbaselines rrcompare schedulers ablation scatter faults observe reuse
-// reduce dovetail sampling outofcore all.
+// seqbaselines rrcompare ablation scatter faults observe reuse reduce
+// dovetail sampling outofcore all.
 package main
 
 import (
@@ -39,7 +39,6 @@ var experiments = map[string]func(bench.Options) []*bench.Table{
 	"fig5":         bench.RunFig5,
 	"seqbaselines": bench.RunSeqBaselines,
 	"rrcompare":    bench.RunRRCompare,
-	"schedulers":   bench.RunSchedulers,
 	"ablation":     bench.RunAblation,
 	"scatter":      bench.RunScatter,
 	"faults":       bench.RunFaults,
@@ -54,7 +53,7 @@ var experiments = map[string]func(bench.Options) []*bench.Table{
 // order fixes a deterministic run order for -experiment all.
 var order = []string{
 	"table1", "table2", "table3", "table4", "table5",
-	"fig1", "fig2", "fig3", "fig4", "fig5", "seqbaselines", "rrcompare", "schedulers", "ablation",
+	"fig1", "fig2", "fig3", "fig4", "fig5", "seqbaselines", "rrcompare", "ablation",
 	"scatter", "faults", "observe", "reuse", "reduce", "dovetail", "sampling",
 	"outofcore",
 }

@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"go/parser"
+	"go/token"
+	"slices"
+	"strings"
+	"testing"
+)
 
 func TestParseSize(t *testing.T) {
 	cases := []struct {
@@ -65,13 +71,37 @@ func TestParseIntList(t *testing.T) {
 	}
 }
 
+// The experiment names live in three hand-edited places: the experiments
+// map, the order slice and the package doc comment. They must agree.
 func TestExperimentRegistryMatchesOrder(t *testing.T) {
-	if len(order) != len(experiments) {
-		t.Fatalf("order has %d entries, registry has %d", len(order), len(experiments))
-	}
+	seen := map[string]bool{}
 	for _, name := range order {
+		if seen[name] {
+			t.Errorf("order names %q twice", name)
+		}
+		seen[name] = true
 		if _, ok := experiments[name]; !ok {
 			t.Errorf("order entry %q missing from registry", name)
 		}
+	}
+	for name := range experiments {
+		if !seen[name] {
+			t.Errorf("registry entry %q missing from order", name)
+		}
+	}
+
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, ok := strings.Cut(f.Doc.Text(), "Experiments:")
+	if !ok {
+		t.Fatal(`package doc has no "Experiments:" list`)
+	}
+	list, _, _ = strings.Cut(list, ".\n")
+	got := strings.Fields(list)
+	want := append(append([]string(nil), order...), "all")
+	if !slices.Equal(got, want) {
+		t.Errorf("doc comment lists\n  %v\nwant (order + all)\n  %v", got, want)
 	}
 }

@@ -204,10 +204,3 @@ func TestRunReduceTiny(t *testing.T) {
 		}
 	}
 }
-
-func TestRunSchedulersTiny(t *testing.T) {
-	tabs := RunSchedulers(tinyOptions())
-	if len(tabs) != 1 || len(tabs[0].Rows) != 2 {
-		t.Fatalf("schedulers table wrong: %+v", tabs)
-	}
-}

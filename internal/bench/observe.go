@@ -13,7 +13,7 @@ import (
 // RunObserve runs the semisort under full instrumentation — a trace
 // Observer plus the scheduler counters — and renders what the paper's
 // clean timing tables cannot show: the span-level phase breakdown
-// (including any retry attempts) and how the fork–join runtimes moved
+// (including any retry attempts) and how the fork–join runtime moved
 // the records. With Options.TracePath set it also writes the JSON-lines
 // trace that the docs/OBSERVABILITY.md workflow consumes.
 func RunObserve(o Options) []*Table {
@@ -107,10 +107,6 @@ func RunObserve(o Options) []*Table {
 	}
 	s := best.Sched
 	schedTable.AddRow("chunks_claimed", s.ChunksClaimed)
-	schedTable.AddRow("steals", s.Steals)
-	schedTable.AddRow("failed_steals", s.FailedSteals)
-	schedTable.AddRow("help_runs", s.HelpRuns)
-	schedTable.AddRow("pool_tasks", s.PoolTasks)
 	schedTable.AddRow("limiter_spawns", s.LimiterSpawns)
 	schedTable.AddRow("limiter_inline", s.LimiterInline)
 	schedTable.AddRow("limiter_high_water", s.LimiterHighWater)

@@ -332,11 +332,10 @@ type Stats struct {
 	FallbackUsed bool
 
 	// Sched holds the scheduler-counter deltas accumulated during this
-	// call: chunks claimed by the flat runtime's cursor, steals and
-	// failed steal scans by the work-stealing pool, help-while-waiting
-	// joins, and limiter spawn/inline/queue-depth figures. Collected only
-	// while Config.Observer is non-nil (the counters are process-global,
-	// so concurrent semisorts fold into each other's deltas); all zero
+	// call: chunks claimed by the flat runtime's cursor and the token
+	// limiter's spawn/inline/queue-depth figures. Collected only while
+	// Config.Observer is non-nil (the counters are process-global, so
+	// concurrent semisorts fold into each other's deltas); all zero
 	// otherwise. See docs/OBSERVABILITY.md for each counter's meaning.
 	Sched obsv.SchedStats
 }

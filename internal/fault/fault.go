@@ -42,7 +42,7 @@ const (
 	// report a 64-bit hash collision; occurrences count verifications.
 	HashCollision
 	// WorkerPanic panics inside a fork–join worker; occurrences count
-	// executed chunks (flat runtime) and tasks (work-stealing pool).
+	// chunks executed by the flat runtime (For and SerialFor).
 	WorkerPanic
 	// SpillWrite makes a fault.Writer return ErrInjected; occurrences
 	// count Write calls.

@@ -8,8 +8,8 @@
 // single atomic load when nothing is listening. Phase tracing is gated on
 // a per-call Observer (a nil-check), scheduler counters on a process-wide
 // refcount (one atomic load per probe); neither path allocates, whether
-// enabled or not. Probes sit at phase, chunk and steal granularity —
-// never per record.
+// enabled or not. Probes sit at phase, chunk and limiter-branch
+// granularity — never per record.
 //
 // Two consumers are bundled: JSONSink writes one JSON object per event
 // (the format semibench -experiment observe emits and the bench-baseline
@@ -219,12 +219,13 @@ type Observer interface {
 // ---------------------------------------------------------------------
 // Scheduler counters.
 //
-// The two fork–join runtimes in internal/parallel probe these
-// process-wide atomic counters. The counters only advance while at least
-// one collector is registered (EnableSched/DisableSched nest), so the
-// disabled probe cost is one atomic load — the same budget as an unarmed
-// fault-injection point. Collection is by snapshot delta: callers
-// snapshot before and after a region of interest and subtract.
+// The fork–join runtime in internal/parallel (the For chunk cursor and
+// the token Limiter) probes these process-wide atomic counters. The
+// counters only advance while at least one collector is registered
+// (EnableSched/DisableSched nest), so the disabled probe cost is one
+// atomic load — the same budget as an unarmed fault-injection point.
+// Collection is by snapshot delta: callers snapshot before and after a
+// region of interest and subtract.
 
 // SchedStats is a plain (non-atomic) snapshot of the scheduler counters;
 // Stats.Sched reports the delta accumulated during one semisort call.
@@ -236,17 +237,6 @@ type SchedStats struct {
 	// cursor (parallel.For and friends). The sequential fast path (one
 	// worker, one chunk) claims nothing.
 	ChunksClaimed int64 `json:"chunks_claimed"`
-	// Steals counts successful steals by work-stealing Pool workers.
-	Steals int64 `json:"steals"`
-	// FailedSteals counts full victim scans by a Pool worker that found
-	// every deque empty.
-	FailedSteals int64 `json:"failed_steals"`
-	// HelpRuns counts tasks executed by a goroutine helping while it
-	// waits for a join (Pool.waitFor), rather than by a pool worker.
-	HelpRuns int64 `json:"help_runs"`
-	// PoolTasks counts tasks executed by the work-stealing pool in total
-	// (workers + helpers + inline overflow).
-	PoolTasks int64 `json:"pool_tasks"`
 	// LimiterSpawns counts fork–join branches the token Limiter ran on a
 	// fresh goroutine; LimiterInline counts branches that found no token
 	// and ran inline.
@@ -254,8 +244,9 @@ type SchedStats struct {
 	LimiterInline int64 `json:"limiter_inline"`
 	// LimiterHighWater is the maximum number of limiter tokens observed
 	// in use simultaneously (the limiter queue depth). It is a high-water
-	// mark since the counters were last enabled, not a delta; Sub keeps
-	// the newer snapshot's value.
+	// mark since the first of the currently registered collectors called
+	// EnableSched, not a delta; Sub keeps the newer snapshot's value.
+	// Overlapping collectors share the one gauge.
 	LimiterHighWater int64 `json:"limiter_high_water"`
 }
 
@@ -264,10 +255,6 @@ type SchedStats struct {
 func (s SchedStats) Sub(base SchedStats) SchedStats {
 	return SchedStats{
 		ChunksClaimed:    s.ChunksClaimed - base.ChunksClaimed,
-		Steals:           s.Steals - base.Steals,
-		FailedSteals:     s.FailedSteals - base.FailedSteals,
-		HelpRuns:         s.HelpRuns - base.HelpRuns,
-		PoolTasks:        s.PoolTasks - base.PoolTasks,
 		LimiterSpawns:    s.LimiterSpawns - base.LimiterSpawns,
 		LimiterInline:    s.LimiterInline - base.LimiterInline,
 		LimiterHighWater: s.LimiterHighWater,
@@ -284,10 +271,6 @@ func (s SchedStats) Add(o SchedStats) SchedStats {
 	}
 	return SchedStats{
 		ChunksClaimed:    s.ChunksClaimed + o.ChunksClaimed,
-		Steals:           s.Steals + o.Steals,
-		FailedSteals:     s.FailedSteals + o.FailedSteals,
-		HelpRuns:         s.HelpRuns + o.HelpRuns,
-		PoolTasks:        s.PoolTasks + o.PoolTasks,
 		LimiterSpawns:    s.LimiterSpawns + o.LimiterSpawns,
 		LimiterInline:    s.LimiterInline + o.LimiterInline,
 		LimiterHighWater: hw,
@@ -296,8 +279,7 @@ func (s SchedStats) Add(o SchedStats) SchedStats {
 
 // Total reports whether any counter moved; handy for plausibility tests.
 func (s SchedStats) Total() int64 {
-	return s.ChunksClaimed + s.Steals + s.FailedSteals + s.HelpRuns +
-		s.PoolTasks + s.LimiterSpawns + s.LimiterInline
+	return s.ChunksClaimed + s.LimiterSpawns + s.LimiterInline
 }
 
 // ---------------------------------------------------------------------

@@ -36,10 +36,6 @@ func TestSchedCountersGated(t *testing.T) {
 	base := SchedSnapshot()
 	// Disabled: probes must not move the counters.
 	CountChunk()
-	CountSteal()
-	CountFailedSteal()
-	CountHelpRun()
-	CountPoolTask()
 	CountLimiterSpawn(3)
 	CountLimiterInline()
 	if d := SchedSnapshot().Sub(base); d.Total() != 0 {
@@ -50,16 +46,11 @@ func TestSchedCountersGated(t *testing.T) {
 	defer DisableSched()
 	CountChunk()
 	CountChunk()
-	CountSteal()
-	CountFailedSteal()
-	CountHelpRun()
-	CountPoolTask()
 	CountLimiterSpawn(5)
 	CountLimiterSpawn(2) // lower depth must not lower the high water
 	CountLimiterInline()
 	d := SchedSnapshot().Sub(base)
-	if d.ChunksClaimed != 2 || d.Steals != 1 || d.FailedSteals != 1 ||
-		d.HelpRuns != 1 || d.PoolTasks != 1 || d.LimiterSpawns != 2 || d.LimiterInline != 1 {
+	if d.ChunksClaimed != 2 || d.LimiterSpawns != 2 || d.LimiterInline != 1 {
 		t.Fatalf("enabled counters wrong: %+v", d)
 	}
 	if d.LimiterHighWater < 5 {
@@ -80,15 +71,28 @@ func TestSchedEnableNests(t *testing.T) {
 	}
 }
 
+// The high-water gauge covers one window of collection: a depth reached
+// under an earlier, fully released collector must not leak into the next.
+func TestSchedHighWaterResetsOnEnable(t *testing.T) {
+	EnableSched()
+	CountLimiterSpawn(9)
+	DisableSched()
+
+	EnableSched()
+	defer DisableSched()
+	base := SchedSnapshot()
+	CountLimiterSpawn(1)
+	if d := SchedSnapshot().Sub(base); d.LimiterHighWater != 1 {
+		t.Fatalf("LimiterHighWater = %d, want 1 (gauge not reset on enable)", d.LimiterHighWater)
+	}
+}
+
 // Probes must be allocation-free whether or not a collector is
-// registered — they run once per chunk/steal on the hot schedulers.
+// registered — they run once per chunk or limiter branch on the hot
+// fork–join paths.
 func TestProbesDoNotAllocate(t *testing.T) {
 	probe := func() {
 		CountChunk()
-		CountSteal()
-		CountFailedSteal()
-		CountHelpRun()
-		CountPoolTask()
 		CountLimiterSpawn(4)
 		CountLimiterInline()
 	}

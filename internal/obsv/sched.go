@@ -9,13 +9,11 @@ var schedUsers atomic.Int32
 
 // sched holds the process-wide scheduler counters. They are cumulative;
 // consumers take SchedSnapshot deltas rather than resetting, so nested
-// and concurrent collectors cannot clobber each other.
+// and concurrent collectors cannot clobber each other. The one exception
+// is the limiterHighWater gauge, which EnableSched resets when the first
+// collector registers.
 var sched struct {
 	chunksClaimed    atomic.Int64
-	steals           atomic.Int64
-	failedSteals     atomic.Int64
-	helpRuns         atomic.Int64
-	poolTasks        atomic.Int64
 	limiterSpawns    atomic.Int64
 	limiterInline    atomic.Int64
 	limiterHighWater atomic.Int64
@@ -23,8 +21,13 @@ var sched struct {
 
 // EnableSched registers a scheduler-counter collector; DisableSched
 // releases it. Calls nest (refcounted); every EnableSched must be paired
-// with a DisableSched.
-func EnableSched() { schedUsers.Add(1) }
+// with a DisableSched. The first collector to register resets the
+// LimiterHighWater gauge.
+func EnableSched() {
+	if schedUsers.Add(1) == 1 {
+		sched.limiterHighWater.Store(0)
+	}
+}
 
 // DisableSched releases a collector registered with EnableSched.
 func DisableSched() { schedUsers.Add(-1) }
@@ -41,10 +44,6 @@ func SchedEnabled() bool { return schedUsers.Load() != 0 }
 func SchedSnapshot() SchedStats {
 	return SchedStats{
 		ChunksClaimed:    sched.chunksClaimed.Load(),
-		Steals:           sched.steals.Load(),
-		FailedSteals:     sched.failedSteals.Load(),
-		HelpRuns:         sched.helpRuns.Load(),
-		PoolTasks:        sched.poolTasks.Load(),
 		LimiterSpawns:    sched.limiterSpawns.Load(),
 		LimiterInline:    sched.limiterInline.Load(),
 		LimiterHighWater: sched.limiterHighWater.Load(),
@@ -55,35 +54,6 @@ func SchedSnapshot() SchedStats {
 func CountChunk() {
 	if SchedEnabled() {
 		sched.chunksClaimed.Add(1)
-	}
-}
-
-// CountSteal records one successful steal by a pool worker.
-func CountSteal() {
-	if SchedEnabled() {
-		sched.steals.Add(1)
-	}
-}
-
-// CountFailedSteal records one full victim scan that found nothing.
-func CountFailedSteal() {
-	if SchedEnabled() {
-		sched.failedSteals.Add(1)
-	}
-}
-
-// CountHelpRun records one task executed by a joining goroutine helping
-// while it waits, rather than by a pool worker.
-func CountHelpRun() {
-	if SchedEnabled() {
-		sched.helpRuns.Add(1)
-	}
-}
-
-// CountPoolTask records one task executed by the work-stealing pool.
-func CountPoolTask() {
-	if SchedEnabled() {
-		sched.poolTasks.Add(1)
 	}
 }
 

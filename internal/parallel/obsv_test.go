@@ -28,9 +28,6 @@ func TestChunksClaimedExact(t *testing.T) {
 	if d.ChunksClaimed != 100 {
 		t.Errorf("P=4: ChunksClaimed = %d, want 100", d.ChunksClaimed)
 	}
-	if d.Steals != 0 || d.FailedSteals != 0 {
-		t.Errorf("flat runtime moved pool counters: %+v", d)
-	}
 
 	d = withSched(func() { For(1, 1000, 10, body) })
 	if d.ChunksClaimed != 0 {
@@ -42,59 +39,14 @@ func TestChunksClaimedExact(t *testing.T) {
 }
 
 // Counters must stay still when no collector is registered, whatever the
-// schedulers do.
+// flat runtime and the limiter do.
 func TestCountersSilentWhenDisabled(t *testing.T) {
 	base := obsv.SchedSnapshot()
 	For(4, 1000, 10, func(lo, hi int) {})
-	p := NewPool(2)
-	p.For(200, 1, func(lo, hi int) {})
-	p.Close()
 	lim := NewLimiter(4)
 	lim.Join(func() {}, func() {})
 	if d := obsv.SchedSnapshot().Sub(base); d.Total() != 0 {
 		t.Fatalf("disabled counters moved: %+v", d)
-	}
-}
-
-// A single-worker pool has no victims: steal-related counters must be
-// exactly zero, while every executed task is still counted.
-func TestPoolCountersSingleWorker(t *testing.T) {
-	p := NewPool(1)
-	defer p.Close()
-	d := withSched(func() {
-		p.For(500, 1, func(lo, hi int) {})
-	})
-	if d.Steals != 0 || d.FailedSteals != 0 {
-		t.Errorf("1-worker pool recorded steals: %+v", d)
-	}
-	if d.PoolTasks == 0 {
-		t.Errorf("PoolTasks = 0, want > 0 (tasks ran)")
-	}
-}
-
-// Under contention — many tiny tasks, several workers, a helping joiner —
-// the pool must observe scheduling activity beyond plain task execution:
-// steals, failed steal scans, or help-while-waiting joins.
-func TestPoolCountersUnderContention(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	d := withSched(func() {
-		var sum atomic.Int64
-		p.For(2000, 1, func(lo, hi int) { sum.Add(int64(hi - lo)) })
-		if sum.Load() != 2000 {
-			t.Errorf("pool covered %d elements, want 2000", sum.Load())
-		}
-	})
-	if d.PoolTasks == 0 {
-		t.Errorf("PoolTasks = 0, want > 0")
-	}
-	if d.Steals+d.FailedSteals+d.HelpRuns == 0 {
-		t.Errorf("no scheduling activity observed under contention: %+v", d)
-	}
-	// The package-visible Steals counter and the obsv counter move in
-	// lockstep on the successful-steal path.
-	if d.Steals > 0 && p.Steals.Load() < d.Steals {
-		t.Errorf("pool.Steals = %d < obsv steals %d", p.Steals.Load(), d.Steals)
 	}
 }
 

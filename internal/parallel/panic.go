@@ -6,12 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// A PanicError wraps a panic captured on a fork–join worker. Every runtime
-// in this package (For/Run/Limiter and the work-stealing Pool) converts a
-// panicking body into a *PanicError and re-raises it on the joining
-// goroutine after the remaining branches have been joined, so a panicking
-// callback can never deadlock a join, leak worker goroutines, or kill the
-// process from a goroutine with no recover frame above it.
+// A PanicError wraps a panic captured on a fork–join worker. Every entry
+// point in this package (For, Run and the Limiter) converts a panicking
+// body into a *PanicError and re-raises it on the joining goroutine after
+// the remaining branches have been joined, so a panicking callback can
+// never deadlock a join, leak worker goroutines, or kill the process from
+// a goroutine with no recover frame above it.
 //
 // Callers that want the panic as an error (the public semisort API does)
 // recover the *PanicError at their boundary; callers that don't recover

@@ -173,70 +173,6 @@ func TestLimiterDeepRecursionPanic(t *testing.T) {
 	checkGoroutines(t, base)
 }
 
-func TestPoolJoinPanic(t *testing.T) {
-	base := runtime.NumGoroutine()
-	p := NewPool(4)
-	for name, fn := range map[string]func(){
-		"inline":  func() { p.Join(func() { panic("inline branch") }, func() {}) },
-		"spawned": func() { p.Join(func() {}, func() { panic("spawned branch") }) },
-	} {
-		pe := recoverPanicError(t, fn)
-		if pe == nil {
-			t.Fatalf("%s: Pool.Join swallowed the panic", name)
-		}
-	}
-	// The pool must remain fully usable after panics.
-	var sum atomic.Int64
-	p.For(1000, 10, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sum.Add(int64(i))
-		}
-	})
-	if want := int64(1000*999) / 2; sum.Load() != want {
-		t.Errorf("pool broken after panic: sum=%d want %d", sum.Load(), want)
-	}
-	p.Close()
-	checkGoroutines(t, base)
-}
-
-func TestPoolForPanic(t *testing.T) {
-	base := runtime.NumGoroutine()
-	p := NewPool(4)
-	pe := recoverPanicError(t, func() {
-		p.For(100000, 64, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if i == 54321 {
-					panic("pool body")
-				}
-			}
-		})
-	})
-	if pe == nil || pe.Value != "pool body" {
-		t.Fatalf("Pool.For panic = %v", pe)
-	}
-	p.Close()
-	checkGoroutines(t, base)
-}
-
-func TestPoolJoinAllPanic(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	var ran atomic.Int64
-	pe := recoverPanicError(t, func() {
-		p.JoinAll(
-			func() { ran.Add(1) },
-			func() { panic("second") },
-			func() { ran.Add(1) },
-		)
-	})
-	if pe == nil {
-		t.Fatal("Pool.JoinAll swallowed the panic")
-	}
-	if ran.Load() != 2 {
-		t.Errorf("non-panicking fns ran %d times, want 2 (all joined)", ran.Load())
-	}
-}
-
 func TestForCtxNilBehavesLikeFor(t *testing.T) {
 	var sum atomic.Int64
 	if err := ForCtx(nil, 4, 1000, 0, func(lo, hi int) {

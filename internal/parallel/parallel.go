@@ -13,11 +13,12 @@
 // equivalent of work stealing for a flat loop). Run and Limiter provide
 // nested fork–join with a bounded number of extra goroutines.
 //
-// All runtimes are panic-safe: a panic in a body function is captured on
-// the worker, remaining work is drained, and the panic is re-raised on the
-// joining goroutine as a *PanicError carrying the original value and the
-// worker stack. ForCtx/ForEachCtx add cooperative cancellation, checked at
-// chunk boundaries only so the per-iteration hot path is unaffected.
+// Every entry point is panic-safe: a panic in a body function is captured
+// on the worker, remaining work is drained, and the panic is re-raised on
+// the joining goroutine as a *PanicError carrying the original value and
+// the worker stack. ForCtx/ForEachCtx add cooperative cancellation,
+// checked at chunk boundaries only so the per-iteration hot path is
+// unaffected.
 package parallel
 
 import (
@@ -348,22 +349,3 @@ func (l *Limiter) JoinAll(fns ...func()) {
 	wg.Wait()
 	fp.rethrow()
 }
-
-// A Joiner abstracts binary fork–join so divide-and-conquer algorithms can
-// run on either scheduler: the token Limiter (goroutine-per-spawn, bounded)
-// or the work-stealing Pool (Cilk-style). A nil *Limiter is a valid
-// sequential Joiner.
-type Joiner interface {
-	// Parallel reports whether Join may run branches concurrently.
-	Parallel() bool
-	// Join runs a and b, possibly in parallel, returning after both.
-	Join(a, b func())
-	// JoinAll runs every function, possibly in parallel, returning after
-	// all complete.
-	JoinAll(fns ...func())
-}
-
-var (
-	_ Joiner = (*Limiter)(nil)
-	_ Joiner = (*Pool)(nil)
-)

@@ -233,3 +233,18 @@ func BenchmarkForOverhead(b *testing.B) {
 		})
 	}
 }
+
+func BenchmarkLimiterForkJoinTree(b *testing.B) {
+	l := NewLimiter(0)
+	var rec func(depth int)
+	rec = func(depth int) {
+		if depth == 0 {
+			return
+		}
+		l.Join(func() { rec(depth - 1) }, func() { rec(depth - 1) })
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec(10)
+	}
+}

@@ -144,16 +144,11 @@ func siftDown(a []rec.Record, root, n int) {
 // ParallelQuicksort sorts a in place by Key ascending, recursing on
 // partitions in parallel. Not stable.
 func ParallelQuicksort(procs int, a []rec.Record) {
-	ParallelQuicksortOn(parallel.NewLimiter(procs), a)
+	pqsort(parallel.NewLimiter(procs), a, 2*bits.Len(uint(len(a)+1)))
 }
 
-// ParallelQuicksortOn is ParallelQuicksort running its fork–join on an
-// explicit scheduler (Limiter or work-stealing Pool).
-func ParallelQuicksortOn(j parallel.Joiner, a []rec.Record) {
-	pqsort(j, a, 2*bits.Len(uint(len(a)+1)))
-}
-
-func pqsort(lim parallel.Joiner, a []rec.Record, depth int) {
+// pqsort is the quicksort recursion; a nil lim sorts sequentially.
+func pqsort(lim *parallel.Limiter, a []rec.Record, depth int) {
 	if len(a) <= parCutoff || !lim.Parallel() {
 		Introsort(a)
 		return
@@ -277,22 +272,17 @@ func SampleSort(procs int, a []rec.Record) {
 // MergeSort sorts a in place by Key ascending, stably, using parallel
 // recursive mergesort with a parallel divide-and-conquer merge.
 func MergeSort(procs int, a []rec.Record) {
-	MergeSortOn(parallel.NewLimiter(procs), a)
-}
-
-// MergeSortOn is MergeSort running its fork–join on an explicit scheduler
-// (Limiter or work-stealing Pool).
-func MergeSortOn(j parallel.Joiner, a []rec.Record) {
 	n := len(a)
 	if n <= 1 {
 		return
 	}
 	scratch := make([]rec.Record, n)
-	msortInPlace(j, a, scratch)
+	msortInPlace(parallel.NewLimiter(procs), a, scratch)
 }
 
-// msortInPlace sorts a, leaving the result in a; scratch is clobbered.
-func msortInPlace(lim parallel.Joiner, a, scratch []rec.Record) {
+// msortInPlace sorts a, leaving the result in a; scratch is clobbered. A
+// nil lim sorts sequentially.
+func msortInPlace(lim *parallel.Limiter, a, scratch []rec.Record) {
 	n := len(a)
 	if n <= parCutoff || !lim.Parallel() {
 		stableSeqSort(a, scratch)
@@ -307,7 +297,7 @@ func msortInPlace(lim parallel.Joiner, a, scratch []rec.Record) {
 }
 
 // msortInto sorts a, leaving the result in dst; a is clobbered.
-func msortInto(lim parallel.Joiner, a, dst []rec.Record) {
+func msortInto(lim *parallel.Limiter, a, dst []rec.Record) {
 	n := len(a)
 	if n <= parCutoff || !lim.Parallel() {
 		stableSeqSort(a, dst)
@@ -361,7 +351,7 @@ func seqMerge(x, y, out []rec.Record) {
 // mergeInto stably merges sorted x and y into out in parallel: the larger
 // side is split at its median, the smaller side is split by binary search,
 // and the two halves merge independently.
-func mergeInto(lim parallel.Joiner, x, y, out []rec.Record) {
+func mergeInto(lim *parallel.Limiter, x, y, out []rec.Record) {
 	if len(x)+len(y) <= parCutoff || !lim.Parallel() {
 		seqMerge(x, y, out)
 		return

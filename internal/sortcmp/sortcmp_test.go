@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/parallel"
 	"repro/internal/rec"
 )
 
@@ -134,6 +135,25 @@ func TestMergeSortStability(t *testing.T) {
 	for i := 1; i < n; i++ {
 		if a[i].Key == a[i-1].Key && a[i].Value < a[i-1].Value {
 			t.Fatalf("MergeSort not stable at %d", i)
+		}
+	}
+}
+
+func TestSortsOnNilLimiterJoiner(t *testing.T) {
+	// A nil *Limiter is the sequential fork–join: the recursions must
+	// sort (and merge stably) without spawning or panicking.
+	var lim *parallel.Limiter
+	a := randRecords(parCutoff+10, 100, 3)
+	orig := append([]rec.Record(nil), a...)
+	pqsort(lim, a, 64)
+	checkSorted(t, "pqsort nil limiter", a, orig)
+
+	b := append([]rec.Record(nil), orig...)
+	msortInPlace(lim, b, make([]rec.Record, len(b)))
+	checkSorted(t, "msortInPlace nil limiter", b, orig)
+	for i := 1; i < len(b); i++ {
+		if b[i].Key == b[i-1].Key && b[i].Value < b[i-1].Value {
+			t.Fatalf("msortInPlace nil limiter: not stable at %d", i)
 		}
 	}
 }

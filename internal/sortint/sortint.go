@@ -69,7 +69,7 @@ func RadixSortWith(procs int, a, scratch []rec.Record) error {
 
 // sortInPlace sorts a by the bytes at shift, shift-8, ...; the result ends
 // in a. scratch is clobbered.
-func sortInPlace(procs int, lim parallel.Joiner, a, scratch []rec.Record, shift int) {
+func sortInPlace(procs int, lim *parallel.Limiter, a, scratch []rec.Record, shift int) {
 	n := len(a)
 	if n <= smallCutoff {
 		insertionSort(a)
@@ -92,7 +92,7 @@ func sortInPlace(procs int, lim parallel.Joiner, a, scratch []rec.Record, shift 
 
 // sortInto sorts src by the bytes at shift, shift-8, ...; the result ends
 // in dst. src is clobbered. len(src) == len(dst).
-func sortInto(procs int, lim parallel.Joiner, src, dst []rec.Record, shift int) {
+func sortInto(procs int, lim *parallel.Limiter, src, dst []rec.Record, shift int) {
 	n := len(src)
 	if n <= smallCutoff {
 		copy(dst, src)
@@ -111,7 +111,7 @@ func sortInto(procs int, lim parallel.Joiner, src, dst []rec.Record, shift int) 
 
 // recurseBuckets invokes body on every non-empty bucket range, in parallel
 // for large inputs. Size-1 buckets are handled inline (they are cheap).
-func recurseBuckets(procs int, lim parallel.Joiner, starts [radixBuckets + 1]int, body func(lo, hi int)) {
+func recurseBuckets(procs int, lim *parallel.Limiter, starts [radixBuckets + 1]int, body func(lo, hi int)) {
 	n := starts[radixBuckets]
 	if !lim.Parallel() || n < seqCutoff {
 		for b := 0; b < radixBuckets; b++ {

@@ -49,8 +49,8 @@ type (
 )
 
 // SchedStats is the snapshot of scheduler counters (chunks claimed,
-// steals, failed steals, help-while-waiting joins, limiter activity)
-// reported as Stats.Sched while an Observer is set.
+// limiter spawns, inline runs and queue depth) reported as Stats.Sched
+// while an Observer is set.
 type SchedStats = obsv.SchedStats
 
 // Collector is an in-memory Observer that records every event; its zero
