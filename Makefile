@@ -44,9 +44,11 @@ stress:
 # second pass exercises warm-workspace reuse on the same process) plus
 # the planner-resolution tests and the radix kernel's own dovetail tests
 # (width-rule determinism, cancellation, allocation bounds) — the
-# acceptance gate for the skew-adaptive dovetail route.
+# acceptance gate for the skew-adaptive dovetail route — and the Phase 3
+# classifier tests (range filter, heavy directory, shared-slot fallback
+# to the heavy table, every route at several worker counts).
 sweep:
-	$(GO) test -race -count=2 -run 'Spectrum|Dovetail' ./internal/core/ ./internal/sortint/ .
+	$(GO) test -race -count=2 -run 'Spectrum|Dovetail|Classif' ./internal/core/ ./internal/sortint/ .
 
 # sample-sweep mirrors the CI adaptive-sampling step: the multi-round
 # estimator's proc-count determinism, budget/round-cap contracts,

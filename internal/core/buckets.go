@@ -100,19 +100,19 @@ func (pl *plan) allocatePhase() error {
 			}
 		}
 	}
-	// Dense heavy-directory fast path: flag every light hash range that
-	// contains a heavy key by storing the complement of its bucket id.
-	// bucketOf then resolves records in unflagged ranges — the common case
-	// when heavy keys are few — with one array load and no table probe,
-	// reserving the hash-and-probe slow path for the flagged ranges.
-	// The Empty-key heavy run flags its range too, covering the dedicated
-	// emptyKeyBucket check. (numLight >= 1 always, and a shift of 64 —
-	// numLight == 1 — indexes range 0, matching bucketOf's read.)
+	// Range filter: flag every light hash range that contains a heavy key
+	// by storing the complement of its bucket id. bucketOf then resolves
+	// records in unflagged ranges — the common case when heavy keys are
+	// few — with one array load, and sends only flagged ranges to the
+	// heavy directory. The Empty-key heavy run flags its range too.
+	// (numLight >= 1 always, and a shift of 64 — numLight == 1 — indexes
+	// range 0, matching bucketOf's read.)
 	for _, hr := range pl.heavyRuns {
 		if j := hr.key >> pl.shift; pl.lightBucketOf[j] >= 0 {
 			pl.lightBucketOf[j] = ^pl.lightBucketOf[j]
 		}
 	}
+	pl.buildHeavyDir()
 
 	pl.ws.buckets = buckets
 	pl.buckets = buckets
@@ -125,10 +125,11 @@ func (pl *plan) allocatePhase() error {
 
 	if pl.strat == ScatterCounting {
 		// The counting scatter writes straight into the output array, so
-		// the attempt allocates no slot slack — only the histogram and
-		// staging scratch, which the same memory cap governs.
+		// the attempt allocates no slot slack — only the histogram, staging
+		// and bucket-id column scratch (plus the heavy directory), which
+		// the same memory cap governs.
 		pl.cbins = len(buckets)
-		pl.cplan = planCounting(pl.n, pl.procs, pl.cbins)
+		pl.cplan = planCounting(pl.n, pl.procs, pl.cbins, int64(pl.n)*4+pl.dirBytes())
 		if c.MaxSlotBytes > 0 && pl.cplan.scratchBytes > c.MaxSlotBytes {
 			pl.stats.Phases.Buckets = time.Since(pl.bucketsT0)
 			pl.tr.span(pl.attempt, obsv.PhaseAllocate, tAlloc, obsv.OutcomeCap)
@@ -142,9 +143,11 @@ func (pl *plan) allocatePhase() error {
 		// writing the packed output directly; the light region is then
 		// grouped out-of-place against the workspace radix scratch. No
 		// slot arrays on either side, so the memory cap governs the
-		// counting scratch plus the 16-bytes-per-record radix scratch.
+		// counting scratch (the split classifies in both passes, so it
+		// needs no bucket-id column) plus the 16-bytes-per-record radix
+		// scratch.
 		pl.cbins = pl.firstLight + 1
-		pl.cplan = planCounting(pl.n, pl.procs, pl.cbins)
+		pl.cplan = planCounting(pl.n, pl.procs, pl.cbins, pl.dirBytes())
 		need := pl.cplan.scratchBytes + int64(pl.n)*16
 		if c.MaxSlotBytes > 0 && need > c.MaxSlotBytes {
 			pl.stats.Phases.Buckets = time.Since(pl.bucketsT0)
@@ -202,6 +205,51 @@ func boostSize(size int, m float64, exact bool) int {
 	}
 	return 1 << uint(bits.Len(uint(s-1)))
 }
+
+// A dirEntry is one slot of the heavy directory: a heavy key and its
+// bucket id, or no key (hid dirEmpty), or a collision (hid dirShared).
+type dirEntry struct {
+	key uint64
+	hid int32
+}
+
+const (
+	dirEmpty  = -1 // no heavy key maps to the slot
+	dirShared = -2 // two or more heavy keys map to the slot: ask the table
+	// dirMul is the directory's multiplicative index (Fibonacci hashing):
+	// it mixes every key bit into the top bits it keeps, so the slot does
+	// not depend on the top bits the light ranges index, nor on the low
+	// bits the external shuffle partitions by.
+	dirMul = 0x9e3779b97f4a7c15
+)
+
+// buildHeavyDir fills the heavy directory, the classifier's second step
+// (bucketOf): D = pow2 ≥ max(16, 8·numHeavy) direct-mapped slots indexed
+// by (key·dirMul) >> (64 − log2 D). At that load most heavy keys own
+// their slot, so a heavy record resolves with one load and one compare;
+// keys in shared slots fall back to the heavy table. The Empty key lives
+// here like any other (its bucket id is emptyKeyBucket).
+func (pl *plan) buildHeavyDir() {
+	logD := bits.Len(uint(max(16, 8*pl.numHeavy) - 1))
+	dir := grow(&pl.ws.heavyDir, 1<<logD)
+	for i := range dir {
+		dir[i] = dirEntry{hid: dirEmpty}
+	}
+	pl.dirShift = uint(64 - logD)
+	for id, hr := range pl.heavyRuns {
+		e := &dir[(hr.key*dirMul)>>pl.dirShift]
+		if e.hid == dirEmpty {
+			*e = dirEntry{key: hr.key, hid: int32(id)}
+		} else {
+			e.hid = dirShared
+		}
+	}
+	pl.heavyDir = dir
+}
+
+// dirBytes is the heavy directory's footprint, priced against
+// Config.MaxSlotBytes with the counting routes' scratch.
+func (pl *plan) dirBytes() int64 { return int64(len(pl.heavyDir)) * 16 }
 
 // bucketPos maps a random word to a slot index in [0, size). Power-of-two
 // sizes use masking (the paper's choice); exact sizes use the multiply-

@@ -142,6 +142,8 @@ type plan struct {
 	table          *hashtable.Table
 	emptyKeyBucket int64
 	lightBucketOf  []int32
+	heavyDir       []dirEntry // view of ws.heavyDir (buckets.go)
+	dirShift       uint       // 64 − log2 len(heavyDir)
 	firstLight     int
 	numLightMerged int
 	heavySlotEnd   int64
@@ -165,6 +167,7 @@ type plan struct {
 	hist        []int32
 	counts      []int32
 	cbase       []int32
+	bidCol      []uint32 // pass 1's bucket id per record, read by pass 2
 	flushes     atomic.Int64
 	placedTotal int
 	// Dovetail placement (scatter_dovetail.go).
@@ -239,6 +242,7 @@ func (pl *plan) begin(ws *Workspace, a, dst []rec.Record, c *Config, sampleAttem
 	pl.buckets, pl.table = nil, nil
 	pl.emptyKeyBucket = -1
 	pl.lightBucketOf = nil
+	pl.heavyDir, pl.dirShift = nil, 0
 	pl.firstLight, pl.numLightMerged = 0, 0
 	pl.heavySlotEnd, pl.slotTotal = 0, 0
 
@@ -249,7 +253,7 @@ func (pl *plan) begin(ws *Workspace, a, dst []rec.Record, c *Config, sampleAttem
 	pl.ofBuckets = nil
 	pl.cplan = countingPlan{}
 	pl.cbins = 0
-	pl.hist, pl.counts, pl.cbase = nil, nil, nil
+	pl.hist, pl.counts, pl.cbase, pl.bidCol = nil, nil, nil, nil
 	pl.flushes.Store(0)
 	pl.placedTotal = 0
 	pl.heavyEnd = 0
@@ -286,10 +290,10 @@ func (pl *plan) clearRefs() {
 	pl.smplHist, pl.smplDens, pl.smplSel, pl.smplCnt = nil, nil, nil, nil
 	pl.runStarts, pl.runCounts = nil, nil
 	pl.blockHeavy, pl.heavyRuns, pl.lightCounts = nil, nil, nil
-	pl.buckets, pl.table, pl.lightBucketOf = nil, nil, nil
+	pl.buckets, pl.table, pl.lightBucketOf, pl.heavyDir = nil, nil, nil, nil
 	pl.slots, pl.occ = nil, nil
 	pl.ofBuckets = nil
-	pl.hist, pl.counts, pl.cbase = nil, nil, nil
+	pl.hist, pl.counts, pl.cbase, pl.bidCol = nil, nil, nil, nil
 	pl.lsCum, pl.lsBounds = nil, nil
 	pl.lightCnt, pl.lightOffsets, pl.packCounts = nil, nil, nil
 	pl.red = nil
@@ -403,15 +407,21 @@ func (pl *plan) parForEachNoCtx(n, grain int, f func(*plan, int)) {
 }
 
 // bucketOf resolves a record to its bucket id and whether it took the
-// heavy path. Hot: called once (counting: twice) per record in Phase 3.
+// heavy path. Hot: called once per record in Phase 3 (the counting
+// scatter's pass 2 reads pass 1's bucket-id column instead; the dovetail
+// split still classifies in both passes).
 //
-// lightBucketOf doubles as a dense heavy directory: ranges containing no
-// heavy key store their light bucket id directly, so the common case —
-// light record, unflagged range — resolves with the one array load Phase
-// 3 needed anyway, no hash and no table probe. Ranges that do contain a
-// heavy key (flagged by allocatePhase with the id's complement) fall to
-// the slow path, which consults the heavy table and decodes the
-// complement on a miss.
+// The classifier costs one cache-resident load for almost every record:
+//  1. lightBucketOf doubles as a range filter: ranges containing no
+//     heavy key store their light bucket id directly, so a light record
+//     in an unflagged range resolves with the one array load Phase 3
+//     needed anyway, no hash and no probe.
+//  2. A flagged range (allocatePhase stores the id's complement) reads
+//     the heavy directory: a slot holding exactly this key names its
+//     heavy bucket with one compare.
+//  3. Only a shared slot — two or more heavy keys map there — consults
+//     emptyKeyBucket and the heavy table.
+//  4. Anything else is light, and the range's complement decodes its id.
 func (pl *plan) bucketOf(r rec.Record) (int64, bool) {
 	if v := pl.lightBucketOf[r.Key>>pl.shift]; v >= 0 {
 		return int64(v), false
@@ -420,46 +430,60 @@ func (pl *plan) bucketOf(r rec.Record) (int64, bool) {
 }
 
 // bucketOfSlow resolves a key whose hash range is flagged as containing a
-// heavy key. Split out so bucketOf's fast path inlines into the scatter
-// loops.
+// heavy key (steps 2–4 above). Split out so bucketOf's fast path inlines
+// into the scatter loops.
 func (pl *plan) bucketOfSlow(k uint64) (int64, bool) {
-	if k == hashtable.Empty {
-		if pl.emptyKeyBucket >= 0 {
-			// The table's reserved key gets a dedicated heavy bucket.
-			return pl.emptyKeyBucket, true
+	e := pl.heavyDir[(k*dirMul)>>pl.dirShift]
+	if e.key == k && e.hid >= 0 {
+		return int64(e.hid), true
+	}
+	if e.hid == dirShared {
+		if k == hashtable.Empty {
+			if pl.emptyKeyBucket >= 0 {
+				// The table's reserved key gets a dedicated heavy bucket.
+				return pl.emptyKeyBucket, true
+			}
+		} else if v, ok := pl.table.Lookup(k); ok {
+			return int64(v), true
 		}
-	} else if v, ok := pl.table.Lookup(k); ok {
-		return int64(v), true
 	}
 	return int64(^pl.lightBucketOf[k>>pl.shift]), false
 }
 
 // probeBatch is the record blocking factor of the batched classifiers:
-// matches hashtable's lookup block so one bucketOfBatch resolves in a
-// single table-probe burst.
+// matches hashtable's lookup block so one bucketOfBatch resolves its
+// shared-slot keys in a single table-probe burst.
 const probeBatch = 16
 
 // bucketOfBatch resolves records a[base:base+m] (m ≤ probeBatch) into
-// bids/heavy, exactly as m bucketOf calls would. Records in unflagged
-// ranges resolve inline; the rest are gathered and resolved through one
-// hashtable.LookupBatch call, so their dependent probe loads overlap in
-// the memory system instead of serializing — the point of blocking the
-// scatter loops. All scratch is fixed-size and stack-allocated.
+// bids/heavy, exactly as m bucketOf calls would. Unflagged ranges and
+// directory hits resolve inline; keys in shared directory slots are
+// gathered and resolved through one hashtable.LookupBatch call, so their
+// dependent probe loads overlap in the memory system instead of
+// serializing. All scratch is fixed-size and stack-allocated.
 func (pl *plan) bucketOfBatch(base, m int, bids *[probeBatch]int64, heavy *[probeBatch]bool) {
 	var keys [probeBatch]uint64
 	var vals [probeBatch]uint64
 	var ok [probeBatch]bool
 	var slow [probeBatch]uint8
-	shift := pl.shift
+	shift, dshift, dir := pl.shift, pl.dirShift, pl.heavyDir
 	nslow := 0
 	for i := 0; i < m; i++ {
 		k := pl.a[base+i].Key
-		if v := pl.lightBucketOf[k>>shift]; v >= 0 {
+		v := pl.lightBucketOf[k>>shift]
+		if v >= 0 {
 			bids[i], heavy[i] = int64(v), false
-		} else {
+			continue
+		}
+		switch e := dir[(k*dirMul)>>dshift]; {
+		case e.key == k && e.hid >= 0:
+			bids[i], heavy[i] = int64(e.hid), true
+		case e.hid == dirShared:
 			keys[nslow] = k
 			slow[nslow] = uint8(i)
 			nslow++
+		default:
+			bids[i], heavy[i] = int64(^v), false
 		}
 	}
 	if nslow == 0 {

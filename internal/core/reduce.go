@@ -19,8 +19,9 @@
 //   - On the counting strategy, Histogram (FoldFunc == count) reuses the
 //     pass-1 histogram for the heavy counts: heavy records are neither
 //     staged nor folded — their multiplicity already exists — so a heavy-
-//     duplicate histogram touches each heavy record exactly once (the
-//     classify load in pass 1/2) and materializes nothing.
+//     duplicate histogram classifies each heavy record exactly once (in
+//     pass 1; pass 2 reads its bucket id from the column) and
+//     materializes nothing.
 //
 // The fused path shares the Las Vegas ladder with the plain pipeline
 // (semisortInto): a bucket overflow clears the accumulator cells on retry
@@ -395,10 +396,13 @@ func (pl *plan) packReduceLightProbe(j int) {
 // instead of being placed, so light buckets pack densely into the reduce
 // staging area), and pass 2 writes light records to the staging area
 // directly — the write-combining staging buffers batch stores into the
-// output array, which the fused path does not produce until pack.
+// output array, which the fused path does not produce until pack. Pass 2
+// reads pass 1's bucket-id column like the plain arm: an id below
+// firstLight is a heavy bucket.
 func (pl *plan) countingReduceScatterBody() error {
 	nb := len(pl.buckets)
 	pl.hist = pl.ws.getHist(pl.cplan.nblocks * nb)
+	pl.bidCol = grow(&pl.ws.bidCol, pl.n)
 	if err := pl.parFor(pl.cplan.nblocks, 1, (*plan).countingHistChunk); err != nil {
 		return err
 	}
@@ -428,38 +432,33 @@ func (pl *plan) countingReducePassChunk(blo, bhi int) {
 	accs := pl.redAccs[base0 : base0+pl.redCells]
 	crep := pl.redCellReps[base0 : base0+pl.redCells]
 	used := pl.redUsed[base0 : base0+pl.redCells]
-	var bids [probeBatch]int64
-	var heavy [probeBatch]bool
+	firstLight := uint32(pl.firstLight)
 	for blk := blo; blk < bhi; blk++ {
 		offs := pl.hist[blk*nb : (blk+1)*nb]
 		lo, hi := blk*pl.cplan.grain, min((blk+1)*pl.cplan.grain, pl.n)
-		for base := lo; base < hi; base += probeBatch {
-			m := min(probeBatch, hi-base)
-			pl.bucketOfBatch(base, m, &bids, &heavy)
-			for u := 0; u < m; u++ {
-				r := pl.a[base+u]
-				bid := bids[u]
-				if heavy[u] {
-					c := int(bid)
-					if histOnly {
-						// The count is already in pass 1's histogram; only
-						// a representative is still needed.
-						if used[c] == 0 {
-							used[c], crep[c] = 1, r.Value
-						}
-						continue
-					}
+		src := pl.a[lo:hi]
+		for i, bid := range pl.bidCol[lo:hi] {
+			r := src[i]
+			if bid < firstLight {
+				c := int(bid)
+				if histOnly {
+					// The count is already in pass 1's histogram; only a
+					// representative is still needed.
 					if used[c] == 0 {
-						used[c] = 1
-						crep[c] = r.Value
-						accs[c] = sp.Identity
+						used[c], crep[c] = 1, r.Value
 					}
-					accs[c] = sp.Fold(accs[c], crep[c], r.Value)
 					continue
 				}
-				pl.redStage[offs[bid]] = r
-				offs[bid]++
+				if used[c] == 0 {
+					used[c] = 1
+					crep[c] = r.Value
+					accs[c] = sp.Identity
+				}
+				accs[c] = sp.Fold(accs[c], crep[c], r.Value)
+				continue
 			}
+			pl.redStage[offs[bid]] = r
+			offs[bid]++
 		}
 	}
 	pl.ws.releaseRed(slot)

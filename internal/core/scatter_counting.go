@@ -2,11 +2,15 @@
 // the CAS scatter (ScatterCounting, and the Auto pick under heavy
 // duplication).
 //
-// Pass 1 splits the input into blocks and builds one bucket histogram per
-// block. Column-wise prefix sums over the per-block histograms — seeded
-// with an exclusive scan of the per-bucket totals — turn each histogram
-// row into a set of absolute write cursors, so pass 2 can copy every
-// record straight to its final position in the packed output array. The
+// Pass 1 splits the input into blocks, classifies every record once
+// (bucketOfBatch) and builds one bucket histogram per block, writing each
+// record's bucket id into a Workspace-owned uint32 column on the way.
+// Column-wise prefix sums over the per-block histograms — seeded with an
+// exclusive scan of the per-bucket totals — turn each histogram row into
+// a set of absolute write cursors, so pass 2 can copy every record
+// straight to its final position in the packed output array. Pass 2
+// reads the bucket-id column (4 B/rec of sequential traffic) and never
+// classifies: no second range load, directory read or table probe. The
 // offsets are exact: no CAS, no probing, no overflow, and therefore no
 // Las Vegas retry on this path. Phases 4 and 5 still run so traces keep
 // the six-phase shape — the local sort works in place in the output, and
@@ -63,12 +67,15 @@ type countingPlan struct {
 	// buffers; with more buckets than records per block the buffers would
 	// outweigh the writes they batch.
 	staged bool
-	// scratchBytes prices the per-block histograms plus (when staged) the
-	// per-worker staging buffers.
+	// scratchBytes prices the per-block histograms, (when staged) the
+	// per-worker staging buffers, and the caller's extra scratch.
 	scratchBytes int64
 }
 
-func planCounting(n, procs, nb int) countingPlan {
+// planCounting blocks n records over nb bins. extra is the route's scratch
+// outside the histograms and staging arena — the bucket-id column and the
+// heavy directory — so the one MaxSlotBytes check prices all of it.
+func planCounting(n, procs, nb int, extra int64) countingPlan {
 	grain := parallel.Grain(n, procs, countingGrainMin)
 	nblocks := 0
 	if n > 0 {
@@ -76,7 +83,7 @@ func planCounting(n, procs, nb int) countingPlan {
 	}
 	staged := nb <= grain &&
 		int64(nb)*(countingStageSlots*16+1) <= countingStageMaxBytes
-	scratch := int64(nblocks) * int64(nb) * 4
+	scratch := int64(nblocks)*int64(nb)*4 + extra
 	if staged {
 		// Each in-flight stage holds nb*countingStageSlots records plus
 		// one fill counter per bucket; at most procs are in flight.
@@ -116,8 +123,9 @@ func (countingStage) scatter(pl *plan) error {
 func (pl *plan) countingScatterBody() error {
 	nb := pl.cbins
 	pl.hist = pl.ws.getHist(pl.cplan.nblocks * nb)
+	pl.bidCol = grow(&pl.ws.bidCol, pl.n)
 
-	// Pass 1: one bucket histogram per block.
+	// Pass 1: one bucket histogram per block, and the bucket-id column.
 	if err := pl.parFor(pl.cplan.nblocks, 1, (*plan).countingHistChunk); err != nil {
 		return err
 	}
@@ -132,16 +140,20 @@ func (pl *plan) countingScatterBody() error {
 	pl.placedTotal = int(prim.ExclusiveScan(1, pl.cbase))
 	pl.parForNoCtx(nb, 512, (*plan).countingCursorChunk)
 
-	// Pass 2: copy records to their final positions, optionally through
-	// line-sized staging buffers.
+	// Pass 2: copy records to their final positions by the column,
+	// optionally through line-sized staging buffers.
 	if pl.cplan.staged {
 		pl.ws.ensureStages(pl.procs, nb)
 	}
 	return pl.parFor(pl.cplan.nblocks, 1, (*plan).countingPassChunk)
 }
 
+// countingHistChunk is pass 1 over blocks [blo, bhi): classify each
+// record once, count it, and record its bucket id in the column. The
+// fused-reduce arm shares it (reduce.go).
 func (pl *plan) countingHistChunk(blo, bhi int) {
 	nb := pl.cbins
+	col := pl.bidCol
 	var bids [probeBatch]int64
 	var heavy [probeBatch]bool
 	for blk := blo; blk < bhi; blk++ {
@@ -151,7 +163,9 @@ func (pl *plan) countingHistChunk(blo, bhi int) {
 			m := min(probeBatch, hi-base)
 			pl.bucketOfBatch(base, m, &bids, &heavy)
 			for u := 0; u < m; u++ {
-				h[bids[u]]++
+				b := bids[u]
+				col[base+u] = uint32(b)
+				h[b]++
 			}
 		}
 	}
@@ -180,48 +194,38 @@ func (pl *plan) countingCursorChunk(lo, hi int) {
 	}
 }
 
+// countingPassChunk is pass 2 over blocks [blo, bhi): each record goes
+// to its bucket's cursor, the bucket read from pass 1's column.
 func (pl *plan) countingPassChunk(blo, bhi int) {
 	nb := pl.cbins
 	var nf int64
-	var bids [probeBatch]int64
-	var heavy [probeBatch]bool
 	for blk := blo; blk < bhi; blk++ {
 		offs := pl.hist[blk*nb : (blk+1)*nb]
 		lo, hi := blk*pl.cplan.grain, min((blk+1)*pl.cplan.grain, pl.n)
+		src, col := pl.a[lo:hi], pl.bidCol[lo:hi]
 		if !pl.cplan.staged || fault.Should(fault.StageFlush) {
-			for base := lo; base < hi; base += probeBatch {
-				m := min(probeBatch, hi-base)
-				pl.bucketOfBatch(base, m, &bids, &heavy)
-				for u := 0; u < m; u++ {
-					bid := bids[u]
-					pl.out[offs[bid]] = pl.a[base+u]
-					offs[bid]++
-				}
+			for i, bid := range col {
+				pl.out[offs[bid]] = src[i]
+				offs[bid]++
 			}
 			continue
 		}
 		slot := pl.ws.acquireStage()
 		buf := pl.ws.stageBuf[slot*nb*countingStageSlots : (slot+1)*nb*countingStageSlots]
 		cnt := pl.ws.stageCnt[slot*nb : (slot+1)*nb]
-		for base := lo; base < hi; base += probeBatch {
-			m := min(probeBatch, hi-base)
-			pl.bucketOfBatch(base, m, &bids, &heavy)
-			for u := 0; u < m; u++ {
-				r := pl.a[base+u]
-				bid := bids[u]
-				c := cnt[bid]
-				buf[int(bid)*countingStageSlots+int(c)] = r
-				c++
-				if int(c) == countingStageSlots {
-					p := offs[bid]
-					copy(pl.out[p:p+countingStageSlots],
-						buf[int(bid)*countingStageSlots:(int(bid)+1)*countingStageSlots])
-					offs[bid] = p + countingStageSlots
-					cnt[bid] = 0
-					nf++
-				} else {
-					cnt[bid] = c
-				}
+		for i, bid := range col {
+			c := cnt[bid]
+			buf[int(bid)*countingStageSlots+int(c)] = src[i]
+			c++
+			if int(c) == countingStageSlots {
+				p := offs[bid]
+				copy(pl.out[p:p+countingStageSlots],
+					buf[int(bid)*countingStageSlots:(int(bid)+1)*countingStageSlots])
+				offs[bid] = p + countingStageSlots
+				cnt[bid] = 0
+				nf++
+			} else {
+				cnt[bid] = c
 			}
 		}
 		// Drain partial lines, restoring the all-zero cnt invariant.

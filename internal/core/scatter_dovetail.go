@@ -5,12 +5,14 @@
 // The scatter reuses the counting machinery (scatter_counting.go) over
 // cbins = firstLight+1 bins: one bin per heavy bucket in bucket-id
 // order, plus a single catch-all bin collecting every light record.
-// Both passes resolve records through the same batched heavy directory
-// as the counting scatter and clamp light bucket ids to the catch-all
-// bin, so the heavy keys the Phase 1 sample found are placed exactly
-// once — as packed, grouped prefixes of the output — and never travel
-// through the radix recursion (the dovetail trick, applied at the
-// pipeline's top level). With no heavy buckets at all the split is the
+// Both passes classify records with the counting scatter's pass-1
+// classifier (bucketOfBatch) and clamp light bucket ids to the catch-all
+// bin. Unlike the counting scatter, the split keeps no bucket-id column:
+// its light records already resolve with one load, and the column's
+// write and read would cost more than that load. The heavy keys the
+// Phase 1 sample found are placed exactly once — as packed, grouped
+// prefixes of the output — and never travel through the radix recursion
+// (the dovetail trick, applied at the pipeline's top level). With no heavy buckets at all the split is the
 // identity and degenerates to one parallel copy.
 //
 // Phase 4 then groups the light region with internal/sortint's dovetail

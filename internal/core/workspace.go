@@ -8,13 +8,13 @@ import (
 
 // A Workspace owns every per-attempt buffer of the pipeline — sample
 // arrays, run/bucket descriptors, light histograms, slot and occupancy
-// arrays, the counting scatter's histograms and staging arena, the
-// heavy-key hash table, the retry boost map, and (for SemisortShared) a
-// retained output buffer — so repeated semisorts reuse memory instead of
-// reallocating ~4-6n bytes per call. In steady state a call through a
-// warm Workspace allocates nothing beyond the returned slice (and nothing
-// at all via SemisortShared) when Procs == 1; parallel dispatch costs a
-// few goroutine closures per phase.
+// arrays, the counting scatter's histograms, bucket-id column and staging
+// arena, the heavy directory and heavy-key hash table, the retry boost
+// map, and (for SemisortShared) a retained output buffer — so repeated
+// semisorts reuse memory instead of reallocating ~4-6n bytes per call. In
+// steady state a call through a warm Workspace allocates nothing beyond
+// the returned slice (and nothing at all via SemisortShared) when
+// Procs == 1; parallel dispatch costs a few goroutine closures per phase.
 //
 // A zero Workspace is ready to use; it grows on demand and is NOT safe
 // for concurrent use by multiple semisorts. Buffers only grow unless
@@ -40,6 +40,7 @@ type Workspace struct {
 	heavyRuns     []heavyRun
 	lightCounts   []int32
 	lightBucketOf []int32
+	heavyDir      []dirEntry // direct-mapped heavy directory (buckets.go)
 	buckets       []bucket
 	table         *hashtable.Table
 	boost         map[int32]float64 // bucket id → size multiplier (retry ladder)
@@ -48,11 +49,13 @@ type Workspace struct {
 	slots []rec.Record
 	occ   []uint32
 
-	// Phase 3: counting scatter (histograms + per-worker staging arena;
-	// the arena replaces the old package-global sync.Pool).
+	// Phase 3: counting scatter (histograms, the pass-1 bucket-id column,
+	// and the per-worker staging arena; the arena replaces the old
+	// package-global sync.Pool).
 	hist      []int32
 	counts    []int32
 	cbase     []int32
+	bidCol    []uint32     // one bucket id per record
 	stageBuf  []rec.Record // stageWorkers × nb × countingStageSlots records
 	stageCnt  []uint8      // stageWorkers × nb fill counters, all-zero at rest
 	stageFree chan int     // free-list of staging slot indices
@@ -271,8 +274,9 @@ func (w *Workspace) acquireRed() int { return <-w.redFree }
 func (w *Workspace) releaseRed(s int) { w.redFree <- s }
 
 // RetainedBytes reports the scratch memory the workspace currently pins,
-// the quantity Config.MaxRetainedBytes caps. The heavy-key table and the
-// retained Shared output count; the boost map's few entries do not.
+// the quantity Config.MaxRetainedBytes caps. The heavy directory and
+// table and the retained Shared output count; the boost map's few entries
+// do not.
 func (w *Workspace) RetainedBytes() int64 {
 	n := int64(cap(w.sample)+cap(w.sampleScratch)) * 8
 	n += int64(cap(w.smplDens)+cap(w.smplRate)+cap(w.smplOver)) * 8
@@ -281,8 +285,8 @@ func (w *Workspace) RetainedBytes() int64 {
 	n += int64(cap(w.runStarts)+cap(w.runCounts)+cap(w.blockHeavy)+
 		cap(w.lightCounts)+cap(w.lightBucketOf)+cap(w.lightCnt)+
 		cap(w.lightOffsets)+cap(w.packCounts)+
-		cap(w.hist)+cap(w.counts)+cap(w.cbase)) * 4
-	n += int64(cap(w.heavyRuns))*16 + int64(cap(w.buckets))*16
+		cap(w.hist)+cap(w.counts)+cap(w.cbase)+cap(w.bidCol)) * 4
+	n += int64(cap(w.heavyRuns))*16 + int64(cap(w.buckets))*16 + int64(cap(w.heavyDir))*16
 	n += int64(cap(w.slots))*16 + int64(cap(w.occ))*4
 	n += int64(cap(w.rxScratch))*16 + w.rxTables.RetainedBytes()
 	n += int64(cap(w.stageBuf))*16 + int64(cap(w.stageCnt))
@@ -312,11 +316,11 @@ func (w *Workspace) Release() {
 	w.smplHist, w.smplCnt, w.smplThr = nil, nil, nil
 	w.smplDens, w.smplRate, w.smplOver, w.smplSel = nil, nil, nil, nil
 	w.runStarts, w.runCounts, w.blockHeavy = nil, nil, nil
-	w.heavyRuns, w.lightCounts, w.lightBucketOf = nil, nil, nil
+	w.heavyRuns, w.lightCounts, w.lightBucketOf, w.heavyDir = nil, nil, nil, nil
 	w.buckets, w.table, w.boost = nil, nil, nil
 	w.slots, w.occ, w.rxScratch = nil, nil, nil
 	w.rxTables.Release()
-	w.hist, w.counts, w.cbase = nil, nil, nil
+	w.hist, w.counts, w.cbase, w.bidCol = nil, nil, nil, nil
 	w.stageBuf, w.stageCnt, w.stageFree = nil, nil, nil
 	w.lsArenas, w.lsFree, w.lsCum, w.lsBounds = nil, nil, nil, nil
 	w.lightCnt, w.lightOffsets, w.packCounts = nil, nil, nil
@@ -347,7 +351,8 @@ func (w *Workspace) shrink(max int64) {
 	if w.RetainedBytes() <= max {
 		return
 	}
-	w.hist, w.stageBuf, w.stageCnt, w.stageFree = nil, nil, nil, nil
+	w.hist, w.bidCol, w.heavyDir = nil, nil, nil
+	w.stageBuf, w.stageCnt, w.stageFree = nil, nil, nil
 	w.rxTables.Release()
 	w.lsArenas, w.lsFree, w.lsCum, w.lsBounds = nil, nil, nil, nil
 	w.redAccs, w.redCellReps, w.redUsed, w.redFree = nil, nil, nil, nil
