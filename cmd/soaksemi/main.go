@@ -1,10 +1,14 @@
 // Command soaksemi is the leak-gated soak harness for semisortd: it
-// drives mixed-distribution semisort traffic at a configured
-// duration/concurrency/rps against the resident server, sends SIGTERM
-// mid-run to exercise graceful drain, and turns "no leaks under churn"
-// into a pass/fail property:
+// drives mixed-distribution semisort traffic (uniform, Zipfian,
+// exponential and a HeavyHead adversary with 64 heavy keys) at a
+// configured duration/concurrency/rps against the resident server, sends
+// SIGTERM mid-run to exercise graceful drain, and turns "no leaks under
+// churn" into a pass/fail property:
 //
-//   - p99 latency of successful requests must stay under -p99;
+//   - p99 latency of successful requests must stay under -p99, and
+//     p999 under -p999 once at least 10,000 requests succeeded (so at
+//     least 10 samples lie beyond it; below that the gate reports "not
+//     evaluated");
 //   - zero in-flight requests may be dropped without a response
 //     (load shedding via 503 is fine — a 503 IS a response);
 //   - per-tenant retained scratch must respect its budget;
@@ -59,6 +63,7 @@ type options struct {
 	drainWait   time.Duration
 	budget      int64
 	p99Limit    time.Duration
+	p999Limit   time.Duration
 	gorSlack    int
 	report      string
 	seed        uint64
@@ -80,6 +85,7 @@ func main() {
 	flag.DurationVar(&o.drainWait, "drain-wait", 30*time.Second, "how long to wait for the drain to finish")
 	flag.Float64Var(&budget, "tenant-budget", 64e6, "per-tenant retained-bytes budget for the in-process server")
 	flag.DurationVar(&o.p99Limit, "p99", 2*time.Second, "gate: p99 latency bound for successful requests")
+	flag.DurationVar(&o.p999Limit, "p999", 4*time.Second, "gate: p999 latency bound for successful requests (evaluated from 10,000 successes)")
 	flag.IntVar(&o.gorSlack, "goroutine-slack", 12, "gate: allowed goroutines above baseline after drain")
 	flag.StringVar(&o.report, "report", "SOAK_semisort.json", "write the JSON soak report here ('' = off)")
 	flag.Uint64Var(&o.seed, "seed", 1, "workload seed")
@@ -240,6 +246,7 @@ func buildWorkload(seed uint64, batch int) *workload {
 		{Kind: distgen.Uniform, Param: 1e6},
 		{Kind: distgen.Zipfian, Param: 1e4},
 		{Kind: distgen.Exponential, Param: 1e3},
+		{Kind: distgen.HeavyHead, Param: 64},
 	}
 	sizes := []int{batch / 2, batch, 2 * batch}
 	w := &workload{}
@@ -365,6 +372,10 @@ func fetchStats(client *http.Client, baseURL string) *statsView {
 	return &v
 }
 
+// p999MinSamples is the least number of successful requests the p999
+// gate needs: at 10,000, at least 10 samples lie beyond the p999.
+const p999MinSamples = 10_000
+
 // gate is one pass/fail criterion in the report.
 type gate struct {
 	Pass   bool   `json:"pass"`
@@ -440,10 +451,11 @@ func buildReport(o options, start time.Time, stats []workerStats, sv *statsView,
 		idx := int(p * float64(len(okLatencies)-1))
 		return okLatencies[idx]
 	}
-	p99 := pct(0.99)
+	p99, p999 := pct(0.99), pct(0.999)
 	rep.LatencyUS["p50"] = pct(0.50).Microseconds()
 	rep.LatencyUS["p90"] = pct(0.90).Microseconds()
 	rep.LatencyUS["p99"] = p99.Microseconds()
+	rep.LatencyUS["p999"] = p999.Microseconds()
 	if len(okLatencies) > 0 {
 		rep.LatencyUS["max"] = okLatencies[len(okLatencies)-1].Microseconds()
 	}
@@ -455,6 +467,14 @@ func buildReport(o options, start time.Time, stats []workerStats, sv *statsView,
 	rep.Gates["p99_latency"] = gate{Pass: p99 <= o.p99Limit && len(okLatencies) > 0,
 		Value: p99.Microseconds(), Limit: o.p99Limit.Microseconds(),
 		Detail: "p99 of successful requests, microseconds"}
+	// Gate: p999 latency, once enough successes put 10 samples past it.
+	p999Gate := gate{Pass: p999 <= o.p999Limit, Value: p999.Microseconds(), Limit: o.p999Limit.Microseconds(),
+		Detail: "p999 of successful requests, microseconds"}
+	if n := len(okLatencies); n < p999MinSamples {
+		p999Gate.Pass = true
+		p999Gate.Detail = fmt.Sprintf("not evaluated: %d successful requests, need %d", n, p999MinSamples)
+	}
+	rep.Gates["p999_latency"] = p999Gate
 	// Gate: zero dropped in-flight requests.
 	rep.Gates["zero_dropped"] = gate{Pass: dropped == 0, Value: dropped, Limit: 0,
 		Detail: "in-flight requests that got no response"}
@@ -513,9 +533,9 @@ func printReport(w io.Writer, rep *report) {
 	fmt.Fprintf(w, "  requests: ok=%d shed=%d timeout=%d error=%d refused=%d dropped=%d\n",
 		rep.Requests[outOK], rep.Requests[outShed], rep.Requests[outTimeout],
 		rep.Requests[outErr], rep.Requests[outRefused], rep.Requests[outDropped])
-	fmt.Fprintf(w, "  latency:  p50=%s p90=%s p99=%s max=%s\n",
+	fmt.Fprintf(w, "  latency:  p50=%s p90=%s p99=%s p999=%s max=%s\n",
 		usDur(rep.LatencyUS["p50"]), usDur(rep.LatencyUS["p90"]),
-		usDur(rep.LatencyUS["p99"]), usDur(rep.LatencyUS["max"]))
+		usDur(rep.LatencyUS["p99"]), usDur(rep.LatencyUS["p999"]), usDur(rep.LatencyUS["max"]))
 	names := make([]string, 0, len(rep.Gates))
 	for n := range rep.Gates {
 		names = append(names, n)

@@ -1,6 +1,8 @@
 package obsv
 
 import (
+	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -100,9 +102,12 @@ type RequestSpan struct {
 	Status int `json:"status"`
 	// Outcome is one of the Req* constants.
 	Outcome string `json:"outcome"`
-	// Records is the number of input records decoded.
+	// Records is the number of input records decoded: 0 unless the
+	// whole body was read.
 	Records int `json:"records"`
 	// BytesIn and BytesOut are the request/response payload sizes.
+	// BytesIn counts the body bytes read, 0 for a request refused before
+	// the read (the server admits before it reads).
 	BytesIn  int64 `json:"bytes_in"`
 	BytesOut int64 `json:"bytes_out"`
 	// QueueWaitUS is the time spent waiting for a workspace, in
@@ -115,4 +120,52 @@ type RequestSpan struct {
 	// Attempts and FallbackUsed surface the sort's recovery ladder.
 	Attempts     int  `json:"attempts,omitempty"`
 	FallbackUsed bool `json:"fallback,omitempty"`
+}
+
+// LatencyHist is a log2-bucketed histogram of microsecond latencies:
+// bucket 0 counts zeros and bucket i ≥ 1 counts [2^(i-1), 2^i). Observe
+// is one atomic add and never allocates, so a resident server can keep
+// one per request stage. The zero value is ready.
+type LatencyHist struct {
+	buckets [64]atomic.Int64
+}
+
+// Observe records one latency of us microseconds (negative counts as 0).
+func (h *LatencyHist) Observe(us int64) {
+	h.buckets[bits.Len64(uint64(max(us, 0)))].Add(1)
+}
+
+// LatencySummary is a histogram's count and quantiles, JSON-ready for the
+// stats endpoint. A quantile is the inclusive upper edge of the bucket
+// holding it, so the true value is at most that and more than half of it.
+type LatencySummary struct {
+	Count int64 `json:"count"`
+	P50   int64 `json:"p50_us"`
+	P99   int64 `json:"p99_us"`
+	P999  int64 `json:"p999_us"`
+}
+
+// Summary returns the count and the p50, p99 and p999 upper bounds of
+// the latencies observed so far.
+func (h *LatencyHist) Summary() LatencySummary {
+	var counts [len(h.buckets)]int64
+	var s LatencySummary
+	for i := range counts {
+		counts[i] = h.buckets[i].Load()
+		s.Count += counts[i]
+	}
+	quantile := func(q float64) int64 {
+		rank := int64(math.Ceil(q * float64(s.Count)))
+		var seen int64
+		for i, c := range counts {
+			if seen += c; seen >= rank {
+				return int64(uint64(1)<<i - 1)
+			}
+		}
+		return 0
+	}
+	if s.Count > 0 {
+		s.P50, s.P99, s.P999 = quantile(0.50), quantile(0.99), quantile(0.999)
+	}
+	return s
 }

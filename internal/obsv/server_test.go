@@ -36,3 +36,33 @@ func TestPoolGaugesSnapshot(t *testing.T) {
 		t.Fatalf("JSON round trip = %+v, want %+v", back, want)
 	}
 }
+
+func TestLatencyHistSummary(t *testing.T) {
+	var h LatencyHist
+	if s := h.Summary(); s != (LatencySummary{}) {
+		t.Fatalf("empty Summary = %+v, want zero", s)
+	}
+	// 1000 observations: 399 zeros and one negative, 585 of 100 us, 13
+	// of 5000 us, two of 70000 us. Bucket edges: 100 → [64, 128) → 127;
+	// 5000 → 8191; 70000 → 131071.
+	h.Observe(-5) // counts as 0
+	for i := 1; i < 1000; i++ {
+		switch {
+		case i < 400:
+			h.Observe(0)
+		case i < 985:
+			h.Observe(100)
+		case i < 998:
+			h.Observe(5000)
+		default:
+			h.Observe(70000)
+		}
+	}
+	want := LatencySummary{Count: 1000, P50: 127, P99: 8191, P999: 131071}
+	if s := h.Summary(); s != want {
+		t.Fatalf("Summary = %+v, want %+v", s, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.Observe(12345) }); n != 0 {
+		t.Fatalf("Observe allocates %v times", n)
+	}
+}

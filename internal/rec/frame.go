@@ -23,29 +23,51 @@ const MaxFrameRecords = 64 << 20
 const RecordSize = 16
 
 // AppendRecords appends the wire encoding of recs (without any length
-// prefix) to dst and returns the extended slice.
+// prefix) to dst and returns the extended slice. dst is reallocated at
+// most once per call.
 func AppendRecords(dst []byte, recs []Record) []byte {
+	off := len(dst)
+	dst = grow(dst, len(recs)*RecordSize)
+	b := dst[off:]
 	for _, r := range recs {
-		dst = binary.LittleEndian.AppendUint64(dst, r.Key)
-		dst = binary.LittleEndian.AppendUint64(dst, r.Value)
+		binary.LittleEndian.PutUint64(b[:8], r.Key)
+		binary.LittleEndian.PutUint64(b[8:RecordSize], r.Value)
+		b = b[RecordSize:]
 	}
 	return dst
 }
 
 // DecodeRecords decodes len(b)/16 records from their wire encoding,
-// appending to dst (pass nil to allocate). It fails if len(b) is not a
-// multiple of RecordSize.
+// appending to dst (pass nil to allocate). dst is reallocated at most
+// once per call. It fails if len(b) is not a multiple of RecordSize.
 func DecodeRecords(dst []Record, b []byte) ([]Record, error) {
 	if len(b)%RecordSize != 0 {
 		return dst, fmt.Errorf("rec: %d payload bytes is not a multiple of the %d-byte record size", len(b), RecordSize)
 	}
-	for off := 0; off < len(b); off += RecordSize {
-		dst = append(dst, Record{
-			Key:   binary.LittleEndian.Uint64(b[off : off+8]),
-			Value: binary.LittleEndian.Uint64(b[off+8 : off+16]),
-		})
+	off := len(dst)
+	dst = grow(dst, len(b)/RecordSize)
+	out := dst[off:]
+	for i := range out {
+		out[i] = Record{
+			Key:   binary.LittleEndian.Uint64(b[:8]),
+			Value: binary.LittleEndian.Uint64(b[8:RecordSize]),
+		}
+		b = b[RecordSize:]
 	}
 	return dst, nil
+}
+
+// grow extends s by n elements, reallocating at most once: straight to
+// the new length, or to twice the old capacity when that is larger, so
+// that a caller appending chunk by chunk still copies O(total) bytes.
+func grow[E any](s []E, n int) []E {
+	need := len(s) + n
+	if need <= cap(s) {
+		return s[:need]
+	}
+	g := make([]E, need, max(need, 2*cap(s)))
+	copy(g, s)
+	return g
 }
 
 // WriteFrame writes one length-prefixed frame holding recs to w.

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"slices"
 	"strconv"
 	"time"
 
@@ -35,10 +37,11 @@ var sumReducer = semisort.Reducer{
 }
 
 // runSort executes the semisort — or, when req carries a reduce op, the
-// fused reduction — on wk's workspace, converting a handler panic
-// (including the injected ServerHandlerPanic) into a result instead of
-// letting it unwind into net/http — net/http would recover it too, but
-// then the connection dies without a response and the worker would leak.
+// fused reduction — of wk.in on wk's workspace, converting a handler
+// panic (including the injected ServerHandlerPanic) into a result
+// instead of letting it unwind into net/http — net/http would recover it
+// too, but then the connection dies without a response and the worker
+// would leak.
 func (s *Server) runSort(ctx context.Context, wk *Worker, req *request) (res sortResult) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -62,11 +65,11 @@ func (s *Server) runSort(ctx context.Context, wk *Worker, req *request) (res sor
 	)
 	switch req.op {
 	case "":
-		out, st, err = wk.sorter.SortConfigShared(req.recs, &cfg)
+		out, st, err = wk.sorter.SortConfigShared(wk.in, &cfg)
 	case "count":
-		out, st, err = wk.sorter.HistogramConfigShared(req.recs, &cfg)
+		out, st, err = wk.sorter.HistogramConfigShared(wk.in, &cfg)
 	case "sum":
-		out, st, err = wk.sorter.ReduceConfigShared(req.recs, sumReducer, &cfg)
+		out, st, err = wk.sorter.ReduceConfigShared(wk.in, sumReducer, &cfg)
 	default:
 		// handleReduce validates the op before admission; reaching here is
 		// a programming error, reported rather than panicking.
@@ -81,16 +84,22 @@ func (s *Server) runSort(ctx context.Context, wk *Worker, req *request) (res sor
 type request struct {
 	span    obsv.RequestSpan
 	tenant  string
-	recs    []semisort.Record
 	started time.Time
 	// op selects the worker-side operation: "" for a plain semisort,
 	// "count" or "sum" for the /v1/reduce aggregations.
 	op string
 }
 
-// accept runs the shared front half of every sort endpoint: fault check,
-// tenant/deadline extraction, body decode. It returns a nil request after
-// writing an error response itself.
+// emitFunc writes the success response for res while the worker is
+// still held (res.out aliases its workspace) and returns the bytes
+// written.
+type emitFunc func(w http.ResponseWriter, wk *Worker, req *request, res sortResult) (int64, error)
+
+// accept runs the shared front half of every sort endpoint: drain and
+// fault checks, tenant/deadline extraction, and the Content-Length
+// checks. It reads no body byte, so a request refused here or shed at
+// admission costs none. It returns a nil request after writing an error
+// response itself.
 func (s *Server) accept(w http.ResponseWriter, r *http.Request) (*request, context.Context, context.CancelFunc) {
 	req := &request{started: time.Now()}
 	req.span = obsv.RequestSpan{
@@ -124,23 +133,17 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request) (*request, conte
 		}
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.finish(w, req, status, obsv.ReqBadInput, fmt.Sprintf("read body: %v", err))
+	// A chunked body (ContentLength -1) is checked while it streams in.
+	switch n := r.ContentLength; {
+	case n > s.cfg.MaxRequestBytes:
+		s.finish(w, req, http.StatusRequestEntityTooLarge, obsv.ReqBadInput,
+			fmt.Sprintf("request body of %d bytes exceeds the %d-byte limit", n, s.cfg.MaxRequestBytes))
+		return nil, nil, nil
+	case n > 0 && n%rec.RecordSize != 0:
+		s.finish(w, req, http.StatusBadRequest, obsv.ReqBadInput,
+			fmt.Sprintf("request body of %d bytes is not a multiple of the %d-byte record size", n, rec.RecordSize))
 		return nil, nil, nil
 	}
-	req.span.BytesIn = int64(len(body))
-	req.recs, err = rec.DecodeRecords(nil, body)
-	if err != nil {
-		s.finish(w, req, http.StatusBadRequest, obsv.ReqBadInput, err.Error())
-		return nil, nil, nil
-	}
-	req.span.Records = len(req.recs)
 
 	// The request context combines the server base context (drain), the
 	// client connection (disconnect) and the per-request deadline.
@@ -148,16 +151,89 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request) (*request, conte
 	return req, ctx, cancel
 }
 
-// sortThrough runs admission + sort for req and hands the result to emit
-// while the worker is still held (the output aliases its workspace).
-// emit must write the success response; sortThrough writes every error
-// response itself.
-func (s *Server) sortThrough(w http.ResponseWriter, req *request, ctx context.Context,
-	emit func(res sortResult) (bytesOut int64, err error)) {
+// readBody streams r's body into wk.in through wk's wire chunk, bounded
+// by MaxRequestBytes and, where the connection supports read deadlines,
+// by the request deadline. It returns an empty outcome on success;
+// otherwise the error response's status (0 when the client is gone),
+// outcome and message.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, ctx context.Context,
+	wk *Worker, req *request) (status int, outcome, msg string) {
 
+	// An in-memory ResponseWriter returns ErrNotSupported; its read is
+	// bounded only by what the caller's body does.
+	rc := http.NewResponseController(w)
+	deadlineSet := false
+	if dl, ok := ctx.Deadline(); ok {
+		deadlineSet = rc.SetReadDeadline(dl) == nil
+	}
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
+	cl := r.ContentLength
+	wk.in = wk.in[:0]
+	if cl > 0 {
+		wk.in = slices.Grow(wk.in, int(cl/rec.RecordSize))
+	}
+	buf := wk.chunk()
+	var total int64
+	fill := 0 // bytes of a record split across two reads, kept at buf[:fill]
+	defer func() { req.span.BytesIn = total }()
+	for {
+		n, err := body.Read(buf[fill:])
+		fill += n
+		total += int64(n)
+		whole := fill - fill%rec.RecordSize
+		wk.in, _ = rec.DecodeRecords(wk.in, buf[:whole])
+		fill = copy(buf, buf[whole:fill])
+		if cl >= 0 && total > cl {
+			return http.StatusBadRequest, obsv.ReqBadInput,
+				fmt.Sprintf("request body is longer than its Content-Length of %d bytes", cl)
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			var tooBig *http.MaxBytesError
+			switch {
+			case errors.As(err, &tooBig):
+				return http.StatusRequestEntityTooLarge, obsv.ReqBadInput,
+					fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit)
+			case errors.Is(err, os.ErrDeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded):
+				s.pool.Gauges().Timeouts.Add(1)
+				return http.StatusGatewayTimeout, obsv.ReqTimeout, "deadline exceeded reading the body"
+			default:
+				// The connection broke mid-body: nobody is left to answer.
+				return 0, obsv.ReqCanceled, fmt.Sprintf("read body: %v", err)
+			}
+		}
+	}
+	if fill != 0 {
+		return http.StatusBadRequest, obsv.ReqBadInput,
+			fmt.Sprintf("request body of %d bytes ends in a torn %d-byte record", total, fill)
+	}
+	if cl >= 0 && total != cl {
+		return http.StatusBadRequest, obsv.ReqBadInput,
+			fmt.Sprintf("request body of %d bytes is shorter than its Content-Length of %d", total, cl)
+	}
+	if deadlineSet {
+		// Lift the deadline once the whole body is in: net/http's
+		// background read would otherwise fail at it and cancel the
+		// request context, turning a 504 into a silent cancellation. A
+		// failed read keeps it, so net/http's discard of an unread body
+		// cannot block either.
+		rc.SetReadDeadline(time.Time{})
+	}
+	req.span.Records = len(wk.in)
+	return 0, "", ""
+}
+
+// sortThrough runs admission, body read and sort for req and hands the
+// result to emit while the worker is still held (the output aliases its
+// workspace). emit must write the success response; sortThrough writes
+// every error response itself.
+func (s *Server) sortThrough(w http.ResponseWriter, r *http.Request, req *request, ctx context.Context, emit emitFunc) {
 	queueStart := time.Now()
 	wk, err := s.pool.Acquire(ctx)
 	req.span.QueueWaitUS = time.Since(queueStart).Microseconds()
+	s.hist.queueWait.Observe(req.span.QueueWaitUS)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):
@@ -174,9 +250,16 @@ func (s *Server) sortThrough(w http.ResponseWriter, req *request, ctx context.Co
 		return
 	}
 
+	if status, outcome, msg := s.readBody(w, r, ctx, wk, req); outcome != "" {
+		s.pool.Release(wk, req.tenant, false)
+		s.finish(w, req, status, outcome, msg)
+		return
+	}
+
 	sortStart := time.Now()
 	res := s.runSort(ctx, wk, req)
 	req.span.SortUS = time.Since(sortStart).Microseconds()
+	s.hist.sort.Observe(req.span.SortUS)
 
 	if res.panicked {
 		// The workspace was abandoned mid-sort; discard its buffers so a
@@ -211,7 +294,7 @@ func (s *Server) sortThrough(w http.ResponseWriter, req *request, ctx context.Co
 
 	req.span.Attempts = res.stats.Attempts
 	req.span.FallbackUsed = res.stats.FallbackUsed
-	n, werr := emit(res)
+	n, werr := emit(w, wk, req, res)
 	req.span.BytesOut = n
 	s.pool.Release(wk, req.tenant, false)
 	if werr != nil {
@@ -241,19 +324,18 @@ func (s *Server) finish(w http.ResponseWriter, req *request, status int, outcome
 	s.trace(req.span)
 }
 
-// emitRecords streams res.out as raw 16-byte records — the success
-// response of the record-out endpoints.
-func emitRecords(w http.ResponseWriter, res sortResult) (int64, error) {
+// emitRecords streams res.out as raw 16-byte records through the
+// worker's wire chunk — the success response of the record-out
+// endpoints.
+func emitRecords(w http.ResponseWriter, wk *Worker, _ *request, res sortResult) (int64, error) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(res.out)*rec.RecordSize))
 	var written int64
-	const chunk = 4096
-	buf := make([]byte, 0, chunk*rec.RecordSize)
+	buf := wk.chunk()
 	out := res.out
 	for len(out) > 0 {
-		n := min(len(out), chunk)
-		buf = rec.AppendRecords(buf[:0], out[:n])
-		m, err := w.Write(buf)
+		n := min(len(out), len(buf)/rec.RecordSize)
+		m, err := w.Write(rec.AppendRecords(buf[:0], out[:n]))
 		written += int64(m)
 		if err != nil {
 			return written, err
@@ -271,9 +353,7 @@ func (s *Server) handleSemisort(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	s.sortThrough(w, req, ctx, func(res sortResult) (int64, error) {
-		return emitRecords(w, res)
-	})
+	s.sortThrough(w, r, req, ctx, emitRecords)
 }
 
 // handleReduce is POST /v1/reduce: raw records in, one record per
@@ -296,9 +376,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		s.finish(w, req, http.StatusBadRequest, obsv.ReqBadInput, fmt.Sprintf("unknown op %q", op))
 		return
 	}
-	s.sortThrough(w, req, ctx, func(res sortResult) (int64, error) {
-		return emitRecords(w, res)
-	})
+	s.sortThrough(w, r, req, ctx, emitRecords)
 }
 
 // groupSummary is the POST /v1/groupby response shape.
@@ -321,23 +399,26 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	s.sortThrough(w, req, ctx, func(res sortResult) (int64, error) {
-		sum := groupSummary{
-			Records:   len(res.out),
-			Attempts:  res.stats.Attempts,
-			Fallback:  res.stats.FallbackUsed,
-			HeavyKeys: res.stats.HeavyKeys,
-			Tenant:    req.tenant,
+	s.sortThrough(w, r, req, ctx, emitGroupSummary)
+}
+
+// emitGroupSummary writes the JSON group-by summary of res.
+func emitGroupSummary(w http.ResponseWriter, _ *Worker, req *request, res sortResult) (int64, error) {
+	sum := groupSummary{
+		Records:   len(res.out),
+		Attempts:  res.stats.Attempts,
+		Fallback:  res.stats.FallbackUsed,
+		HeavyKeys: res.stats.HeavyKeys,
+		Tenant:    req.tenant,
+	}
+	rec.Runs(res.out, func(start, end int) {
+		sum.Groups++
+		if end-start > sum.MaxGroup {
+			sum.MaxGroup = end - start
 		}
-		rec.Runs(res.out, func(start, end int) {
-			sum.Groups++
-			if end-start > sum.MaxGroup {
-				sum.MaxGroup = end - start
-			}
-		})
-		w.Header().Set("Content-Type", "application/json")
-		b, _ := json.Marshal(sum)
-		n, err := w.Write(append(b, '\n'))
-		return int64(n), err
 	})
+	w.Header().Set("Content-Type", "application/json")
+	b, _ := json.Marshal(sum)
+	n, err := w.Write(append(b, '\n'))
+	return int64(n), err
 }

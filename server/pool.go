@@ -9,6 +9,7 @@ import (
 	semisort "repro"
 	"repro/internal/fault"
 	"repro/internal/obsv"
+	"repro/internal/rec"
 )
 
 // ErrQueueFull is returned by Pool.Acquire when the bounded wait queue is
@@ -25,9 +26,12 @@ var ErrQueueFull = errors.New("server: admission queue full")
 // Per-tenant memory budgets: each workspace a tenant touches runs its
 // sort with Config.MaxRetainedBytes = budget/Size, so after any request
 // the workspace retains at most a 1/Size share of the tenant's budget.
-// Since a tenant's retained scratch lives only on workspaces that served
-// it last, its total pinned memory never exceeds its budget no matter
-// how hot it runs or how the scheduler spreads it over the pool.
+// The share covers the worker's request buffers too (its decoded input
+// and its wire chunk, see Worker): Release drops them when the sort's
+// retention plus the buffers would exceed it. Since a tenant's retained
+// memory lives only on workspaces that served it last, its total pinned
+// memory never exceeds its budget no matter how hot it runs or how the
+// scheduler spreads it over the pool.
 type Pool struct {
 	size     int
 	maxQueue int64
@@ -44,21 +48,45 @@ type Pool struct {
 	byTenant map[string]int64
 }
 
-// A Worker is one pool slot: a warm Sorter plus release bookkeeping.
-// Between Acquire and Release it is owned exclusively by one request.
+// A Worker is one pool slot: a warm Sorter, the request buffers, and
+// release bookkeeping. Between Acquire and Release it is owned
+// exclusively by one request.
 type Worker struct {
 	id     int
 	sorter *semisort.Sorter
-	// retained is this worker's sorter scratch as of its last release,
-	// mirrored into the pool's RetainedBytes gauge and the per-tenant
-	// attribution (guarded by Pool.mu).
+	// in holds the request's decoded records; wire is the chunk the body
+	// is read through and the response encoded through. Both are reused
+	// from request to request, so a warm worker serves without
+	// allocating.
+	in   []semisort.Record
+	wire []byte
+	// retained is this worker's sorter scratch plus its request buffers
+	// as of its last release, mirrored into the pool's RetainedBytes
+	// gauge and the per-tenant attribution (guarded by Pool.mu).
 	retained   int64
 	lastTenant string
 }
 
+// wireChunk is the size of a worker's wire buffer: 4096 records.
+const wireChunk = 4096 * rec.RecordSize
+
 // Sorter returns the workspace-owning sorter. Valid only between
 // Acquire and Release.
 func (w *Worker) Sorter() *semisort.Sorter { return w.sorter }
+
+// chunk returns the worker's wire buffer at its full wireChunk length,
+// allocating it on first use.
+func (w *Worker) chunk() []byte {
+	if cap(w.wire) < wireChunk {
+		w.wire = make([]byte, wireChunk)
+	}
+	return w.wire[:wireChunk]
+}
+
+// bufferBytes is the memory the worker's request buffers hold.
+func (w *Worker) bufferBytes() int64 {
+	return int64(cap(w.in))*rec.RecordSize + int64(cap(w.wire))
+}
 
 type poolConfig struct {
 	Size          int
@@ -175,15 +203,27 @@ func (p *Pool) admit(w *Worker) {
 // is dropped first, so a damaged or bloated workspace re-enters the pool
 // at its zero footprint — the pool itself is never poisoned. tenant is
 // the tenant the request ran for; the sort's MaxRetainedBytes share
-// already enforced its budget, and the residual retention is attributed
-// to it until the next request on this worker.
+// already bounded the sorter's scratch, and Release keeps the request
+// buffers only while the sum stays within that share, dropping the
+// decoded input first and the wire chunk second. The residual retention
+// is attributed to the tenant until the next request on this worker.
 func (p *Pool) Release(w *Worker, tenant string, discard bool) {
 	if discard {
 		w.sorter.Release()
+		w.in, w.wire = nil, nil
 		p.gauges.Discards.Add(1)
 	}
 	w.lastTenant = tenant
 	w.retained = w.sorter.RetainedBytes()
+	if share := p.workerBudget(tenant); share > 0 {
+		if w.retained+w.bufferBytes() > share {
+			w.in = nil
+		}
+		if w.retained+w.bufferBytes() > share {
+			w.wire = nil
+		}
+	}
+	w.retained += w.bufferBytes()
 	p.mu.Lock()
 	p.byTenant[tenant] += w.retained
 	p.mu.Unlock()

@@ -130,15 +130,20 @@ func TestPoolDiscardDropsRetention(t *testing.T) {
 	if _, err := w.sorter.Sort(recs); err != nil {
 		t.Fatal(err)
 	}
+	w.in = append(w.in, recs...)
+	w.chunk()
 	p.Release(w, "t", false)
-	if p.Gauges().RetainedBytes.Load() == 0 {
-		t.Fatal("expected retained scratch after an uncapped sort")
+	if g := p.Gauges().RetainedBytes.Load(); g != w.sorter.RetainedBytes()+w.bufferBytes() || w.bufferBytes() == 0 {
+		t.Fatalf("RetainedBytes = %d, want the sorter's scratch plus %d B of request buffers", g, w.bufferBytes())
 	}
 
 	w, _ = p.Acquire(context.Background())
 	p.Release(w, "t", true) // discard
 	if g := p.Gauges().RetainedBytes.Load(); g != 0 {
 		t.Fatalf("RetainedBytes = %d after discard, want 0", g)
+	}
+	if w.in != nil || w.wire != nil {
+		t.Fatal("discard kept the request buffers")
 	}
 	if g := p.Gauges().Discards.Load(); g != 1 {
 		t.Fatalf("Discards = %d, want 1", g)
@@ -150,4 +155,54 @@ func TestPoolDiscardDropsRetention(t *testing.T) {
 		t.Fatalf("sort after discard: len=%d err=%v", len(out), err)
 	}
 	p.Release(w, "t", false)
+}
+
+// postMem runs one semisort request for tenant through s's handler in
+// memory and fails t unless it succeeds.
+func postMem(t *testing.T, s *Server, tenant string, body []byte) {
+	t.Helper()
+	if w := serveMem(s, "POST", "/v1/semisort?tenant="+tenant, body, int64(len(body))); w.code != 200 {
+		t.Fatalf("status %d: %s", w.code, w.body)
+	}
+}
+
+func TestPoolBudgetBelowOneRequest(t *testing.T) {
+	// The tenant's budget is a quarter of one request's decoded input.
+	const budget = 256 << 10
+	s := New(Config{PoolSize: 1, DefaultTenantBudget: budget})
+	defer s.log.Close()
+	body := encodeRecords(genRecords((1<<20)/16, 4))
+	for range 2 {
+		postMem(t, s, "small", body)
+	}
+	got := s.pool.TenantRetained()["small"]
+	if got > budget {
+		t.Fatalf("tenant retains %d bytes, budget %d", got, budget)
+	}
+	if rb := s.pool.Gauges().RetainedBytes.Load(); rb != got {
+		t.Fatalf("RetainedBytes gauge %d != tenant attribution %d", rb, got)
+	}
+	w, _ := s.pool.Acquire(context.Background())
+	defer s.pool.Release(w, "small", false)
+	if w.in != nil {
+		t.Fatalf("worker kept a %d-record input buffer over budget", cap(w.in))
+	}
+}
+
+func TestPoolRetainedCountsRequestBuffers(t *testing.T) {
+	s := New(Config{PoolSize: 1, DefaultTenantBudget: -1})
+	defer s.log.Close()
+	postMem(t, s, "acme", encodeRecords(genRecords(10_000, 4)))
+	retained := s.pool.TenantRetained()["acme"]
+	gauge := s.pool.Gauges().RetainedBytes.Load()
+
+	w, _ := s.pool.Acquire(context.Background())
+	defer s.pool.Release(w, "acme", false)
+	if cap(w.in) < 10_000 || cap(w.wire) != wireChunk {
+		t.Fatalf("request buffers not kept: cap(in) = %d, cap(wire) = %d", cap(w.in), cap(w.wire))
+	}
+	want := w.sorter.RetainedBytes() + int64(cap(w.in))*16 + int64(cap(w.wire))
+	if retained != want || gauge != want {
+		t.Fatalf("TenantRetained %d, RetainedBytes gauge %d; want sorter + buffers = %d", retained, gauge, want)
+	}
 }

@@ -7,15 +7,23 @@
 //   - Admission control: at most PoolSize requests sort at once and at
 //     most MaxQueue wait; everything beyond that is shed with 503 +
 //     Retry-After, so overload degrades to fast rejections instead of
-//     unbounded queueing.
+//     unbounded queueing. Admission comes before the body read: the
+//     Content-Length checks (413 over MaxRequestBytes, 400 when it is
+//     not a whole number of records) and the queue run on the headers
+//     alone, so a refused or shed request is answered with its body
+//     unread. An admitted one
+//     streams its body into the worker's reusable record buffer, under
+//     the request deadline: a stalled upload holds its worker at most
+//     that long.
 //   - Deadlines and disconnects: every request runs under a context that
 //     combines the server's base context, the per-request deadline and
 //     the client connection, wired into the sort via Config.Context —
 //     a hung client or an expired deadline cancels the work
 //     cooperatively at phase/chunk boundaries.
 //   - Tenant budgets: each request sorts with a MaxRetainedBytes share
-//     of its tenant's budget, so one hot tenant cannot pin the pool's
-//     scratch memory (see Pool).
+//     of its tenant's budget, and the worker's request buffers (decoded
+//     input and wire chunk) count toward the same share, so one hot
+//     tenant cannot pin the pool's memory (see Pool).
 //   - Graceful drain: Shutdown stops accepting, lets in-flight requests
 //     finish within the drain deadline, then cancels the stragglers —
 //     every accepted request gets a response.
@@ -130,6 +138,7 @@ type Server struct {
 	cancelBase context.CancelFunc
 	draining   atomic.Bool
 	seq        atomic.Int64
+	hist       latencyHists
 
 	traceMu  sync.Mutex
 	traceEnc *json.Encoder
@@ -243,11 +252,26 @@ func (s *Server) HandleSignals(sigs ...os.Signal) (<-chan error, func()) {
 	return done, func() { stopOnce.Do(func() { signal.Stop(ch); close(ch) }) }
 }
 
+// latencyHists are the server-side latency histograms: queue wait for
+// every request that reached admission, sort time for every request
+// that ran a sort, and total time for every request.
+type latencyHists struct {
+	queueWait, sort, total obsv.LatencyHist
+}
+
+// latencyStats is the latency_us object of /v1/stats.
+type latencyStats struct {
+	QueueWait obsv.LatencySummary `json:"queue_wait"`
+	Sort      obsv.LatencySummary `json:"sort"`
+	Total     obsv.LatencySummary `json:"total"`
+}
+
 // statsPayload is the /v1/stats response shape.
 type statsPayload struct {
 	Pool       obsv.PoolSnapshot      `json:"pool"`
 	Tenants    map[string]tenantStats `json:"tenants"`
 	Log        logStats               `json:"log"`
+	LatencyUS  latencyStats           `json:"latency_us"`
 	Requests   int64                  `json:"requests"`
 	UptimeS    float64                `json:"uptime_s"`
 	Goroutines int                    `json:"goroutines"`
@@ -270,9 +294,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		tenants[t] = tenantStats{RetainedBytes: b, BudgetBytes: s.pool.TenantBudget(t)}
 	}
 	p := statsPayload{
-		Pool:       s.pool.Gauges().Snapshot(),
-		Tenants:    tenants,
-		Log:        logStats{Drops: s.log.Drops(), WriteErrors: s.log.WriteErrors()},
+		Pool:    s.pool.Gauges().Snapshot(),
+		Tenants: tenants,
+		Log:     logStats{Drops: s.log.Drops(), WriteErrors: s.log.WriteErrors()},
+		LatencyUS: latencyStats{
+			QueueWait: s.hist.queueWait.Summary(),
+			Sort:      s.hist.sort.Summary(),
+			Total:     s.hist.total.Summary(),
+		},
 		Requests:   s.seq.Load(),
 		UptimeS:    time.Since(s.start).Seconds(),
 		Goroutines: runtime.NumGoroutine(),
@@ -290,8 +319,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
-// trace writes one request span to the trace sink and the ring log.
+// trace records one finished request: its total time in the latency
+// histogram, and its span in the ring log and the trace sink.
 func (s *Server) trace(span obsv.RequestSpan) {
+	s.hist.total.Observe(span.TotalUS)
 	s.log.Push(span)
 	if s.traceEnc != nil {
 		s.traceMu.Lock()
