@@ -88,10 +88,11 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/semibench -experiment sampling -n 1e5 -procs 2 -reps 2
 
-# Short fuzzing passes over the three fuzz targets.
+# Short fuzzing passes over the four fuzz targets.
 fuzz:
 	$(GO) test -fuzz=FuzzRecords -fuzztime=30s .
 	$(GO) test -fuzz=FuzzBy -fuzztime=30s .
+	$(GO) test -fuzz=FuzzAgg -fuzztime=30s .
 	$(GO) test -fuzz=FuzzConfigs -fuzztime=30s .
 
 # Full reproduction of the paper's evaluation (Section 5) at laptop scale.

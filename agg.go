@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"math"
+	"reflect"
 	"sync/atomic"
 	"time"
 
@@ -138,6 +140,15 @@ func fusedReduce[T any, K comparable](items []T, key func(T) K, cfg *Config,
 	return nil, nil, lastErr
 }
 
+// sameKey is the Las Vegas check every fused fold and merge runs: items
+// v and rep share a 64-bit hash, so their original keys must be equal,
+// and a mismatch flags a collision.
+func sameKey[T any, K comparable](items []T, key func(T) K, collided *atomic.Bool, v, rep uint64) {
+	if v != rep && key(items[v]) != key(items[rep]) {
+		collided.Store(true)
+	}
+}
+
 // countSpec builds the fused pure-count spec shared by CountBy and
 // Distinct: the accumulator is the multiplicity itself (no cell slab),
 // and the fold doubles as the collision check — two items in one group
@@ -145,18 +156,63 @@ func fusedReduce[T any, K comparable](items []T, key func(T) K, cfg *Config,
 func countSpec[T any, K comparable](items []T, key func(T) K, collided *atomic.Bool) core.ReduceSpec {
 	return core.ReduceSpec{
 		Fold: func(acc, rep, v uint64) uint64 {
-			if v != rep && key(items[v]) != key(items[rep]) {
-				collided.Store(true)
-			}
+			sameKey(items, key, collided, v, rep)
 			return acc + 1
 		},
 		Merge: func(a, repA, b, repB uint64) uint64 {
-			if key(items[repA]) != key(items[repB]) {
-				collided.Store(true)
-			}
+			sameKey(items, key, collided, repB, repA)
 			return a + b
 		},
 	}
+}
+
+// sumSpec builds SumBy's fused spec: like countSpec, the accumulator is
+// the sum itself. Integer kinds add in uint64, whose two's-complement
+// wrap truncates to the same N as summing in N would; float kinds keep
+// N's bits in the accumulator and add at N's own width. The returned
+// decode turns a final accumulator back into N. Every spec starts from
+// the zero accumulator, which is N's zero for every kind.
+func sumSpec[T any, K comparable, N Number](items []T, key func(T) K, val func(T) N, collided *atomic.Bool) (core.ReduceSpec, func(uint64) N) {
+	switch reflect.TypeFor[N]().Kind() {
+	case reflect.Float32:
+		add := func(a uint64, b float32) uint64 {
+			return uint64(math.Float32bits(math.Float32frombits(uint32(a)) + b))
+		}
+		return core.ReduceSpec{
+			Fold: func(acc, rep, v uint64) uint64 {
+				sameKey(items, key, collided, v, rep)
+				return add(acc, float32(val(items[v])))
+			},
+			Merge: func(a, repA, b, repB uint64) uint64 {
+				sameKey(items, key, collided, repB, repA)
+				return add(a, math.Float32frombits(uint32(b)))
+			},
+		}, func(acc uint64) N { return N(math.Float32frombits(uint32(acc))) }
+	case reflect.Float64:
+		add := func(a uint64, b float64) uint64 {
+			return math.Float64bits(math.Float64frombits(a) + b)
+		}
+		return core.ReduceSpec{
+			Fold: func(acc, rep, v uint64) uint64 {
+				sameKey(items, key, collided, v, rep)
+				return add(acc, float64(val(items[v])))
+			},
+			Merge: func(a, repA, b, repB uint64) uint64 {
+				sameKey(items, key, collided, repB, repA)
+				return add(a, math.Float64frombits(b))
+			},
+		}, func(acc uint64) N { return N(math.Float64frombits(acc)) }
+	}
+	return core.ReduceSpec{
+		Fold: func(acc, rep, v uint64) uint64 {
+			sameKey(items, key, collided, v, rep)
+			return acc + uint64(val(items[v]))
+		},
+		Merge: func(a, repA, b, repB uint64) uint64 {
+			sameKey(items, key, collided, repB, repA)
+			return a + b
+		},
+	}, func(acc uint64) N { return N(acc) }
 }
 
 // CountBy returns the multiplicity of each key among items. It runs
@@ -179,11 +235,21 @@ func CountBy[T any, K comparable](items []T, key func(T) K, cfg *Config) (map[K]
 // the pipeline. Addition over floating-point values is not associative,
 // so float sums may differ across runs in the last units of precision
 // (the summation order is scheduling-dependent); integer sums are exact.
+//
+// Like CountBy, SumBy keeps each group's sum in the pipeline's own
+// accumulator, so it needs no per-group storage beyond the output.
 func SumBy[T any, K comparable, N Number](items []T, key func(T) K, val func(T) N, cfg *Config) (map[K]N, error) {
-	return ReduceBy(items, key, Reduction[T, N]{
-		Fold:  func(acc N, item T) N { return acc + val(item) },
-		Merge: func(a, b N) N { return a + b },
-	}, cfg)
+	var collided atomic.Bool
+	sp, decode := sumSpec(items, key, val, &collided)
+	out, reps, err := fusedReduce(items, key, cfg, sp, &collided)
+	if err != nil {
+		return nil, err
+	}
+	m := make(map[K]N, len(out))
+	for g := range out {
+		m[key(items[reps[g]])] = decode(out[g].Value)
+	}
+	return m, nil
 }
 
 // ReduceBy groups items by key and folds each group with r. It is the
@@ -212,9 +278,7 @@ func ReduceBy[T any, K comparable, A any](items []T, key func(T) K, r Reduction[
 	sp := core.ReduceSpec{
 		Identity: noCell,
 		Fold: func(acc, rep, v uint64) uint64 {
-			if v != rep && key(items[v]) != key(items[rep]) {
-				collided.Store(true)
-			}
+			sameKey(items, key, &collided, v, rep)
 			if acc == noCell {
 				c := next.Add(1) - 1
 				cells[c] = r.Fold(r.Identity, items[v])
@@ -224,9 +288,7 @@ func ReduceBy[T any, K comparable, A any](items []T, key func(T) K, r Reduction[
 			return acc
 		},
 		Merge: func(a, repA, b, repB uint64) uint64 {
-			if key(items[repA]) != key(items[repB]) {
-				collided.Store(true)
-			}
+			sameKey(items, key, &collided, repB, repA)
 			cells[a] = r.Merge(cells[a], cells[b])
 			return a
 		},

@@ -95,6 +95,73 @@ func FuzzBy(f *testing.F) {
 	})
 }
 
+// FuzzAgg drives the fused aggregation helpers with arbitrary string
+// keys, sliced into items as FuzzBy does, and checks CountBy, SumBy (with
+// an int8 value, so sums wrap) and Distinct against a Go-map reference.
+func FuzzAgg(f *testing.F) {
+	f.Add("the quick brown fox", uint8(0))
+	f.Add("", uint8(3))
+	f.Add("aaaaaaaaaaaaaaaaaaaa", uint8(1))
+	f.Add("abababababababababababab", uint8(2))
+
+	f.Fuzz(func(t *testing.T, s string, window uint8) {
+		w := int(window%5) + 1
+		var items []string
+		for i := 0; i+w <= len(s); i++ {
+			items = append(items, s[i:i+w])
+		}
+		key := func(v string) string { return v }
+		val := func(v string) int8 { return int8(v[0]) }
+		wantCount := map[string]int{}
+		wantSum := map[string]int8{}
+		for _, v := range items {
+			wantCount[v]++
+			wantSum[v] += val(v)
+		}
+
+		counts, err := CountBy(items, key, nil)
+		if err != nil {
+			t.Fatalf("CountBy failed: %v", err)
+		}
+		if len(counts) != len(wantCount) {
+			t.Fatalf("CountBy: %d groups, want %d", len(counts), len(wantCount))
+		}
+		for k, c := range wantCount {
+			if counts[k] != c {
+				t.Fatalf("CountBy[%q] = %d, want %d", k, counts[k], c)
+			}
+		}
+
+		sums, err := SumBy(items, key, val, nil)
+		if err != nil {
+			t.Fatalf("SumBy failed: %v", err)
+		}
+		if len(sums) != len(wantSum) {
+			t.Fatalf("SumBy: %d groups, want %d", len(sums), len(wantSum))
+		}
+		for k, v := range wantSum {
+			if got, ok := sums[k]; !ok || got != v {
+				t.Fatalf("SumBy[%q] = %d, want %d", k, got, v)
+			}
+		}
+
+		distinct, err := Distinct(items, nil)
+		if err != nil {
+			t.Fatalf("Distinct failed: %v", err)
+		}
+		if len(distinct) != len(wantCount) {
+			t.Fatalf("Distinct: %d values, want %d", len(distinct), len(wantCount))
+		}
+		seen := map[string]bool{}
+		for _, v := range distinct {
+			if seen[v] || wantCount[v] == 0 {
+				t.Fatalf("Distinct: %q repeated or not in the input", v)
+			}
+			seen[v] = true
+		}
+	})
+}
+
 // FuzzSizeEstimateConfigs stresses unusual Config combinations on a fixed
 // input through the core directly, checking every output against the
 // sequential reference's grouping.

@@ -44,21 +44,27 @@ func By[T any, K comparable](items []T, key func(T) K, cfg *Config) (out []T, er
 			out, err = nil, fmt.Errorf("semisort: panic in user callback: %w", pe)
 		}
 	}()
-	perm, err := permutationBy(items, key, cfg)
+	recs, err := semisortedBy(items, key, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out = make([]T, len(items))
+	return gatherBy(items, recs, cfg), nil
+}
+
+// gatherBy returns items reordered as the semisorted records recs list
+// them: the result's i-th item is items[recs[i].Value].
+func gatherBy[T any](items []T, recs []rec.Record, cfg *Config) []T {
+	out := make([]T, len(recs))
 	procs := 0
 	if cfg != nil {
 		procs = cfg.Procs
 	}
-	parallel.For(procs, len(items), 4096, func(lo, hi int) {
+	parallel.For(procs, len(recs), 4096, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out[i] = items[perm[i]]
+			out[i] = items[recs[i].Value]
 		}
 	})
-	return out, nil
+	return out
 }
 
 // GroupBy reorders items by key and returns an iterator over the groups:
@@ -99,15 +105,19 @@ func CollectGroups[T any, K comparable](items []T, key func(T) K, cfg *Config) (
 	return out, nil
 }
 
-// permutationBy computes a permutation perm such that visiting
-// items[perm[0]], items[perm[1]], ... yields items grouped by key.
+// semisortedBy hashes every item's key to a record {hash, item index},
+// semisorts the records and verifies that equal hashes mean equal keys,
+// rehashing with a fresh seed on a collision. It returns the verified
+// semisorted records: visiting items[r.Value] for each r in order yields
+// items grouped by key. The records live in the call's own workspace, so
+// callers gather straight from them instead of copying out a permutation.
 //
 // With a Config.Observer set, each rehash attempt contributes a "hash"
 // span (keys → 64-bit records) and a "verify" span (the collision check)
 // around the core semisort's own trace; their Attempt index is the rehash
 // attempt, and a verify span that found a collision ends with outcome
 // "collision".
-func permutationBy[T any, K comparable](items []T, key func(T) K, cfg *Config) ([]uint64, error) {
+func semisortedBy[T any, K comparable](items []T, key func(T) K, cfg *Config) ([]rec.Record, error) {
 	n := len(items)
 	procs := 0
 	var obs obsv.Observer
@@ -138,9 +148,9 @@ func permutationBy[T any, K comparable](items []T, key func(T) K, cfg *Config) (
 	recs := make([]rec.Record, n)
 
 	// One workspace for all rehash attempts: a collision retry (or a Las
-	// Vegas retry inside the core) reuses the first attempt's buffers, and
-	// the shared output buffer is only read here to extract the
-	// permutation, so it can die with the workspace.
+	// Vegas retry inside the core) reuses the first attempt's buffers. The
+	// returned records are the workspace's shared output; the rest of the
+	// workspace dies with this call.
 	var ws core.Workspace
 
 	var lastErr error
@@ -169,13 +179,7 @@ func permutationBy[T any, K comparable](items []T, key func(T) K, cfg *Config) (
 			return obsv.OutcomeOK
 		})
 		if !collided {
-			perm := make([]uint64, n)
-			parallel.For(procs, n, 8192, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					perm[i] = out[i].Value
-				}
-			})
-			return perm, nil
+			return out, nil
 		}
 		lastErr = fmt.Errorf("semisort: 64-bit hash collision between distinct keys (attempt %d)", attempt+1)
 	}

@@ -504,16 +504,22 @@ func (pl *plan) bucketOfBatch(base, m int, bids *[probeBatch]int64, heavy *[prob
 	}
 }
 
-// ensureOut binds pl.out for the attempt: the caller-provided destination
-// when it is large enough and does not alias the input (Shared callers
-// could otherwise feed a workspace's previous output back in as input and
-// have the scatter overwrite what it is reading), a fresh allocation
-// otherwise.
+// ensureOut binds an n-record pl.out for the attempt (see ensureOutN).
 func (pl *plan) ensureOut() []rec.Record {
-	if dst := pl.dst; cap(dst) >= pl.n && !sliceOverlaps(dst, pl.a) {
-		pl.out = dst[:pl.n]
+	return pl.ensureOutN(pl.n)
+}
+
+// ensureOutN binds an m-record pl.out: the caller-provided destination
+// when its capacity is at least m and it does not alias the input (Shared
+// callers could otherwise feed a workspace's previous output back in as
+// input and have the scatter overwrite what it is reading), a fresh
+// allocation of exactly m otherwise. The fused pack asks for its group
+// count, not n.
+func (pl *plan) ensureOutN(m int) []rec.Record {
+	if dst := pl.dst; cap(dst) >= m && !sliceOverlaps(dst, pl.a) {
+		pl.out = dst[:m]
 	} else {
-		pl.out = make([]rec.Record, pl.n)
+		pl.out = make([]rec.Record, m)
 	}
 	return pl.out
 }

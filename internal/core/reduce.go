@@ -517,8 +517,10 @@ func (pl *plan) packReduceCommon(lightCopy func(*plan, int)) error {
 	lightGroups := prim.ExclusiveScan(1, pl.redOff)
 	h := pl.firstLight
 	total := h + int(lightGroups)
-	pl.ensureOut()
-	pl.reps = grow(&pl.ws.redReps, pl.n)
+	// Size the output and representatives to the groups, not the records:
+	// a duplicate-heavy reduce writes a small fraction of n.
+	pl.ensureOutN(total)
+	pl.reps = grow(&pl.ws.redReps, total)
 	pl.redBadHeavy.Store(0)
 	pl.parForEachNoCtx(h, 64, (*plan).packReduceHeavyCell)
 	if bad := pl.redBadHeavy.Load(); bad != 0 {
@@ -527,8 +529,6 @@ func (pl *plan) packReduceCommon(lightCopy func(*plan, int)) error {
 		return fmt.Errorf("semisort internal error: %d heavy buckets saw no records in the fused reduce", bad)
 	}
 	pl.parForEachNoCtx(pl.numLightMerged, 64, lightCopy)
-	pl.out = pl.out[:total]
-	pl.reps = pl.reps[:total]
 	pl.stats.ReducedGroups = total
 	return nil
 }

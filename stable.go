@@ -17,21 +17,18 @@ import (
 // nearly all records degrades that pass to O(n log n) sequential, like any
 // comparison post-sort would.
 func StableBy[T any, K comparable](items []T, key func(T) K, cfg *Config) ([]T, error) {
-	perm, err := stablePermutationBy(items, key, cfg)
+	recs, err := semisortedBy(items, key, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]T, len(items))
+	// The records are verified, so each run of equal hashes is exactly
+	// one group; ordering it by Value restores input order within it.
 	procs := 0
 	if cfg != nil {
 		procs = cfg.Procs
 	}
-	parallel.For(procs, len(items), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = items[perm[i]]
-		}
-	})
-	return out, nil
+	sortRunsByValue(procs, recs)
+	return gatherBy(items, recs, cfg), nil
 }
 
 // StableRecords semisorts pre-hashed records with input order preserved
@@ -63,30 +60,6 @@ func StableRecords(a []Record, cfg *Config) ([]Record, error) {
 	return result, nil
 }
 
-// stablePermutationBy is permutationBy followed by ordering each run of
-// equal hashes by original index.
-func stablePermutationBy[T any, K comparable](items []T, key func(T) K, cfg *Config) ([]uint64, error) {
-	n := len(items)
-	procs := 0
-	if cfg != nil {
-		procs = cfg.Procs
-	}
-	// Reuse the collision-checked grouping machinery, but keep the records
-	// so runs can be located by hash.
-	recs, err := groupedRecords(items, key, cfg)
-	if err != nil {
-		return nil, err
-	}
-	sortRunsByValue(procs, recs)
-	perm := make([]uint64, n)
-	parallel.For(procs, n, 8192, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			perm[i] = recs[i].Value
-		}
-	})
-	return perm, nil
-}
-
 // sortRunsByValue orders every run of equal keys by ascending Value, in
 // parallel across runs.
 func sortRunsByValue(procs int, a []rec.Record) {
@@ -108,33 +81,4 @@ func sortRunsByValue(procs int, a []rec.Record) {
 		seg := a[runs[r].lo:runs[r].hi]
 		sort.Slice(seg, func(x, y int) bool { return seg[x].Value < seg[y].Value })
 	})
-}
-
-// groupedRecords hashes the items' keys, semisorts the (hash, index)
-// records and verifies no cross-key hash collisions, retrying with a fresh
-// seed when one is found. It returns the semisorted records.
-func groupedRecords[T any, K comparable](items []T, key func(T) K, cfg *Config) ([]rec.Record, error) {
-	perm, err := permutationBy(items, key, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// permutationBy returns only the permutation; rebuild records with the
-	// run structure implied by it: consecutive equal keys.
-	n := len(items)
-	procs := 0
-	if cfg != nil {
-		procs = cfg.Procs
-	}
-	out := make([]rec.Record, n)
-	// Assign ascending synthetic keys per run so sortRunsByValue sees the
-	// same grouping without re-hashing.
-	runKey := uint64(0)
-	for i := 0; i < n; i++ {
-		if i > 0 && key(items[perm[i]]) != key(items[perm[i-1]]) {
-			runKey++
-		}
-		out[i] = rec.Record{Key: runKey, Value: perm[i]}
-	}
-	_ = procs
-	return out, nil
 }
