@@ -52,10 +52,11 @@ sweep:
 
 # sample-sweep mirrors the CI adaptive-sampling step: the multi-round
 # estimator's proc-count determinism, budget/round-cap contracts,
-# round-boundary fault aborts, and the adaptive-vs-one-shot differential
-# matrix under the race detector with warm-workspace repetition.
+# round-boundary fault aborts, the pilot-round route decision, and the
+# adaptive-vs-one-shot differential matrix under the race detector with
+# warm-workspace repetition.
 sample-sweep:
-	$(GO) test -race -count=2 -run 'Adaptive|Sampl|SampleRound|SizeModel' ./internal/core/ .
+	$(GO) test -race -count=2 -run 'Adaptive|Sampl|SampleRound|SizeModel|Pilot' ./internal/core/ .
 
 # soak-smoke mirrors the CI job of the same name: a short leak-gated soak
 # of the resident server under the race detector — mixed distributions,
@@ -88,12 +89,13 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/semibench -experiment sampling -n 1e5 -procs 2 -reps 2
 
-# Short fuzzing passes over the four fuzz targets.
+# Short fuzzing passes over the five fuzz targets.
 fuzz:
 	$(GO) test -fuzz=FuzzRecords -fuzztime=30s .
 	$(GO) test -fuzz=FuzzBy -fuzztime=30s .
 	$(GO) test -fuzz=FuzzAgg -fuzztime=30s .
 	$(GO) test -fuzz=FuzzConfigs -fuzztime=30s .
+	$(GO) test -fuzz=FuzzDovetailFrom -fuzztime=30s -run=^$$ ./internal/sortint/
 
 # Full reproduction of the paper's evaluation (Section 5) at laptop scale.
 repro:

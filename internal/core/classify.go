@@ -34,8 +34,11 @@ func (pl *plan) classifyPhase() error {
 
 	// The hash-range geometry (numLight, shift) is fixed by the sampling
 	// phase (plan.computeRanges), which needs it for the adaptive loop's
-	// per-range histogram.
-	_ = pl.tr.labeledPhase(pl, "classify", (*plan).classifyBody)
+	// per-range histogram. A pilot-routed attempt was classified there
+	// already (plan.pilotRoute).
+	if !pl.pilotRouted {
+		_ = pl.tr.labeledPhase(pl, "classify", (*plan).classifyBody)
+	}
 
 	pl.planScatter()
 	pl.tr.span(pl.attempt, obsv.PhaseClassify, pl.bucketsT0, obsv.OutcomeOK)

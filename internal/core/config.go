@@ -244,8 +244,9 @@ type Stats struct {
 	// Under OneShotSampling it is exactly N/SampleRate, as before.
 	SampleSize int
 	// SampleRounds is the number of sampling rounds the winning attempt
-	// executed: 1 for a one-shot sample (or an adaptive run that
-	// converged at the pilot), up to SampleMaxRounds otherwise.
+	// executed: 1 for a one-shot sample, an adaptive run that converged at
+	// the pilot, or a call routed to dovetail at the pilot because the
+	// pilot held no heavy key; up to SampleMaxRounds otherwise.
 	SampleRounds int
 	HeavyKeys    int // distinct heavy keys
 	LightBuckets int // light buckets after merging

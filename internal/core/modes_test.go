@@ -27,8 +27,11 @@ func TestScatterBlockRounds(t *testing.T) {
 			if !rec.IsSemisorted(out) || !rec.SamePermutation(a, out) {
 				t.Fatalf("%v procs=%d: invalid output", spec, procs)
 			}
-			// Heavy classification must agree with the default scatter.
-			_, ref, err := Semisort(a, &Config{Procs: procs, Seed: 7})
+			// Heavy classification must agree with the counting scatter,
+			// which, like the probing rounds, always runs the full sampling
+			// loop (the default planner stops at the pilot round when the
+			// pilot holds no heavy key).
+			_, ref, err := Semisort(a, &Config{Procs: procs, Seed: 7, ScatterStrategy: ScatterCounting})
 			if err != nil {
 				t.Fatal(err)
 			}

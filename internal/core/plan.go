@@ -115,6 +115,10 @@ type plan struct {
 	smplNBlk     int
 	smplGrain    int
 	smplSelCount int
+	// pilotRouted is set when the planner routed the attempt to the
+	// dovetail route at the pilot round (pilotRoute): Phase 1 ended
+	// there, and its classification stands.
+	pilotRouted bool
 
 	// Phase 2 products.
 	bucketsT0 time.Time // classify+allocate share the Buckets phase clock
@@ -231,6 +235,7 @@ func (pl *plan) begin(ws *Workspace, a, dst []rec.Record, c *Config, sampleAttem
 	pl.smplHist, pl.smplDens, pl.smplSel, pl.smplCnt = nil, nil, nil, nil
 	pl.smplRounds, pl.smplRound, pl.smplBS = 0, 0, 0
 	pl.smplNBlk, pl.smplGrain, pl.smplSelCount = 0, 0, 0
+	pl.pilotRouted = false
 	pl.bucketsT0 = time.Time{}
 	pl.numLight, pl.shift = 0, 0
 	pl.runStarts, pl.runCounts, pl.rsGrain, pl.numRuns = nil, nil, 0, 0

@@ -18,6 +18,13 @@
 // together with the sizeModel (estimator.go) carrying each range's
 // resulting density.
 //
+// Only the probing scatter sizes slots from those densities. So when the
+// planner is free to pick the dovetail route (a plain ScatterAuto or
+// ScatterDovetail semisort with linear probing), it classifies the pilot
+// sample first; if the pilot holds no heavy key, the call goes to the
+// dovetail route and Phase 1 ends after the pilot (pilotRoute). Every
+// other call runs the loop unchanged.
+//
 // Determinism: the draw for block b of round r is keyed by the mixed
 // index (r<<42 | b) of the attempt's sampling RNG, the per-round range
 // selection is a serial function of the per-range histogram (itself a
@@ -114,6 +121,11 @@ func (pl *plan) sampleBody() error {
 	pl.sample = pl.ws.sample[:0]
 	pl.smplRounds = 0
 
+	// A zero-heavy dovetail call reads nothing of the sample, so a
+	// planner that is free to choose that route asks the pilot first (see
+	// pilotRoute), before any top-up round.
+	pilotDecides := !oneShot && pl.red == nil && c.Probe == ProbeLinear &&
+		(c.ScatterStrategy == ScatterAuto || c.ScatterStrategy == ScatterDovetail)
 	budget := pl.n / c.SampleRate
 	bs := pilot
 	for round := 0; ; round++ {
@@ -149,19 +161,60 @@ func (pl *plan) sampleBody() error {
 		if !ok {
 			break
 		}
+		if round == 0 && pilotDecides && pl.pilotRoute() {
+			return nil
+		}
 		bs = next
 	}
 
+	// One sort over the cumulative sample; Phase 2 never sees round
+	// structure.
+	pl.sortSample()
+	pl.buildModel(oneShot)
+	return nil
+}
+
+// sortSample sorts the cumulative sample in place, against the
+// workspace's sort scratch.
+func (pl *plan) sortSample() {
 	if pl.ns > 0 {
-		// One sort over the cumulative sample; Phase 2 never sees round
-		// structure. Both workspace returns are captured: the scratch's
-		// growth is accounted like the sample's (it was previously
-		// discarded at the getSample call site).
 		scratch := grow(&pl.ws.sampleScratch, pl.ns)
 		sortint.SortUint64With(pl.procs, pl.sample, scratch)
 	}
-	pl.buildModel(oneShot)
-	return nil
+}
+
+// pilotRoute classifies the pilot sample and, when it holds no heavy
+// key, asks the planner for a route. A dovetail answer ends Phase 1 here:
+// the classification stands (classifyPhase does not redo it) and it
+// reports true. Otherwise the loop goes on exactly as if this had not
+// run: the pilot keys stay a prefix of the cumulative sample, which the
+// final sort re-sorts whole, so every other call gets the full loop's
+// sample, heavy set and output, byte for byte.
+//
+// A zero-heavy dovetail call consumes no f(s) slot size and no heavy
+// key: its split is the identity, and the radix kernel reads the input
+// directly. A key the pilot misses — it keeps one record in
+// SamplePilotFactor·SampleRate, so a key of a few hundred records can
+// slip through — is still extracted by the kernel's per-node sampling
+// once it holds about 6% of a node, and is otherwise grouped like any
+// light key; neither affects correctness.
+//
+// A pilot that does flag heavy keys does not decide. At pilot density a
+// key needs only ceil(Delta/SamplePilotFactor) hits, so keys far below
+// Delta·SampleRate records get flagged, and a single flagged key sends
+// the whole input through the two-pass heavy split: on 2^20 records of
+// 8 copies per key, that made the call twice as slow as the full loop,
+// which flags none.
+func (pl *plan) pilotRoute() bool {
+	pl.sortSample()
+	pl.buildModel(false)
+	_ = pl.classifyBody()
+	if pl.numHeavy == 0 && resolveScatter(&pl.cfg, float64(pl.heavyMass.Load()), pl.massTotal, false) == ScatterDovetail {
+		pl.pilotRouted = true
+		return true
+	}
+	pl.heavyMass.Store(0)
+	return false
 }
 
 // sampleRound draws one round: every complete bs-record block contributes
@@ -186,7 +239,13 @@ func (pl *plan) sampleRound(round, bs int) error {
 	pl.smplGrain = grain
 	nchunks := (nblk + grain - 1) / grain
 	pl.smplCnt = grow(&pl.ws.smplCnt, nchunks)
-	if err := pl.parFor(nchunks, 1, (*plan).sampleCountChunk); err != nil {
+	if pl.smplSelCount == pl.numLight {
+		// Every range is selected (always so for the pilot), so every
+		// block keeps its draw: the counts need no key reads.
+		for ci := range pl.smplCnt {
+			pl.smplCnt[ci] = int32(min(grain, nblk-ci*grain))
+		}
+	} else if err := pl.parFor(nchunks, 1, (*plan).sampleCountChunk); err != nil {
 		pl.tr.roundSpan(pl.attempt, t0, obsv.OutcomeCanceled, int64(pl.smplSelCount))
 		return err
 	}

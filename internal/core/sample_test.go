@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/distgen"
 	"repro/internal/fault"
 	"repro/internal/rec"
+	"repro/internal/sortint"
 )
 
 // sameRecords reports whether two outputs are byte-identical.
@@ -99,7 +101,9 @@ func TestSampleRoundCap(t *testing.T) {
 		t.Errorf("SampleMaxRounds=1: rounds = %d, want 1", stats.SampleRounds)
 	}
 
-	_, stats, err = Semisort(a, &Config{Procs: 2, SampleMaxRounds: 3, SampleTolerance: 0.0001})
+	// Counting always runs the full loop; the default planner stops at
+	// the pilot round when the pilot holds no heavy key.
+	_, stats, err = Semisort(a, &Config{Procs: 2, SampleMaxRounds: 3, SampleTolerance: 0.0001, ScatterStrategy: ScatterCounting})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +275,127 @@ func TestAdaptiveConfigSweep(t *testing.T) {
 			checkSemisorted(t, name, a, out)
 			if stats.SampleRounds > rounds {
 				t.Errorf("%s: SampleRounds = %d over cap", name, stats.SampleRounds)
+			}
+		}
+	}
+}
+
+// A light input is routed to the dovetail route at the pilot round:
+// Phase 1 is one round, classified once, and with no sampled heavy key
+// the output is exactly the radix kernel's grouping of the input.
+func TestPilotRoutesLightInputInOneRound(t *testing.T) {
+	const n = 1 << 18
+	a := distgen.Generate(2, n, distgen.Spec{Kind: distgen.Uniform, Param: n}, 3)
+	c := (&Config{}).withDefaults()
+	for _, procs := range []int{1, 2} {
+		out, stats, err := Semisort(a, &Config{Procs: procs, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSemisorted(t, "uniform", a, out)
+		if stats.ScatterStrategy != "dovetail" || stats.SampleRounds != 1 {
+			t.Fatalf("procs=%d: route %q in %d sampling rounds, want dovetail in 1",
+				procs, stats.ScatterStrategy, stats.SampleRounds)
+		}
+		if want := n / (c.SampleRate * c.SamplePilotFactor); stats.SampleSize != want {
+			t.Errorf("procs=%d: SampleSize = %d, want the pilot's %d", procs, stats.SampleSize, want)
+		}
+		if stats.HeavyKeys != 0 {
+			t.Fatalf("procs=%d: %d heavy keys sampled from unique keys", procs, stats.HeavyKeys)
+		}
+		want := append([]rec.Record(nil), a...)
+		if err := sortint.DovetailSemisort(procs, want, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !sameRecords(out, want) {
+			t.Errorf("procs=%d: zero-heavy dovetail output differs from the radix kernel's", procs)
+		}
+	}
+}
+
+// A pilot that flags heavy keys does not decide: at pilot density a key
+// of 64 records (Delta·SampleRate is 256) reaches the 4-hit threshold
+// often enough that this input's pilot flags 31 of them. The full loop flags
+// none, so the call keeps the zero-heavy dovetail route, and its output
+// is the radix kernel's grouping of the input.
+func TestPilotFlaggedKeysRunFullLoop(t *testing.T) {
+	const n = 1 << 17
+	a := spectrumInput(n, 6, 31)
+	out, stats, err := Semisort(a, &Config{Procs: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ScatterStrategy != "dovetail" || stats.SampleRounds < 2 || stats.HeavyKeys != 0 {
+		t.Fatalf("route %q in %d sampling rounds with %d heavy keys, want dovetail after the full loop with none",
+			stats.ScatterStrategy, stats.SampleRounds, stats.HeavyKeys)
+	}
+	want := append([]rec.Record(nil), a...)
+	if err := sortint.DovetailSemisort(2, want, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !sameRecords(out, want) {
+		t.Error("zero-heavy dovetail output differs from the radix kernel's")
+	}
+}
+
+// Routes that consume the full estimator keep running the adaptive loop
+// past the pilot: a duplicate-heavy input that the planner sends to
+// counting, a fused reduce, and the explicit probing scatter.
+func TestPilotKeepsFullLoop(t *testing.T) {
+	const n = 1 << 17
+	a := distgen.Generate(2, n, distgen.Spec{Kind: distgen.Exponential, Param: n / 1000}, 7)
+	for _, tc := range []struct {
+		name  string
+		run   func(*Config) (Stats, error)
+		strat ScatterStrategy
+	}{
+		{"auto", func(c *Config) (Stats, error) { _, st, err := Semisort(a, c); return st, err }, ScatterAuto},
+		{"fused", func(c *Config) (Stats, error) { _, _, st, err := ReduceShared(nil, a, c, sumSpec()); return st, err }, ScatterAuto},
+		{"probing", func(c *Config) (Stats, error) { _, st, err := Semisort(a, c); return st, err }, ScatterProbing},
+	} {
+		stats, err := tc.run(&Config{Procs: 2, Seed: 9, ScatterStrategy: tc.strat})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if stats.SampleRounds < 2 {
+			t.Errorf("%s: %d sampling rounds (route %q), want the full loop (>= 2)",
+				tc.name, stats.SampleRounds, stats.ScatterStrategy)
+		}
+	}
+}
+
+// When the pilot's planner says counting, the loop continues as if the
+// pilot decision had not run: Auto's sample, heavy set and output equal
+// the explicit counting scatter's, byte for byte.
+func TestPilotCountingRouteMatchesExplicitCounting(t *testing.T) {
+	const n = 1 << 17
+	for _, spec := range []distgen.Spec{
+		{Kind: distgen.Exponential, Param: n / 1000},
+		{Kind: distgen.Uniform, Param: 50},
+		{Kind: distgen.HeavyHead, Param: 4},
+	} {
+		a := distgen.Generate(2, n, spec, 13)
+		for _, procs := range []int{1, 2} {
+			label := fmt.Sprintf("%v/procs=%d", spec, procs)
+			auto, as, err := Semisort(a, &Config{Procs: procs, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if as.ScatterStrategy != "counting" {
+				t.Fatalf("%s: Auto routed to %q, want counting", label, as.ScatterStrategy)
+			}
+			cnt, cs, err := Semisort(a, &Config{Procs: procs, Seed: 3, ScatterStrategy: ScatterCounting})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if as.SampleRounds != cs.SampleRounds || as.SampleSize != cs.SampleSize ||
+				as.HeavyKeys != cs.HeavyKeys || as.LightBuckets != cs.LightBuckets {
+				t.Errorf("%s: Auto sampled %d rounds/%d keys/%d heavy/%d light buckets, counting %d/%d/%d/%d",
+					label, as.SampleRounds, as.SampleSize, as.HeavyKeys, as.LightBuckets,
+					cs.SampleRounds, cs.SampleSize, cs.HeavyKeys, cs.LightBuckets)
+			}
+			if !sameRecords(auto, cnt) {
+				t.Errorf("%s: Auto output differs from explicit counting", label)
 			}
 		}
 	}

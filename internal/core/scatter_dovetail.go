@@ -12,8 +12,9 @@
 // write and read would cost more than that load. The heavy keys the
 // Phase 1 sample found are placed exactly once — as packed, grouped
 // prefixes of the output — and never travel through the radix recursion
-// (the dovetail trick, applied at the pipeline's top level). With no heavy buckets at all the split is the
-// identity and degenerates to one parallel copy.
+// (the dovetail trick, applied at the pipeline's top level). With no
+// heavy buckets at all the split is the identity and does nothing: the
+// radix recursion's top pass reads the input directly (SemisortFrom).
 //
 // Phase 4 then groups the light region with internal/sortint's dovetail
 // semisort: a top-down MSD radix recursion with size-adaptive digits
@@ -50,12 +51,9 @@ func (dovetailStage) strategy() ScatterStrategy { return ScatterDovetail }
 func (dovetailStage) scatter(pl *plan) error {
 	pl.ensureOut()
 	if pl.numHeavy == 0 {
-		// No heavy buckets: the split is the identity, so skip both
-		// counting passes and copy the input to the output, where the
-		// radix recursion works out-of-place against the radix scratch.
-		if err := pl.tr.labeledPhase(pl, "scatter", (*plan).dovetailCopyBody); err != nil {
-			return err
-		}
+		// No heavy buckets: the split is the identity, so there is nothing
+		// to place. Phase 4's top radix pass reads the input itself
+		// (dovetailLocalSortBody).
 		pl.heavyEnd = 0
 		pl.placedTotal = pl.n
 		// The top-level hand-off is itself one radix node: the planner saw
@@ -76,15 +74,6 @@ func (dovetailStage) scatter(pl *plan) error {
 	pl.stats.PlannerRoutes.DovetailNodes++
 	pl.stats.PlannerRoutes.HeavyKeysDovetailed += int64(pl.numHeavy)
 	return nil
-}
-
-func (pl *plan) dovetailCopyBody() error {
-	return pl.parFor(pl.cplan.nblocks, 1, (*plan).dovetailCopyChunk)
-}
-
-func (pl *plan) dovetailCopyChunk(blo, bhi int) {
-	lo, hi := blo*pl.cplan.grain, min(bhi*pl.cplan.grain, pl.n)
-	copy(pl.out[lo:hi], pl.a[lo:hi])
 }
 
 // dovetailScatterBody is countingScatterBody over the split's bins: the
@@ -203,8 +192,15 @@ func (dovetailStage) localSort(pl *plan) error {
 
 func (pl *plan) dovetailLocalSortBody() error {
 	pl.stats.LocalSortRanges = 0
-	light := pl.out[pl.heavyEnd:]
-	if len(light) > 1 {
+	if pl.numHeavy == 0 {
+		// The split placed nothing: the recursion's top pass reads the
+		// input straight into the radix scratch, and its children group
+		// into the output.
+		scratch := grow(&pl.ws.rxScratch, pl.n)
+		if err := pl.ws.rxTables.SemisortFrom(pl.ctx, pl.procs, pl.a, pl.out, scratch, &pl.dov); err != nil {
+			return err
+		}
+	} else if light := pl.out[pl.heavyEnd:]; len(light) > 1 {
 		scratch := grow(&pl.ws.rxScratch, len(light))
 		if err := pl.ws.rxTables.Semisort(pl.ctx, pl.procs, light, scratch, &pl.dov); err != nil {
 			return err

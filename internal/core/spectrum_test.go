@@ -122,6 +122,8 @@ func TestDovetailDuplicationSpectrum(t *testing.T) {
 // handling, never the reverse. It asserts the two regimes both actually
 // occur (the sweep straddles the threshold) and that once the planner
 // leaves the pure-radix regime it never returns at higher duplication.
+// The route flips from dovetail to counting at exp 8, as it did before
+// light calls could stop sampling at the pilot round.
 func TestSpectrumPlannerFlip(t *testing.T) {
 	const n = 100000
 	sawRadixOnly, sawScatter := false, false
@@ -145,6 +147,13 @@ func TestSpectrumPlannerFlip(t *testing.T) {
 		if r.ScatterNodes == 1 {
 			sawScatter = true
 		}
+		want := "dovetail"
+		if exp >= 8 {
+			want = "counting"
+		}
+		if stats.ScatterStrategy != want {
+			t.Errorf("exp=%d: route %q, want %q", exp, stats.ScatterStrategy, want)
+		}
 		t.Logf("exp=%2d routes=%+v strategy=%s", exp, r, stats.ScatterStrategy)
 	}
 	if !sawRadixOnly {
@@ -160,6 +169,9 @@ func TestSpectrumPlannerFlip(t *testing.T) {
 // Procs varying), every distgen shape — HeavyHead included — must give
 // byte-identical output at Procs 1, 2 and 8, both for a plain semisort
 // and for a fused reduce, and every call must finish in one attempt.
+// The sampling shape (rounds, sample size, heavy keys) must agree too:
+// whether a call stops at the pilot round is a serial function of the
+// pilot sample.
 // The default never resolves to the CAS probing scatter, whose races
 // reorder records within a group.
 func TestDovetailDefaultByteDeterminismAcrossProcs(t *testing.T) {
@@ -179,6 +191,7 @@ func TestDovetailDefaultByteDeterminismAcrossProcs(t *testing.T) {
 		refKeys := rec.KeyCounts(seqsemi.TwoPhase(append([]rec.Record(nil), a...)))
 		_, refSum, refVals := refAgg(a)
 		var plain, fused []rec.Record
+		var plainStats Stats
 		for _, procs := range []int{1, 2, 8} {
 			label := fmt.Sprintf("%s/procs=%d", sh.name, procs)
 			cfg := &Config{Procs: procs, Seed: 17}
@@ -192,9 +205,17 @@ func TestDovetailDefaultByteDeterminismAcrossProcs(t *testing.T) {
 					label, stats.ScatterStrategy, stats.Attempts)
 			}
 			if plain == nil {
-				plain = out
-			} else if !sameRecords(out, plain) {
-				t.Fatalf("%s: plain output differs from procs=1", label)
+				plain, plainStats = out, stats
+			} else {
+				if !sameRecords(out, plain) {
+					t.Fatalf("%s: plain output differs from procs=1", label)
+				}
+				if stats.SampleRounds != plainStats.SampleRounds || stats.SampleSize != plainStats.SampleSize ||
+					stats.HeavyKeys != plainStats.HeavyKeys {
+					t.Errorf("%s: sampled %d rounds/%d keys/%d heavy, procs=1 %d/%d/%d", label,
+						stats.SampleRounds, stats.SampleSize, stats.HeavyKeys,
+						plainStats.SampleRounds, plainStats.SampleSize, plainStats.HeavyKeys)
+				}
 			}
 
 			red, reps, stats, err := ReduceShared(nil, a, cfg, sumSpec())

@@ -271,6 +271,42 @@ func (t *DovetailTables) Semisort(ctx context.Context, procs int, a, scratch []r
 	return dtFinish(st, stats)
 }
 
+// SemisortFrom is Semisort out of place: it groups src into dst. The top
+// radix pass reads src straight into scratch, so src is never written
+// and no copy of it is made; the result is record for record what
+// copying src into dst and calling Semisort on dst would leave. dst and
+// scratch must each hold at least len(src) records (a shorter buffer is a
+// contract error wrapping ErrShortScratch, with dst untouched), and the
+// three buffers must not overlap. A canceled run leaves dst a
+// permutation of src with no grouping guarantee. Allocation is as for
+// Semisort.
+func (t *DovetailTables) SemisortFrom(ctx context.Context, procs int, src, dst, scratch []rec.Record, stats *DovetailStats) error {
+	n := len(src)
+	if len(dst) < n {
+		return fmt.Errorf("%w: destination has %d records, need %d", ErrShortScratch, len(dst), n)
+	}
+	if n <= 1 {
+		copy(dst, src)
+		return nil
+	}
+	if len(scratch) < n {
+		return fmt.Errorf("%w: have %d records, need %d", ErrShortScratch, len(scratch), n)
+	}
+	procs = parallel.Procs(procs)
+	if procs == 1 || n < seqCutoff {
+		t.ensure(1, 0)
+		var st dtState
+		st.procs = 1
+		st.ctx = ctx
+		dtSerialFrom(&st, src, dst[:n], scratch[:n], 64, t.stack(0))
+		return dtFinish(&st, stats)
+	}
+	t.ensure(procs+1, procs)
+	st := &dtState{procs: procs, ctx: ctx, tab: t}
+	dtParallelFrom(st, src, dst[:n], scratch[:n], 64, t.stack(procs))
+	return dtFinish(st, stats)
+}
+
 func dtFinish(st *dtState, stats *DovetailStats) error {
 	if stats != nil {
 		stats.RadixNodes += st.radix.Load()
@@ -495,18 +531,48 @@ func dtSerial(st *dtState, a, scratch []rec.Record, rem int, stk []int32) {
 		dtSerial(st, a, scratch, rem-sp.w, stk)
 		return
 	}
-	// The heavy region is final: move it home once, never touch it again.
+	dtSerialHome(st, scratch, a, sp, rem-sp.w, stk)
+}
+
+// dtSerialFrom is dtSerial reading src and leaving the result in dst: src
+// is never written, and scratch is clobbered.
+func dtSerialFrom(st *dtState, src, dst, scratch []rec.Record, rem int, stk []int32) {
+	if len(src) <= smallCutoff {
+		insertionSortInto(src, dst)
+		return
+	}
+	if rem == 0 {
+		copy(dst, src)
+		return
+	}
+	sp, stop := dtSerialPass(st, src, scratch, rem, stk)
+	if stop {
+		copy(dst, src) // keep dst a permutation on a stopped run
+		return
+	}
+	if sp.ends == nil {
+		dtSerialFrom(st, src, dst, scratch, rem-sp.w, stk)
+		return
+	}
+	dtSerialHome(st, scratch, dst, sp, rem-sp.w, stk)
+}
+
+// dtSerialHome finishes a node whose pass left its records in data, with
+// the result in home: the heavy region is final, so it moves home once
+// and is never touched again, and each light bin is grouped by its low
+// crem key bits into home.
+func dtSerialHome(st *dtState, data, home []rec.Record, sp dtSplit, crem int, stk []int32) {
 	lo := sp.heavyEnd()
-	copy(a[:lo], scratch[:lo])
+	copy(home[:lo], data[:lo])
 	child := stk[len(sp.ends):]
 	for _, e := range sp.ends[sp.nh:] {
 		hi := int(e)
 		switch hi - lo {
 		case 0:
 		case 1:
-			a[lo] = scratch[lo]
+			home[lo] = data[lo]
 		default:
-			dtSerialInto(st, scratch[lo:hi], a[lo:hi], rem-sp.w, child)
+			dtSerialInto(st, data[lo:hi], home[lo:hi], crem, child)
 		}
 		lo = hi
 	}
@@ -584,16 +650,39 @@ func dtParallel(st *dtState, src, dst []rec.Record, rem int, stk []int32, into b
 	}
 	// The node's records now sit in dst; a child's home is dst when into
 	// is set, else src.
-	home, data := src, dst
-	if into {
-		home = dst
+	dtParallelChildren(st, dst, src, !into, sp, rem-sp.w, stk)
+}
+
+// dtParallelFrom is dtParallel reading src and leaving the result in dst:
+// src is never written, and scratch is clobbered.
+func dtParallelFrom(st *dtState, src, dst, scratch []rec.Record, rem int, stk []int32) {
+	if rem == 0 {
+		dtCopy(st.procs, dst, src)
+		return
 	}
+	sp, stop := dtParallelPass(st, src, scratch, rem, stk)
+	if stop {
+		dtCopy(st.procs, dst, src)
+		return
+	}
+	if sp.ends == nil {
+		dtParallelFrom(st, src, dst, scratch, rem-sp.w, stk)
+		return
+	}
+	dtParallelChildren(st, scratch, dst, true, sp, rem-sp.w, stk)
+}
+
+// dtParallelChildren finishes a parallel node whose pass left its records
+// in data, grouping each light bin by its low crem key bits. With move
+// set the result belongs in other: the final heavy region moves there
+// once and every child groups into it. Otherwise the children group in
+// place in data, with other as their scratch.
+func dtParallelChildren(st *dtState, data, other []rec.Record, move bool, sp dtSplit, crem int, stk []int32) {
 	heavyEnd := sp.heavyEnd()
-	if !into {
-		dtCopy(st.procs, home[:heavyEnd], data[:heavyEnd])
+	if move {
+		dtCopy(st.procs, other[:heavyEnd], data[:heavyEnd])
 	}
 	light := sp.ends[sp.nh:]
-	crem := rem - sp.w
 	parallel.For(st.procs, len(light), parallel.Grain(len(light), st.procs, 1), func(blo, bhi int) {
 		s := <-st.tab.free
 		wstk := st.tab.stack(s)
@@ -604,7 +693,7 @@ func dtParallel(st *dtState, src, dst []rec.Record, rem int, stk []int32, into b
 		for _, e := range light[blo:bhi] {
 			hi := int(e)
 			if hi-lo < seqCutoff && hi > lo {
-				dtSubtree(st, data[lo:hi], src[lo:hi], !into, crem, wstk)
+				dtSubtree(st, data[lo:hi], other[lo:hi], move, crem, wstk)
 			}
 			lo = hi
 		}
@@ -615,7 +704,7 @@ func dtParallel(st *dtState, src, dst []rec.Record, rem int, stk []int32, into b
 	for _, e := range light {
 		hi := int(e)
 		if hi-lo >= seqCutoff {
-			dtParallel(st, data[lo:hi], src[lo:hi], crem, child, !into)
+			dtParallel(st, data[lo:hi], other[lo:hi], crem, child, move)
 		}
 		lo = hi
 	}

@@ -2,6 +2,7 @@ package sortint
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -435,4 +436,165 @@ func BenchmarkDovetailSemisort1M(b *testing.B) {
 			}
 		})
 	}
+}
+
+// dtFromInputs returns the SemisortFrom equivalence shapes at size n:
+// unique keys, 100 keys (duplicate-heavy, but below the per-node heavy
+// share), the records-light shape, and a mix whose three heavy keys make
+// the top pass a dovetail pass.
+func dtFromInputs(n int, seed int64) map[string][]rec.Record {
+	return map[string][]rec.Record{
+		"unique":        randRecords(n, 0, seed),
+		"heavy100":      randRecords(n, 100, seed),
+		"records-light": distgen.Generate(2, n, distgen.Spec{Kind: distgen.Uniform, Param: float64(max(n, 1))}, uint64(seed)),
+		"mixed":         dtInputs(n, seed)["mixed"],
+	}
+}
+
+// dtCheckFrom runs SemisortFrom on src and fails unless dst equals what
+// copying src and calling Semisort leaves, record for record, and src is
+// bit-unchanged.
+func dtCheckFrom(t *testing.T, label string, procs int, src []rec.Record) {
+	t.Helper()
+	want := append([]rec.Record(nil), src...)
+	var wantSt DovetailStats
+	if err := DovetailSemisortWith(context.Background(), procs, want, make([]rec.Record, len(src)), &wantSt); err != nil {
+		t.Fatalf("%s: Semisort: %v", label, err)
+	}
+	orig := append([]rec.Record(nil), src...)
+	dst := make([]rec.Record, len(src))
+	var tab DovetailTables
+	var st DovetailStats
+	if err := tab.SemisortFrom(context.Background(), procs, src, dst, make([]rec.Record, len(src)), &st); err != nil {
+		t.Fatalf("%s: SemisortFrom: %v", label, err)
+	}
+	for i := range src {
+		if src[i] != orig[i] {
+			t.Fatalf("%s: SemisortFrom wrote src at %d", label, i)
+		}
+	}
+	for i := range dst {
+		if dst[i] != want[i] {
+			t.Fatalf("%s: SemisortFrom differs from copy + Semisort at %d: %v vs %v", label, i, dst[i], want[i])
+		}
+	}
+	if st != wantSt {
+		t.Fatalf("%s: routing counters %+v, want %+v", label, st, wantSt)
+	}
+}
+
+func TestDovetailSemisortFromMatchesCopy(t *testing.T) {
+	for _, n := range []int{0, 1, 31, 2047, 1 << 15, 1<<15 + 1} {
+		for name, src := range dtFromInputs(n, int64(n)+3) {
+			for _, procs := range []int{1, 2, 8} {
+				dtCheckFrom(t, fmt.Sprintf("%s/n=%d/p=%d", name, n, procs), procs, src)
+			}
+		}
+	}
+}
+
+// Two top-digit halves of 2^17 records each: the top pass's children are
+// themselves parallel nodes, so the out-of-place top pass hands them the
+// parallel recursion (not only serial subtrees).
+func TestDovetailSemisortFromParallelChildren(t *testing.T) {
+	const n = 1 << 18
+	r := rand.New(rand.NewSource(5))
+	src := make([]rec.Record, n)
+	for i := range src {
+		src[i] = rec.Record{Key: r.Uint64()&(1<<63) | uint64(r.Intn(1<<16)), Value: uint64(i)}
+	}
+	for _, procs := range []int{1, 2, 8} {
+		dtCheckFrom(t, fmt.Sprintf("p=%d", procs), procs, src)
+	}
+}
+
+func TestDovetailSemisortFromShortBuffers(t *testing.T) {
+	src := randRecords(10, 5, 1)
+	var tab DovetailTables
+	for _, c := range []struct {
+		name         string
+		dst, scratch int
+	}{{"dst", 9, 10}, {"scratch", 10, 4}} {
+		dst := make([]rec.Record, c.dst)
+		err := tab.SemisortFrom(context.Background(), 1, src, dst, make([]rec.Record, c.scratch), nil)
+		if !errors.Is(err, ErrShortScratch) {
+			t.Fatalf("short %s: err = %v, want ErrShortScratch", c.name, err)
+		}
+		for i := range dst {
+			if dst[i] != (rec.Record{}) {
+				t.Fatalf("short %s: dst written", c.name)
+			}
+		}
+	}
+}
+
+func TestDovetailSemisortFromCancellation(t *testing.T) {
+	src := randRecords(200000, 50, 7)
+	orig := append([]rec.Record(nil), src...)
+	for _, procs := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		dst := make([]rec.Record, len(src))
+		var tab DovetailTables
+		err := tab.SemisortFrom(ctx, procs, src, dst, make([]rec.Record, len(src)), nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("p=%d: err = %v, want context.Canceled", procs, err)
+		}
+		if !rec.SamePermutation(orig, dst) {
+			t.Fatalf("p=%d: stopped run's dst is not a permutation of src", procs)
+		}
+		if !rec.SamePermutation(orig, src) || src[0] != orig[0] {
+			t.Fatalf("p=%d: stopped run wrote src", procs)
+		}
+	}
+}
+
+func TestDovetailSemisortFromSerialZeroAlloc(t *testing.T) {
+	src := randRecords(100000, 100, 5)
+	dst := make([]rec.Record, len(src))
+	scratch := make([]rec.Record, len(src))
+	var tab DovetailTables
+	var st DovetailStats
+	if err := tab.SemisortFrom(context.Background(), 1, src, dst, scratch, &st); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := tab.SemisortFrom(context.Background(), 1, src, dst, scratch, &st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("warm serial SemisortFrom allocated %.0f objects per run, want 0", allocs)
+	}
+}
+
+// FuzzDovetailFrom checks SemisortFrom against copy + Semisort on fuzzed
+// keys. data supplies the keys, eight little-endian bytes each (a short
+// tail zero-padded); the key list repeats 1 + reps%128 times so that
+// small inputs also reach the parallel passes, and with reps&0x80 set
+// each repeat is made distinct (a light input) instead of a duplicate.
+func FuzzDovetailFrom(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), uint8(1))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 9, 9, 9}, uint8(64), uint8(2))
+	f.Add([]byte("dovetail radix semisort, out of place"), uint8(255), uint8(2))
+	f.Add([]byte{}, uint8(3), uint8(8))
+	f.Fuzz(func(t *testing.T, data []byte, reps, procs uint8) {
+		var keys []uint64
+		for i := 0; i < len(data); i += 8 {
+			var kb [8]byte
+			copy(kb[:], data[i:])
+			keys = append(keys, binary.LittleEndian.Uint64(kb[:]))
+		}
+		copies := 1 + int(reps%128)
+		src := make([]rec.Record, 0, len(keys)*copies)
+		for c := 0; c < copies; c++ {
+			for _, k := range keys {
+				if reps&0x80 != 0 {
+					k ^= uint64(c) * 0x9e3779b97f4a7c15
+				}
+				src = append(src, rec.Record{Key: k, Value: uint64(len(src))})
+			}
+		}
+		dtCheckFrom(t, "fuzz", 1+int(procs%8), src)
+	})
 }
