@@ -35,7 +35,7 @@ func classifierPlan(t *testing.T, a []rec.Record, heavy []uint64, logLight uint,
 	cfg := Config{Procs: 1, Seed: 1, ScatterStrategy: ScatterCounting}
 	pl := &ws.plan
 	pl.begin(ws, a, nil, &cfg, 0, 0, nil, &tracer{}, nil)
-	pl.model = sizeModel{logn: pl.logn, c: 1, cln: pl.logn, slack: 1, rate: 1, delta: 2, uniform: true}
+	pl.model = sizeModel{logn: pl.logn, c: 1, cln: pl.logn, rate: 1, delta: 2, uniform: true}
 	pl.numLight = 1 << logLight
 	pl.shift = 64 - logLight
 	r := rand.New(rand.NewSource(seed))
@@ -49,7 +49,7 @@ func classifierPlan(t *testing.T, a []rec.Record, heavy []uint64, logLight uint,
 		pl.heavyRuns[i] = heavyRun{key: k, count: 4}
 	}
 	pl.strat = ScatterCounting
-	if err := pl.allocatePhase(); err != nil {
+	if err := pl.allocatePhase(countingStage{}); err != nil {
 		t.Fatal(err)
 	}
 	return pl
@@ -186,8 +186,8 @@ func TestClassifierMatchesReference(t *testing.T) {
 				if gb, gh := pl.bucketOf(r); gb != wb || gh != wh {
 					t.Fatalf("bucketOf(%#x) = (%d, %v), want (%d, %v)", r.Key, gb, gh, wb, wh)
 				}
-				if !wh && (wb < int64(pl.firstLight) || wb >= int64(len(pl.buckets))) {
-					t.Fatalf("record %d: light id %d outside [%d, %d)", i, wb, pl.firstLight, len(pl.buckets))
+				if end := pl.firstLight + pl.numLightMerged; !wh && (wb < int64(pl.firstLight) || wb >= int64(end)) {
+					t.Fatalf("record %d: light id %d outside [%d, %d)", i, wb, pl.firstLight, end)
 				}
 			}
 			var bids [probeBatch]int64

@@ -1,6 +1,7 @@
 // The sizeModel is the estimator contract between the sampling phase and
-// every downstream consumer of sample-derived size information: bucket
-// sizing for all three scatter strategies (buckets.go), heavy/light
+// every downstream consumer of sample-derived size information: light
+// bucket merging (buckets.go), the probing scatter's f(s) slot sizes
+// (scatter_probing.go, the only sizing consumer), heavy/light
 // classification thresholds (classify.go), and the skew-adaptive
 // planner's heavy-mass signal (plan.planScatter). Before this contract,
 // those call sites each assumed the one uniform sample rate; the adaptive
@@ -11,9 +12,9 @@
 // Two modes:
 //
 //   - uniform: every range was sampled at 1/SampleRate. The model
-//     delegates to the original sizeEstimate/boostSize formulas
-//     byte-for-byte, so one-shot runs (and the OneShotSampling ablation)
-//     produce exactly the historical sizes.
+//     delegates to the original sizeEstimate formula byte-for-byte,
+//     so one-shot runs (and the OneShotSampling ablation) produce
+//     exactly the historical sizes.
 //   - per-range: ranges carry individual densities from the adaptive
 //     loop. Sizes come from the generalized bound below, which reduces
 //     algebraically to the paper's f(s)·rate when all rates are equal.
@@ -41,14 +42,12 @@ type sizeModel struct {
 	logn  float64
 	c     float64
 	cln   float64 // c·ln n
-	slack float64
-	rate  int // configured 1/p (the uniform and budget-defining rate)
+	rate  int     // configured 1/p (the uniform and budget-defining rate)
 	delta int
 	// deltaRecs is the heavy threshold in estimated records:
 	// Delta·SampleRate, which a uniform sample meets at exactly Delta
 	// occurrences.
 	deltaRecs float64
-	exact     bool
 	uniform   bool
 	// Per-range state (nil when uniform): records-per-sample rate and
 	// heavy-run threshold per hash range.
@@ -79,22 +78,23 @@ func (m *sizeModel) mass(count int32, j uint64) float64 {
 }
 
 // heavySize sizes a heavy bucket from its sample-run count and the hash
-// range holding the key.
-func (m *sizeModel) heavySize(count int, j uint64) int {
+// range holding the key, at the probing scatter's slack and rounding
+// (Config.Slack, Config.ExactBucketSizes).
+func (m *sizeModel) heavySize(count int, j uint64, slack float64, exact bool) int {
 	if m.uniform {
-		return sizeEstimate(count, m.logn, m.c, m.slack, m.rate, m.exact)
+		return sizeEstimate(count, m.logn, m.c, slack, m.rate, exact)
 	}
 	r := m.rates[j]
-	return finishSize(m.slack*sizeBound(float64(count)*r, r, m.cln), m.exact)
+	return finishSize(slack*sizeBound(float64(count)*r, r, m.cln), exact)
 }
 
 // lightSize sizes a merged light bucket from its total sample count, its
 // summed per-range mass estimate, and the largest rate merged in.
-func (m *sizeModel) lightSize(samples int, mass, rmax float64) int {
+func (m *sizeModel) lightSize(samples int, mass, rmax, slack float64, exact bool) int {
 	if m.uniform {
-		return sizeEstimate(samples, m.logn, m.c, m.slack, m.rate, m.exact)
+		return sizeEstimate(samples, m.logn, m.c, slack, m.rate, exact)
 	}
-	return finishSize(m.slack*sizeBound(mass, rmax, m.cln), m.exact)
+	return finishSize(slack*sizeBound(mass, rmax, m.cln), exact)
 }
 
 // merged reports whether a light bucket accumulated enough estimated mass
@@ -119,6 +119,26 @@ func sizeBound(mean, rmax, cln float64) float64 {
 // exact sizing is on.
 func finishSize(f float64, exact bool) int {
 	size := int(math.Ceil(f))
+	if size < 4 {
+		size = 4
+	}
+	if exact {
+		return size
+	}
+	return 1 << uint(bits.Len(uint(size-1)))
+}
+
+// sizeEstimate is the paper's f(s) multiplied by slack and, unless exact
+// sizing is requested, rounded up to a power of two (Section 4, Phase 2):
+// the high-probability bound on the record count of a bucket with s sample
+// hits. Exact sizing trades the cheap power-of-two masking for ~1.4x less
+// slot memory (measured in the ablation benches). Kept as a standalone
+// function: it is the sizeModel's uniform-mode delegate, so one-shot runs
+// size buckets bit-for-bit as they always did.
+func sizeEstimate(s int, logn float64, c, slack float64, rate int, exact bool) int {
+	cln := c * logn
+	f := (float64(s) + cln + math.Sqrt(cln*cln+2*float64(s)*cln)) * float64(rate)
+	size := int(math.Ceil(slack * f))
 	if size < 4 {
 		size = 4
 	}

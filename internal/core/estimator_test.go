@@ -100,10 +100,10 @@ func TestSizeBoundReducesToUniform(t *testing.T) {
 func TestSizeModelModes(t *testing.T) {
 	logn := math.Log(1 << 20)
 	m := sizeModel{
-		logn: logn, c: 1.25, cln: 1.25 * logn, slack: 1.1,
+		logn: logn, c: 1.25, cln: 1.25 * logn,
 		rate: 16, delta: 8, deltaRecs: 8 * 16, uniform: true,
 	}
-	if got, want := m.heavySize(100, 0), sizeEstimate(100, logn, 1.25, 1.1, 16, false); got != want {
+	if got, want := m.heavySize(100, 0, 1.1, false), sizeEstimate(100, logn, 1.25, 1.1, 16, false); got != want {
 		t.Errorf("uniform heavySize = %d, want sizeEstimate = %d", got, want)
 	}
 	if m.heavyThr(3) != 8 {
@@ -127,9 +127,9 @@ func TestSizeModelModes(t *testing.T) {
 		t.Errorf("per-range mass = %v/%v, want 160/40", m.mass(10, 0), m.mass(10, 1))
 	}
 	// Denser range, same count: smaller mass, smaller bucket.
-	if m.heavySize(100, 1) >= m.heavySize(100, 0) {
+	if m.heavySize(100, 1, 1.1, false) >= m.heavySize(100, 0, 1.1, false) {
 		t.Errorf("denser range sized no smaller: %d vs %d",
-			m.heavySize(100, 1), m.heavySize(100, 0))
+			m.heavySize(100, 1, 1.1, false), m.heavySize(100, 0, 1.1, false))
 	}
 	// merged is mass-based: 160 records >= deltaRecs = 128 regardless of
 	// which range supplied the samples.

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,16 +25,19 @@ import (
 )
 
 // A scatterStage is one Phase 3 placement algorithm together with the
-// Phase 4/5 behavior it implies. The probing stage scatters into slot
-// arrays with CAS (then compacts and packs); the counting stage writes
-// final packed positions directly (local sort in place, pack a no-op).
-// Both implementations are zero-size types, so storing them in the
-// interface does not allocate.
+// Phase 2 sizing and Phase 4/5 behavior it implies. The probing stage
+// sizes f(s) slot arrays, scatters into them with CAS (then compacts and
+// packs); the counting stage writes final packed positions directly
+// (local sort in place, pack a no-op). The implementations are zero-size
+// types, so storing them in the interface does not allocate.
 type scatterStage interface {
-	strategy() ScatterStrategy
+	// allocate sizes the stage's scratch once the bucket ids are known
+	// (the end of Phase 2). A wrapped errSlotCap return means the
+	// scratch would exceed Config.MaxSlotBytes.
+	allocate(pl *plan) error
 	// scatter places every record into its bucket (Phase 3). An
-	// *overflowError return triggers the Las Vegas retry ladder; any
-	// other error aborts the attempt (cancellation).
+	// ErrOverflow return (probing only) triggers the Las Vegas retry
+	// ladder; any other error aborts the attempt (cancellation).
 	scatter(pl *plan) error
 	// localSort semisorts each light bucket (Phase 4).
 	localSort(pl *plan) error
@@ -73,11 +75,13 @@ func (pl *plan) planScatter() {
 	}
 }
 
-// A plan is the mutable state of one Las Vegas attempt: the resolved
+// A plan is the mutable state of one attempt: the resolved
 // configuration, the attempt's randomness, every phase's products (as
-// views into Workspace-owned buffers), and the attempt's Stats. begin()
-// resets it wholesale between attempts; nothing carries over except the
-// workspace the views point into.
+// views into Workspace-owned buffers), and the attempt's Stats. The
+// counting and dovetail routes run one attempt per call; only the
+// probing route's Las Vegas ladder runs several. begin() resets the plan
+// wholesale between attempts; nothing carries over except the workspace
+// the views point into.
 type plan struct {
 	// Call parameters.
 	cfg   Config
@@ -88,12 +92,10 @@ type plan struct {
 	n     int
 	procs int
 	// ctx mirrors cfg.Context (hot-path convenience).
-	ctx        context.Context
-	attempt    int // scatter attempt index (doubles as the span index)
-	logn       float64
-	rng        hash.RNG // sampling randomness: stable across boosted retries
-	scatterRNG hash.RNG // placement randomness: fresh every attempt
-	boost      map[int32]float64
+	ctx     context.Context
+	attempt int // scatter attempt index (doubles as the span index)
+	logn    float64
+	rng     hash.RNG // sampling randomness: stable across boosted retries
 
 	stats Stats
 
@@ -140,9 +142,9 @@ type plan struct {
 	// integer sum of per-run rounded masses, so it is grain-independent);
 	// the planner compares it against massTotal.
 	heavyMass atomic.Int64
-	// Bucket construction.
+	// Bucket construction: ids 0..firstLight-1 are heavy, the next
+	// numLightMerged light.
 	strat          ScatterStrategy
-	buckets        []bucket
 	table          *hashtable.Table
 	emptyKeyBucket int64
 	lightBucketOf  []int32
@@ -150,19 +152,13 @@ type plan struct {
 	dirShift       uint       // 64 − log2 len(heavyDir)
 	firstLight     int
 	numLightMerged int
-	heavySlotEnd   int64
-	slotTotal      int64
+
+	// Probing route: slot sizing, placement and packing
+	// (scatter_probing.go).
+	probeState
 
 	// Phase 3 state.
-	out   []rec.Record
-	slots []rec.Record
-	occ   []uint32
-	// Probing scatter.
-	overflow    atomic.Bool
-	heavyPlaced atomic.Int64
-	maxCluster  atomic.Int64
-	ofMu        sync.Mutex
-	ofBuckets   map[int32]int32
+	out []rec.Record
 	// Counting scatter (shared by the dovetail split, which runs the
 	// same two-pass machinery over cbins = firstLight+1 bins instead of
 	// one bin per bucket).
@@ -183,16 +179,6 @@ type plan struct {
 	lsBounds []int32
 	lsRanges int
 
-	// Phase 4–5 state (probing path).
-	lightCnt     []int32
-	lightOffsets []int32
-	packCounts   []int32
-	intervals    int
-	ilen         int64
-	packTotal    int32
-	heavyTotal   int
-	lightTotal   int32
-
 	// Fused collect-reduce state (reduce.go); red == nil on plain
 	// semisorts and every reduce branch below is skipped.
 	red          *ReduceSpec
@@ -210,108 +196,33 @@ type plan struct {
 	reps         []uint64 // final per-group representatives (view of ws.redReps)
 }
 
-// begin resets the plan for one attempt. Every field is (re)assigned so
+// begin resets the plan for one attempt. The whole plan is replaced, so
 // no state can leak from a previous attempt or call.
 func (pl *plan) begin(ws *Workspace, a, dst []rec.Record, c *Config, sampleAttempt, attempt int, boost map[int32]float64, tr *tracer, red *ReduceSpec) {
-	pl.cfg = *c
-	pl.ws = ws
-	pl.tr = *tr
-	pl.a = a
-	pl.dst = dst
-	pl.n = len(a)
-	pl.procs = c.Procs
-	pl.ctx = c.Context
-	pl.attempt = attempt
-	pl.logn = math.Log(math.Max(float64(pl.n), 2))
-	pl.rng = hash.NewRNG(c.Seed + uint64(sampleAttempt)*0x9e3779b97f4a7c15 + 1)
-	pl.scatterRNG = hash.NewRNG(c.Seed ^ (uint64(attempt)+1)*0xd1342543de82ef95)
-	pl.boost = boost
-	pl.stats = Stats{N: pl.n}
-
-	pl.ns = 0
-	pl.sample = nil
-	pl.model = sizeModel{}
-	pl.massTotal = 0
-	pl.smplHist, pl.smplDens, pl.smplSel, pl.smplCnt = nil, nil, nil, nil
-	pl.smplRounds, pl.smplRound, pl.smplBS = 0, 0, 0
-	pl.smplNBlk, pl.smplGrain, pl.smplSelCount = 0, 0, 0
-	pl.pilotRouted = false
-	pl.bucketsT0 = time.Time{}
-	pl.numLight, pl.shift = 0, 0
-	pl.runStarts, pl.runCounts, pl.rsGrain, pl.numRuns = nil, nil, 0, 0
-	pl.runGrain, pl.runBlocks = 0, 0
-	pl.blockHeavy, pl.heavyRuns, pl.numHeavy = nil, nil, 0
-	pl.lightCounts = nil
-	pl.heavyMass.Store(0)
-	pl.strat = ScatterAuto
-	pl.buckets, pl.table = nil, nil
-	pl.emptyKeyBucket = -1
-	pl.lightBucketOf = nil
-	pl.heavyDir, pl.dirShift = nil, 0
-	pl.firstLight, pl.numLightMerged = 0, 0
-	pl.heavySlotEnd, pl.slotTotal = 0, 0
-
-	pl.out, pl.slots, pl.occ = nil, nil, nil
-	pl.overflow.Store(false)
-	pl.heavyPlaced.Store(0)
-	pl.maxCluster.Store(0)
-	pl.ofBuckets = nil
-	pl.cplan = countingPlan{}
-	pl.cbins = 0
-	pl.hist, pl.counts, pl.cbase, pl.bidCol = nil, nil, nil, nil
-	pl.flushes.Store(0)
-	pl.placedTotal = 0
-	pl.heavyEnd = 0
-	pl.dov = sortint.DovetailStats{}
-
-	pl.lsCum, pl.lsBounds, pl.lsRanges = nil, nil, 0
-	pl.lightCnt, pl.lightOffsets, pl.packCounts = nil, nil, nil
-	pl.intervals, pl.ilen, pl.packTotal = 0, 0, 0
-	pl.heavyTotal, pl.lightTotal = 0, 0
-
-	pl.red = red
-	pl.redSlots, pl.redCells = 0, 0
-	pl.redAccs, pl.redCellReps, pl.redUsed = nil, nil, nil
-	pl.redStage, pl.redStageReps = nil, nil
-	pl.redDistinct, pl.redOff = nil, nil
-	pl.redHeavyRecs = 0
-	pl.redBadHeavy.Store(0)
-	pl.reps = nil
+	n := len(a)
+	*pl = plan{
+		cfg: *c, ws: ws, tr: *tr, a: a, dst: dst, n: n,
+		procs: c.Procs, ctx: c.Context, attempt: attempt,
+		logn: math.Log(math.Max(float64(n), 2)),
+		rng:  hash.NewRNG(c.Seed + uint64(sampleAttempt)*0x9e3779b97f4a7c15 + 1),
+		probeState: probeState{
+			boost:      boost,
+			scatterRNG: hash.NewRNG(c.Seed ^ (uint64(attempt)+1)*0xd1342543de82ef95),
+		},
+		stats:          Stats{N: n},
+		emptyKeyBucket: -1,
+		red:            red,
+	}
 }
 
 // clearRefs drops every reference the plan holds (input, output, buffer
 // views, config with its Observer/Context) so a retained Workspace never
-// pins caller memory between calls. Scalar fields are left as-is; begin()
-// reassigns them.
-func (pl *plan) clearRefs() {
-	pl.cfg = Config{}
-	pl.ws = nil
-	pl.tr = tracer{}
-	pl.a, pl.dst, pl.out = nil, nil, nil
-	pl.ctx = nil
-	pl.boost = nil
-	pl.sample = nil
-	pl.model = sizeModel{} // drops the rates/thr workspace views
-	pl.smplHist, pl.smplDens, pl.smplSel, pl.smplCnt = nil, nil, nil, nil
-	pl.runStarts, pl.runCounts = nil, nil
-	pl.blockHeavy, pl.heavyRuns, pl.lightCounts = nil, nil, nil
-	pl.buckets, pl.table, pl.lightBucketOf, pl.heavyDir = nil, nil, nil, nil
-	pl.slots, pl.occ = nil, nil
-	pl.ofBuckets = nil
-	pl.hist, pl.counts, pl.cbase, pl.bidCol = nil, nil, nil, nil
-	pl.lsCum, pl.lsBounds = nil, nil
-	pl.lightCnt, pl.lightOffsets, pl.packCounts = nil, nil, nil
-	pl.red = nil
-	pl.redAccs, pl.redCellReps, pl.redUsed = nil, nil, nil
-	pl.redStage, pl.redStageReps = nil, nil
-	pl.redDistinct, pl.redOff = nil, nil
-	pl.reps = nil
-	pl.stats = Stats{}
-}
+// pins caller memory between calls.
+func (pl *plan) clearRefs() { *pl = plan{} }
 
-// semisortOnce runs one Las Vegas attempt through the six pipeline
-// stages. The attempt's Stats accumulate in pl.stats; the output is
-// pl.out on success.
+// semisortOnce runs one attempt through the six pipeline stages. The
+// attempt's Stats accumulate in pl.stats; the output is pl.out on
+// success.
 func semisortOnce(pl *plan) ([]rec.Record, error) {
 	if pl.n == 0 {
 		return []rec.Record{}, nil
@@ -322,10 +233,10 @@ func semisortOnce(pl *plan) ([]rec.Record, error) {
 	if err := pl.classifyPhase(); err != nil {
 		return nil, err
 	}
-	if err := pl.allocatePhase(); err != nil {
+	st := stageFor(pl.strat)
+	if err := pl.allocatePhase(st); err != nil {
 		return nil, err
 	}
-	st := stageFor(pl.strat)
 	if err := pl.scatterPhase(st); err != nil {
 		return nil, err
 	}
@@ -339,8 +250,8 @@ func semisortOnce(pl *plan) ([]rec.Record, error) {
 }
 
 // scatterPhase runs Phase 3 through the stage. Overflow (probing only)
-// surfaces as an *overflowError for the Las Vegas ladder; any other error
-// is a cancellation.
+// surfaces as ErrOverflow for the Las Vegas ladder; any other error is a
+// cancellation.
 func (pl *plan) scatterPhase(st scatterStage) error {
 	if err := phaseGate(pl.ctx, "scatter"); err != nil {
 		return err
@@ -538,11 +449,4 @@ func sliceOverlaps(x, y []rec.Record) bool {
 		return false
 	}
 	return &(x[:cap(x)])[cap(x)-1] == &(y[:cap(y)])[cap(y)-1]
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

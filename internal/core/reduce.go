@@ -262,7 +262,8 @@ func (pl *plan) probeReduceScatterBody() error {
 
 // probeReduceScatterChunk is probeScatterChunk with the heavy branch
 // folding into this worker's accumulator cells instead of placing: heavy
-// buckets have no slots under reduce (allocatePhase sizes them to zero).
+// buckets have no slots under reduce (probingStage.allocate sizes them to
+// zero).
 func (pl *plan) probeReduceScatterChunk(lo, hi int) {
 	if pl.overflow.Load() {
 		return
@@ -400,7 +401,7 @@ func (pl *plan) packReduceLightProbe(j int) {
 // reads pass 1's bucket-id column like the plain arm: an id below
 // firstLight is a heavy bucket.
 func (pl *plan) countingReduceScatterBody() error {
-	nb := len(pl.buckets)
+	nb := pl.cbins
 	pl.hist = pl.ws.getHist(pl.cplan.nblocks * nb)
 	pl.bidCol = grow(&pl.ws.bidCol, pl.n)
 	if err := pl.parFor(pl.cplan.nblocks, 1, (*plan).countingHistChunk); err != nil {
@@ -424,7 +425,7 @@ func (pl *plan) countingReduceScatterBody() error {
 }
 
 func (pl *plan) countingReducePassChunk(blo, bhi int) {
-	nb := len(pl.buckets)
+	nb := pl.cbins
 	sp := pl.red
 	histOnly := sp.Histogram
 	slot := pl.ws.acquireRed()

@@ -4,12 +4,10 @@ import (
 	"math"
 	"sync/atomic"
 
-	"repro/internal/hash"
 	"repro/internal/parallel"
-	"repro/internal/rec"
 )
 
-// scatterBlockRounds implements the theoretical placement algorithm from
+// blockRoundsBody implements the theoretical placement algorithm from
 // Section 3 of the paper, verbatim:
 //
 //	"The placement problem can be implemented by partitioning the input
@@ -27,18 +25,11 @@ import (
 // This path exists for ablation against the practical CAS+linear-probing
 // scatter; the per-round barrier makes it slower in practice, which is
 // exactly the point the implementation section of the paper makes by not
-// using it.
-func scatterBlockRounds(
-	procs int,
-	a []rec.Record,
-	buckets []bucket,
-	slots []rec.Record,
-	occ []uint32,
-	bucketOf func(rec.Record) (int64, bool),
-	rng hash.RNG,
-	exact bool,
-	heavyPlaced *atomic.Int64,
-) error {
+// using it. Reached through the probing stage with
+// Config.Probe == ProbeBlockRounds; it is not allocation-free.
+func (pl *plan) blockRoundsBody() error {
+	a, buckets, slots, occ := pl.a, pl.buckets, pl.slots, pl.occ
+	rng, exact := pl.scatterRNG, pl.cfg.ExactBucketSizes
 	n := len(a)
 	if n == 0 {
 		return nil
@@ -65,7 +56,7 @@ func scatterBlockRounds(
 			return ErrOverflow
 		}
 		var active atomic.Int64
-		parallel.For(procs, nblocks, 64, func(blo, bhi int) {
+		parallel.For(pl.procs, nblocks, 64, func(blo, bhi int) {
 			localActive := int64(0)
 			for b := blo; b < bhi; b++ {
 				start := b * blockSize
@@ -77,7 +68,7 @@ func scatterBlockRounds(
 				localActive++
 				i := start + cur
 				r := a[i]
-				bid, heavy := bucketOf(r)
+				bid, heavy := pl.bucketOf(r)
 				bk := buckets[bid]
 				pos := bucketPos(rng.Rand(uint64(i)+uint64(round)<<40), bk.sz, exact)
 				idx := bk.off + int64(pos)
@@ -101,6 +92,6 @@ func scatterBlockRounds(
 	for _, h := range heavyCnt {
 		total += int64(h)
 	}
-	heavyPlaced.Add(total)
+	pl.heavyPlaced.Add(total)
 	return nil
 }

@@ -124,8 +124,8 @@ func (pl *plan) sampleBody() error {
 	// A zero-heavy dovetail call reads nothing of the sample, so a
 	// planner that is free to choose that route asks the pilot first (see
 	// pilotRoute), before any top-up round.
-	pilotDecides := !oneShot && pl.red == nil && c.Probe == ProbeLinear &&
-		(c.ScatterStrategy == ScatterAuto || c.ScatterStrategy == ScatterDovetail)
+	pilotDecides := !oneShot && pl.red == nil && !probingRoute(c) &&
+		c.ScatterStrategy != ScatterCounting
 	budget := pl.n / c.SampleRate
 	bs := pilot
 	for round := 0; ; round++ {
@@ -457,11 +457,9 @@ func (pl *plan) buildModel(uniform bool) {
 	m.logn = pl.logn
 	m.c = c.C
 	m.cln = c.C * pl.logn
-	m.slack = c.Slack
 	m.rate = c.SampleRate
 	m.delta = c.Delta
 	m.deltaRecs = float64(c.Delta * c.SampleRate)
-	m.exact = c.ExactBucketSizes
 	m.uniform = uniform
 	if uniform {
 		m.rates, m.thr = nil, nil

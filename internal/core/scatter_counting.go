@@ -95,7 +95,19 @@ func planCounting(n, procs, nb int, extra int64) countingPlan {
 // countingStage is the deterministic placement's scatterStage.
 type countingStage struct{}
 
-func (countingStage) strategy() ScatterStrategy { return ScatterCounting }
+// allocate blocks the two passes over one bin per bucket. The scatter
+// writes straight into the output array, so the attempt allocates no
+// slot slack: the memory cap governs the histograms, the staging arena,
+// the bucket-id column and the heavy directory.
+func (countingStage) allocate(pl *plan) error {
+	pl.cbins = pl.firstLight + pl.numLightMerged
+	pl.cplan = planCounting(pl.n, pl.procs, pl.cbins, int64(pl.n)*4+pl.dirBytes())
+	if err := pl.capScratch("counting scatter", pl.cplan.scratchBytes); err != nil {
+		return err
+	}
+	pl.stats.SlotsAllocated = pl.n
+	return nil
+}
 
 func (countingStage) scatter(pl *plan) error {
 	if pl.red != nil {

@@ -46,7 +46,20 @@ import (
 // dovetailStage is the hybrid placement's scatterStage.
 type dovetailStage struct{}
 
-func (dovetailStage) strategy() ScatterStrategy { return ScatterDovetail }
+// allocate blocks the split over one bin per heavy bucket plus a single
+// catch-all bin for every light record. No slot arrays on either side:
+// the memory cap governs the counting scratch (the split classifies in
+// both passes, so it needs no bucket-id column) plus the
+// 16-bytes-per-record radix scratch the light region is grouped against.
+func (dovetailStage) allocate(pl *plan) error {
+	pl.cbins = pl.firstLight + 1
+	pl.cplan = planCounting(pl.n, pl.procs, pl.cbins, pl.dirBytes())
+	if err := pl.capScratch("dovetail scatter", pl.cplan.scratchBytes+int64(pl.n)*16); err != nil {
+		return err
+	}
+	pl.stats.SlotsAllocated = pl.n
+	return nil
+}
 
 func (dovetailStage) scatter(pl *plan) error {
 	pl.ensureOut()

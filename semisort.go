@@ -62,9 +62,10 @@ const (
 // the dovetail route, the radix recursion's per-node decisions.
 type PlannerRoutes = core.PlannerRoutes
 
-// ErrOverflow is returned (wrapped) if every Las Vegas retry overflowed a
-// bucket and Config.DisableFallback is set; with fallback enabled (the
-// default) exhaustion degrades to a sequential semisort instead.
+// ErrOverflow is returned (wrapped) when Config.DisableFallback is set and
+// either every probing attempt overflowed a bucket or an attempt hit
+// Config.MaxSlotBytes; with fallback enabled (the default) both degrade
+// to a sequential semisort instead.
 var ErrOverflow = core.ErrOverflow
 
 // PanicError carries a panic captured on a parallel worker: the original
