@@ -72,8 +72,8 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "semisorted in %v (%.1f Mrec/s)\n",
 		elapsed, float64(len(recs))/elapsed.Seconds()/1e6)
-	fmt.Fprintf(os.Stderr, "  sample=%d heavyKeys=%d lightBuckets=%d heavyRecords=%d slots=%d retries=%d\n",
-		stats.SampleSize, stats.HeavyKeys, stats.LightBuckets, stats.HeavyRecords,
+	fmt.Fprintf(os.Stderr, "  route=%s sample=%d heavyKeys=%d lightBuckets=%d heavyRecords=%d slots=%d retries=%d\n",
+		stats.ScatterStrategy, stats.SampleSize, stats.HeavyKeys, stats.LightBuckets, stats.HeavyRecords,
 		stats.SlotsAllocated, stats.Retries)
 	fmt.Fprintf(os.Stderr, "  phases: sample+sort=%v buckets=%v scatter=%v localsort=%v pack=%v\n",
 		stats.Phases.SampleSort, stats.Phases.Buckets, stats.Phases.Scatter,

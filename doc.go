@@ -30,12 +30,15 @@
 // using a precise high-probability size estimate, scatters all records into
 // their arrays with atomic claims, locally sorts the small light buckets,
 // and packs everything into one contiguous output. That is the paper's
-// construction, selected with ScatterProbing. The default planner keeps
-// the sampling and classification but places records deterministically:
-// duplicate-heavy inputs and fused reductions through a two-pass counting
-// scatter, everything else through a heavy-key split plus a top-down MSD
-// radix recursion, so default output is byte-identical across Procs. See
-// DESIGN.md and the internal/core package for the full construction.
+// construction, selected with ScatterProbing. The default planner is
+// deterministic instead, and decides from the call before any sampling: a
+// plain semisort is one call of a top-down MSD radix kernel (DovetailSort,
+// arXiv 2401.00710) that samples each large node itself and pulls that
+// node's heavy keys out of its distribution pass, with no pipeline
+// sample, classification or scatter in front of it; a fused reduction
+// keeps the sampled pipeline with a two-pass counting scatter. Default
+// output is byte-identical across Procs. See DESIGN.md and the
+// internal/core package for the full construction.
 //
 // # Fused aggregation
 //

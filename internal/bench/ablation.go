@@ -25,7 +25,8 @@ func RunAblation(o Options) []*Table {
 		cfg.Procs = P
 		cfg.Seed = o.Seed + 7
 		// Probing pinned: every knob here ablates the paper's CAS-scatter
-		// pipeline; Auto would reroute the exponential workload.
+		// pipeline; Auto would send both workloads to the radix kernel,
+		// which reads none of these knobs.
 		cfg.ScatterStrategy = core.ScatterProbing
 		var es, us core.Stats
 		et := timeIt(o.Reps, func() {

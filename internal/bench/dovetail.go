@@ -10,16 +10,13 @@ import (
 )
 
 // RunDovetail sweeps the duplication spectrum — distinct-key fraction
-// 2^0 down to 2^-20 of n — and races the skew-adaptive dovetail planner
-// against both of its parents: the scatter strategies (probing and
-// counting) on one side and the standalone radix route on the other
-// (dovetail pinned onto an all-distinct-routing input approximates it;
-// here the parents are the probing and counting runs themselves). The
-// acceptance shape: dovetail tracks the better parent across the whole
-// sweep, pulls ahead of the scatters on the near-unique end (where the
-// radix recursion skips bucket bookkeeping entirely) and re-routes to
-// the counting scatter on the duplicate-heavy end rather than paying
-// radix passes over massive duplication.
+// 2^0 down to 2^-20 of n — and races the planner's dovetail route (the
+// radix kernel over the whole input, no pipeline sample) against the two
+// sampled scatter routes, probing and counting. The planner decides from
+// the call, so "resolved" reads dovetail on every row; the node columns
+// show the kernel's own per-node routing flip from plain radix passes on
+// the near-unique end to heavy-key extraction (dovetail nodes) on the
+// duplicate-heavy end.
 func RunDovetail(o Options) []*Table {
 	o = o.withDefaults()
 	P := o.MaxProcs()
@@ -69,7 +66,7 @@ func RunDovetail(o Options) []*Table {
 	}
 	tab.Notes = append(tab.Notes,
 		"'vs best parent' > 1 means dovetail beat the faster of probing/counting at that point",
-		"expect the planner to flip from the radix route (scatter_nodes=0) to the counting scatter (scatter_nodes=1) as duplication rises")
+		"every row resolves to dovetail (scatter_nodes=0); radix_nodes counts the top-level hand-off plus the kernel's plain radix nodes, dovetail_nodes the kernel nodes that pulled heavy keys out (0 on the near-unique end)")
 	render(o, tab)
 	return []*Table{tab}
 }

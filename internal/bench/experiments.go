@@ -30,8 +30,8 @@ const heavyThreshold = 256
 // reused workspace keeps allocation out of the measurement, matching the
 // paper's preallocated C++ implementation. The scatter is pinned to
 // probing: these tables reproduce the paper's CAS-scatter numbers, which
-// Auto would silently swap out on duplicate-heavy distributions (the
-// counting alternative gets its own head-to-head in RunScatter).
+// Auto would silently swap for the radix kernel (the other routes get
+// their own head-to-head in RunScatter).
 func semisortTime(a []rec.Record, procs, reps int, seed uint64) time.Duration {
 	var ws core.Workspace
 	return timeIt(reps, func() {

@@ -11,11 +11,12 @@ import (
 
 // RunScatter is the scatter-strategy head-to-head: probing (the paper's
 // CAS scatter), counting (the two-pass alternative) and Auto (the
-// deterministic planner: counting or the dovetail radix route), across
-// distributions spanning the duplication spectrum — from all-light
-// uniform, where Auto takes the radix route, to Zipfian and
-// few-heavy-keys inputs, where the counting scatter's exact offsets avoid
-// the CAS contention that heavy duplicates concentrate on a few buckets.
+// deterministic planner, whose plain semisorts all take the dovetail
+// radix route), across distributions spanning the duplication spectrum —
+// from all-light uniform to Zipfian and few-heavy-keys inputs, where the
+// counting scatter's exact offsets avoid the CAS contention that heavy
+// duplicates concentrate on a few buckets, and the radix kernel pulls
+// the heavy keys out of its own distribution passes.
 func RunScatter(o Options) []*Table {
 	o = o.withDefaults()
 	P := o.MaxProcs()
@@ -66,7 +67,7 @@ func RunScatter(o Options) []*Table {
 	}
 	tab.Notes = append(tab.Notes,
 		"counting removes CAS traffic and the Phase 5 pack (records land packed); expect it ahead on the duplicate-heavy rows",
-		"'resolved' is the placement the run actually used — on the Auto rows it shows the planner's pick (counting or dovetail, never probing)")
+		"'resolved' is the placement the run actually used — on the Auto rows it shows the planner's pick (dovetail for every plain semisort)")
 	render(o, tab)
 	return []*Table{tab}
 }

@@ -4,8 +4,8 @@
 // heavy directory. Adjacent light buckets with fewer than Delta samples
 // are merged (the ~10% memory optimization of Phase 2). Sizing is the
 // stage's: only the probing scatter carves f(s)-sized slot arrays
-// (probingStage.allocate); the counting and dovetail routes price their
-// scratch instead.
+// (probingStage.allocate); the counting route prices its scratch
+// instead. The dovetail route builds no buckets (scatter_dovetail.go).
 package core
 
 import (

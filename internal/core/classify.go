@@ -22,9 +22,7 @@ type heavyRun struct {
 	count int32
 }
 
-// classifyPhase classifies the sample's runs and hands the heavy
-// fraction to the skew-adaptive planner (plan.planScatter), which
-// resolves the attempt's scatter strategy.
+// classifyPhase classifies the sample's runs.
 func (pl *plan) classifyPhase() error {
 	if err := phaseGate(pl.ctx, "bucket construction"); err != nil {
 		return err
@@ -34,13 +32,8 @@ func (pl *plan) classifyPhase() error {
 
 	// The hash-range geometry (numLight, shift) is fixed by the sampling
 	// phase (plan.computeRanges), which needs it for the adaptive loop's
-	// per-range histogram. A pilot-routed attempt was classified there
-	// already (plan.pilotRoute).
-	if !pl.pilotRouted {
-		_ = pl.tr.labeledPhase(pl, "classify", (*plan).classifyBody)
-	}
-
-	pl.planScatter()
+	// per-range histogram.
+	_ = pl.tr.labeledPhase(pl, "classify", (*plan).classifyBody)
 	pl.tr.span(pl.attempt, obsv.PhaseClassify, pl.bucketsT0, obsv.OutcomeOK)
 	return nil
 }
@@ -83,21 +76,16 @@ func (pl *plan) classifyCountChunk(blo, bhi int) {
 	for blk := blo; blk < bhi; blk++ {
 		s, e := blk*pl.runGrain, min((blk+1)*pl.runGrain, pl.numRuns)
 		var nHeavy int32
-		var localMass int64
 		for ri := s; ri < e; ri++ {
 			count := pl.runCount(ri)
 			b := pl.sample[pl.runStarts[ri]] >> pl.shift
 			if count >= pl.model.heavyThr(b) {
 				nHeavy++
-				// Per-run rounding before the sum keeps the total an
-				// integer sum — deterministic under any chunk grain.
-				localMass += int64(pl.model.mass(count, b) + 0.5)
 			} else {
 				atomic.AddInt32(&pl.lightCounts[b], count)
 			}
 		}
 		pl.blockHeavy[blk] = nHeavy
-		pl.heavyMass.Add(localMass)
 	}
 }
 

@@ -33,13 +33,13 @@ const (
 type ScatterStrategy int
 
 const (
-	// ScatterAuto is the deterministic planner, resolved per attempt from
-	// the sample: a duplicate-heavy sample (at least autoHeavySampleFrac
-	// of the estimated record mass in heavy runs) or a fused reduce goes
-	// to the counting scatter, anything else to the dovetail route (a
-	// heavy-key split, then an MSD radix recursion). Unless a non-linear
-	// Config.Probe forces probing, its output is byte-identical across
-	// Procs and Attempts is always 1. The zero value.
+	// ScatterAuto is the deterministic planner, decided before Phase 1
+	// from the call alone: a plain semisort takes the dovetail route (one
+	// call of the radix kernel over the whole input, with no sample,
+	// classification or scatter in front of it), and a fused reduce takes
+	// the counting scatter. Unless a non-linear Config.Probe forces
+	// probing, its output is byte-identical across Procs and Attempts is
+	// always 1. The zero value.
 	ScatterAuto ScatterStrategy = iota
 	// ScatterProbing is the paper's placement: a pseudo-random slot per
 	// record, claimed with CAS, probing on collision (parameterized by
@@ -47,21 +47,23 @@ const (
 	// an explicit request (or a non-linear Probe) selects it: it is the
 	// paper-reproduction mode every internal/bench table pins.
 	ScatterProbing
-	// ScatterCounting is the deterministic two-pass counting scatter: a
-	// per-block histogram over bucket ids, prefix sums to exact write
-	// cursors, then blocked writes through per-worker staging buffers
-	// that flush cache-line-sized runs. No CAS, no probing, and no
-	// overflow retries — the offsets are exact, so the path cannot fail.
+	// ScatterCounting is the deterministic two-pass counting scatter over
+	// the sampled pipeline's buckets: a per-block histogram over bucket
+	// ids, prefix sums to exact write cursors, then blocked writes through
+	// per-worker staging buffers that flush cache-line-sized runs. No CAS,
+	// no probing, and no overflow retries — the offsets are exact, so the
+	// path cannot fail. The planner picks it for every fused reduce; a
+	// plain semisort takes it only on this explicit request.
 	ScatterCounting
-	// ScatterDovetail names the planner's radix route: one deterministic
-	// counting pass splits the sampled heavy keys into packed front
-	// groups, and the light remainder is grouped by a top-down MSD radix
-	// recursion (internal/sortint's dovetail sort) that re-samples at
-	// every node, pulling that node's heavy keys out of its distribution
-	// pass. Per-node decisions are reported in Stats.PlannerRoutes. As a
-	// Config value it is equivalent to ScatterAuto, which takes this
-	// route for light-dominated plain semisorts; it is kept for API
-	// compatibility.
+	// ScatterDovetail names the planner's radix route: the whole input
+	// goes to a top-down MSD radix recursion (internal/sortint's
+	// DovetailSort kernel) that samples every large node and pulls that
+	// node's heavy keys out of its distribution pass. Phases 1–3 do not
+	// run, so the route reads none of the sampling and sizing knobs.
+	// Per-node decisions are reported in Stats.PlannerRoutes. As a Config
+	// value it is equivalent to ScatterAuto, which takes this route for
+	// every plain semisort (and counting for a fused reduce); it is kept
+	// for API compatibility.
 	ScatterDovetail
 )
 
@@ -81,19 +83,24 @@ func (s ScatterStrategy) String() string {
 // Config holds the algorithm's tuning parameters. The zero value keeps
 // the paper's parameters (Section 4): p = 1/16, δ = 16, 2^16 light
 // buckets, c = 1.25, slack 1.1, bucket merging on, linear probing. Its
-// Phase 3 placement is the deterministic planner (ScatterAuto: counting
-// or the dovetail radix route), not the paper's; the paper's CAS scatter
-// and probing needs ScatterStrategy: ScatterProbing.
+// route is the deterministic planner (ScatterAuto: the dovetail radix
+// kernel for a plain semisort, counting for a fused reduce), not the
+// paper's; the paper's CAS scatter and probing needs ScatterStrategy:
+// ScatterProbing. The sampling, bucket and sizing knobs are read only by
+// the sampled routes (probing and counting); the dovetail route ignores
+// them.
 type Config struct {
 	// Procs is the number of workers; <= 0 means GOMAXPROCS.
 	Procs int
 	// SampleRate is 1/p: one key is sampled from each block of SampleRate
-	// records. Default 16.
+	// records. Read by the sampled routes (probing and counting); the
+	// dovetail route draws no pipeline sample. Default 16.
 	SampleRate int
 	// Delta is the heavy-key threshold δ: a key representing at least
 	// Delta·SampleRate records in the sample's estimate is heavy (at the
 	// uniform one-shot density that is exactly Delta sample occurrences).
-	// Default 16.
+	// Read by the sampled routes; the dovetail kernel applies its own
+	// per-node threshold. Default 16.
 	Delta int
 	// OneShotSampling restores the paper's single-round stratified sample
 	// (one key per SampleRate-record block) instead of the adaptive
@@ -118,9 +125,10 @@ type Config struct {
 	// MaxLightBuckets caps the number of hash-range slices for light keys.
 	// The effective count adapts downward for small inputs. Default 2^16.
 	MaxLightBuckets int
-	// C is the constant c in the f(s) estimate. Every route's adaptive
-	// sampling loop reads it (its convergence target); only the probing
-	// route also sizes slots with it. Default 1.25.
+	// C is the constant c in the f(s) estimate. The sampled routes'
+	// adaptive sampling loop reads it (its convergence target); only the
+	// probing route also sizes slots with it, and the dovetail route
+	// ignores it. Default 1.25.
 	C float64
 	// Slack multiplies f(s) when the probing route sizes its bucket slot
 	// arrays, and its retry ladder doubles it on a resample. Read by the
@@ -140,11 +148,10 @@ type Config struct {
 	// probes parameterize the probing placement, so combining them with
 	// the counting scatter would be meaningless.
 	Probe ProbeKind
-	// ScatterStrategy selects the Phase 3 placement: the paper's CAS +
-	// probing scatter, the deterministic two-pass counting scatter, or
-	// (the default) the deterministic planner's per-attempt choice
-	// between counting and the dovetail route, driven by the sample's
-	// heavy fraction.
+	// ScatterStrategy selects the route: the paper's CAS + probing
+	// scatter, the deterministic two-pass counting scatter, or (the
+	// default) the deterministic planner, which sends a plain semisort to
+	// the dovetail radix kernel and a fused reduce to counting.
 	ScatterStrategy ScatterStrategy
 	// MaxRetries bounds the probing route's Las Vegas attempts after
 	// bucket overflow. The retry policy is adaptive: the first restarts
@@ -248,25 +255,33 @@ type Stats struct {
 	N int // number of input records
 	// SampleSize is |S|: the total keys kept across every sampling round
 	// of the winning attempt (cumulative — the pilot plus all top-ups).
-	// Under OneShotSampling it is exactly N/SampleRate, as before.
+	// Under OneShotSampling it is exactly N/SampleRate, as before. Zero
+	// on the dovetail route, which draws no pipeline sample.
 	SampleSize int
 	// SampleRounds is the number of sampling rounds the winning attempt
-	// executed: 1 for a one-shot sample, an adaptive run that converged at
-	// the pilot, or a call routed to dovetail at the pilot because the
-	// pilot held no heavy key; up to SampleMaxRounds otherwise.
+	// executed: 1 for a one-shot sample or an adaptive run that converged
+	// at the pilot, up to SampleMaxRounds otherwise, and 0 on the dovetail
+	// route.
 	SampleRounds int
-	HeavyKeys    int // distinct heavy keys
-	LightBuckets int // light buckets after merging
+	// HeavyKeys is the number of distinct heavy keys: the sample's on the
+	// probing and counting routes, and on the dovetail route the keys the
+	// kernel's nodes pulled out of their distribution passes
+	// (PlannerRoutes.HeavyKeysDovetailed).
+	HeavyKeys int
+	// LightBuckets is the number of light buckets after merging; zero on
+	// the dovetail route, which builds no buckets.
+	LightBuckets int
 	// SlotsAllocated is the total bucket-array slot count the winning
 	// attempt allocated. On the probing path it is ≈ Σ slack·f(s) over
 	// the buckets (light-only under a fused reduce, which gives heavy
-	// buckets no slots); the counting path writes packed output directly
-	// and reports exactly N.
+	// buckets no slots); the counting and dovetail paths write the output
+	// directly and report exactly N.
 	SlotsAllocated int
 	// HeavyRecords counts records routed through the heavy path: placed
-	// in heavy-bucket slots on a plain semisort, folded into per-worker
-	// accumulator cells (or, for a counting Histogram, counted by pass 1
-	// and skipped) on a fused reduce.
+	// in heavy-bucket slots on a plain probing or counting semisort,
+	// placed in a kernel node's heavy bins on the dovetail route, folded
+	// into per-worker accumulator cells (or, for a counting Histogram,
+	// counted by pass 1 and skipped) on a fused reduce.
 	HeavyRecords int
 	// EffectiveSlack is the probing route's slack for the attempt that
 	// produced the output (doubled per resample). The other routes read
@@ -297,16 +312,17 @@ type Stats struct {
 	// on the counting and dovetail routes, which do not probe.
 	MaxProbeCluster int
 
-	// ScatterStrategy names the Phase 3 placement the last attempt used:
-	// "probing", "counting" or "dovetail". ScatterAuto (and its alias
-	// ScatterDovetail) resolves per attempt, from that attempt's sample:
-	// counting under heavy duplication or on a fused reduce, dovetail
-	// otherwise; only an explicit ScatterProbing reports "probing".
-	// Empty only when no attempt reached Phase 2.
+	// ScatterStrategy names the route the last attempt took: "probing",
+	// "counting" or "dovetail". ScatterAuto (and its alias
+	// ScatterDovetail) resolves before Phase 1, from the call alone:
+	// counting on a fused reduce, dovetail on a plain semisort; only an
+	// explicit ScatterProbing (or a non-linear Probe) reports "probing".
+	// Empty only on an empty input.
 	ScatterStrategy string
 	// PlannerRoutes breaks down the skew-adaptive planner's routing
-	// decisions for the attempt that produced the output. Zero when no
-	// attempt reached Phase 2 or the output came from the fallback.
+	// decisions for the attempt that produced the output. Zero on an
+	// empty input; after a fallback it holds what the failed attempt
+	// recorded.
 	PlannerRoutes PlannerRoutes
 	// ScatterFlushes counts the staging-buffer flushes the counting
 	// scatter performed (full cache-line flushes plus end-of-block
@@ -354,24 +370,24 @@ type Stats struct {
 
 // PlannerRoutes reports where the skew-adaptive planner sent the records
 // of one attempt. Probing and counting placements are one top-level
-// decision over the whole input; a dovetail placement keeps deciding
-// per recursion node, and its counts accumulate here after Phase 4. A
-// sweep across duplication levels watches these flip from
-// radix-dominant (RadixNodes high, ScatterNodes zero) on near-unique
-// inputs to scatter-dominant (ScatterNodes set, RadixNodes zero) on
-// heavily duplicated ones; see docs/OBSERVABILITY.md.
+// decision over the whole input; the dovetail route keeps deciding per
+// recursion node, and its counts land here after the kernel returns. A
+// sweep across duplication levels on the dovetail route watches these
+// flip from pure radix (RadixNodes high, HeavyKeysDovetailed zero) on
+// near-unique inputs to dovetail nodes (DovetailNodes and
+// HeavyKeysDovetailed set) on heavily duplicated ones; see
+// docs/OBSERVABILITY.md.
 type PlannerRoutes struct {
 	// ScatterNodes is 1 when the top level routed to the probing or
-	// counting scatter — including a planner run whose sample was
-	// duplicate-heavy enough, or whose call was a fused reduce, to
-	// resolve to counting — and 0 when the dovetail radix path ran.
+	// counting scatter — an explicit request, or a fused reduce under the
+	// planner — and 0 when the dovetail radix kernel ran.
 	ScatterNodes int
 	// RadixNodes counts dovetail recursion nodes whose sample found no
-	// heavy key, so they ran a plain MSD radix distribution pass.
+	// heavy key, so they ran a plain MSD radix distribution pass, plus
+	// one for the top-level hand-off of the whole input to the kernel.
 	RadixNodes int64
 	// DovetailNodes counts dovetail recursion nodes that pulled heavy
-	// keys out of their distribution pass, plus the pipeline's top-level
-	// heavy/light split when the sample produced heavy buckets.
+	// keys out of their distribution pass.
 	DovetailNodes int64
 	// HeavyKeysDovetailed totals the heavy keys those nodes placed.
 	HeavyKeysDovetailed int64
@@ -387,15 +403,6 @@ var ErrOverflow = errors.New("semisort: bucket overflow")
 // Config.MaxSlotBytes; SemisortWS reacts by degrading to the fallback.
 var errSlotCap = errors.New("semisort: slot memory cap exceeded")
 
-// autoHeavySampleFrac is the planner's decision threshold: when at
-// least this fraction of the estimated record mass fell in heavy runs,
-// the counting scatter beats the dovetail route, whose radix recursion
-// would rediscover the same few heavy keys at every node. (Under a
-// uniform one-shot sample the mass ratio is the heavy-sample fraction.)
-// Exponential λ=n/10^3 (~70% heavy) and Zipf M=10^4 (~2/3 heavy)
-// resolve to counting; uniform N=n (no heavy keys) to dovetail.
-const autoHeavySampleFrac = 0.5
-
 // probingRoute reports whether the call takes the paper's probing
 // scatter: an explicit ScatterProbing, or a non-linear Probe, which
 // parameterizes the probing placement and forces it. It is known before
@@ -406,20 +413,19 @@ func probingRoute(c *Config) bool {
 	return c.Probe != ProbeLinear || c.ScatterStrategy == ScatterProbing
 }
 
-// resolveScatter picks the Phase 3 placement for one attempt — the
-// planner's top-level route. Probing (probingRoute) and an explicit
-// ScatterCounting are honored. Everything else (ScatterAuto, or its
-// alias ScatterDovetail) is the deterministic planner: a duplicate-heavy
-// sample, or a fused reduce (whose counting pass 2 folds records as it
-// stores them), goes to the counting scatter, and a light-dominated
-// plain semisort — including an empty sample, which predicts nothing —
-// to the dovetail route.
-func resolveScatter(c *Config, heavyMass, totalMass float64, fused bool) ScatterStrategy {
-	if probingRoute(c) {
+// resolveScatter is the planner's top-level route, a function of the
+// Config and the call kind only, so it is known before Phase 1. Probing
+// (probingRoute) and an explicit ScatterCounting are honored. A fused
+// reduce goes to the counting scatter, whose pass 2 folds records as it
+// stores them. Every other call — a plain ScatterAuto or ScatterDovetail
+// semisort — goes to the dovetail route: the radix kernel finds heavy
+// keys per node, in its own distribution passes, for less than a
+// pipeline-level sample and heavy split in front of it would cost.
+func resolveScatter(c *Config, fused bool) ScatterStrategy {
+	switch {
+	case probingRoute(c):
 		return ScatterProbing
-	}
-	if c.ScatterStrategy == ScatterCounting || fused ||
-		(totalMass > 0 && heavyMass >= autoHeavySampleFrac*totalMass) {
+	case fused || c.ScatterStrategy == ScatterCounting:
 		return ScatterCounting
 	}
 	return ScatterDovetail

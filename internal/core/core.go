@@ -17,29 +17,36 @@
 //     record heavy keys in a phase-concurrent hash table. Adjacent light
 //     buckets with fewer than Delta samples are merged (the ~10% memory
 //     optimization of Phase 2).
-//  3. Scattering (scatter_probing.go, scatter_counting.go,
-//     scatter_dovetail.go): the paper's placement (ScatterProbing) writes
-//     every record to a pseudo-random slot of its bucket, claiming slots
-//     with compare-and-swap and linear probing on collision. The default
-//     planner is deterministic instead: a duplicate-heavy sample or a
-//     fused reduce takes a two-pass counting scatter that computes exact
-//     per-bucket offsets and needs no atomics; anything else splits the
-//     sampled heavy keys into packed front groups with one counting pass
-//     and hands the light remainder to a top-down MSD radix recursion
-//     that keeps re-deciding per node (the dovetail route).
+//  3. Scattering (scatter_probing.go, scatter_counting.go): the paper's
+//     placement (ScatterProbing) writes every record to a pseudo-random
+//     slot of its bucket, claiming slots with compare-and-swap and linear
+//     probing on collision. ScatterCounting is deterministic instead: a
+//     two-pass counting scatter that computes exact per-bucket offsets
+//     and needs no atomics.
 //  4. Local sort (localsort.go): compact each light bucket and group it
 //     locally with the introsort hybrid (the paper's std::sort choice)
-//     over size-aware bucket ranges; the dovetail route runs its MSD
-//     radix recursion over the light region instead, and a fused reduce
-//     folds each bucket in a naming table (reduce.go).
+//     over size-aware bucket ranges; a fused reduce folds each bucket in
+//     a naming table (reduce.go).
 //  5. Packing (pack.go): compact the heavy region with the interval
 //     technique (Section 4, Phase 5) and copy the already-compact light
 //     buckets, all into one contiguous output array.
 //
+// The default planner (ScatterAuto) decides the route from the call
+// alone, before Phase 1 (resolveScatter). A fused reduce runs the five
+// phases above with the counting scatter. A plain semisort skips Phases
+// 1–3 (and the pack): its Phase 4 is one call of the DovetailSort radix
+// kernel over the whole input (scatter_dovetail.go), a top-down MSD
+// recursion that
+// samples every large node and pulls that node's heavy keys out of its
+// own distribution pass (arXiv 2401.00710), so heavy keys are found where
+// they are, per node, rather than by a pipeline-level sample. Both
+// default routes are deterministic, and default output is byte-identical
+// across Procs.
+//
 // The per-attempt state threading the stages together is the plan
 // (plan.go); every buffer the stages touch is owned by the Workspace
 // (workspace.go), so a warm workspace executes the whole pipeline without
-// allocating. The three Phase 3 placements implement one scatterStage
+// allocating. The two Phase 3 placements implement one scatterStage
 // contract; each sizes its own scratch at the end of Phase 2 and
 // determines how Phases 4 and 5 traverse its layout.
 //

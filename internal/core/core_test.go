@@ -107,9 +107,10 @@ func TestSemisortDistributionShapes(t *testing.T) {
 func TestSemisortHeavyClassification(t *testing.T) {
 	// With 10 distinct keys over 100k records each key has ~10k copies,
 	// guaranteeing sample counts far above delta: all records must take
-	// the heavy path.
+	// the heavy path. Pinned to counting, a route that runs the Phase 2
+	// classification (the planner's dovetail route has none).
 	a := mkRecords(100000, 10, 3)
-	_, stats, err := Semisort(a, &Config{Procs: 4})
+	_, stats, err := Semisort(a, &Config{Procs: 4, ScatterStrategy: ScatterCounting})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestSemisortEmptySentinelKey(t *testing.T) {
 				a[i] = rec.Record{Key: uint64(i), Value: uint64(i)}
 			}
 		}
-		out, stats, err := Semisort(a, &Config{Procs: 4})
+		out, stats, err := Semisort(a, &Config{Procs: 4, ScatterStrategy: ScatterCounting})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +308,9 @@ func TestSemisortCustomParameters(t *testing.T) {
 
 func TestSemisortPhaseTimesPopulated(t *testing.T) {
 	a := mkRecords(100000, 100, 18)
-	_, stats, err := Semisort(a, nil)
+	// The sampled pipeline times its scatter; the planner's default, the
+	// dovetail route, is one kernel call timed as the local sort.
+	_, stats, err := Semisort(a, &Config{ScatterStrategy: ScatterCounting})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,6 +320,13 @@ func TestSemisortPhaseTimesPopulated(t *testing.T) {
 	}
 	if p.Scatter <= 0 {
 		t.Error("scatter time not recorded")
+	}
+	_, stats, err = Semisort(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := stats.Phases; p.LocalSort <= 0 || p.SampleSort != 0 || p.Scatter != 0 {
+		t.Errorf("dovetail route phases %+v, want only the local sort (and allocation) timed", p)
 	}
 }
 

@@ -89,11 +89,10 @@ func TestDifferentialStrategies(t *testing.T) {
 				case stats.FallbackUsed:
 					// A fallback run reports the failing attempts' strategy.
 				case strat == ScatterAuto || strat == ScatterDovetail:
-					// The planner may route a duplicate-heavy sample to
-					// the counting scatter — that is the point — but
-					// never to probing.
-					if stats.ScatterStrategy != "dovetail" && stats.ScatterStrategy != "counting" {
-						t.Errorf("%s: Stats.ScatterStrategy = %q, want dovetail or counting",
+					// The planner sends every plain semisort to the
+					// dovetail route, whatever the duplication.
+					if stats.ScatterStrategy != "dovetail" {
+						t.Errorf("%s: Stats.ScatterStrategy = %q, want dovetail",
 							label, stats.ScatterStrategy)
 					}
 				case stats.ScatterStrategy != strat.String():
@@ -110,7 +109,8 @@ func TestDifferentialStrategies(t *testing.T) {
 // run (round cap 1), the default estimator, and an unreachable tolerance
 // that forces the round cap. Every combination must agree with the
 // sequential reference, and the reported round count must respect its
-// configuration.
+// configuration. It pins ScatterCounting: a plain semisort under the
+// planner takes the dovetail route, which draws no sample.
 func TestDifferentialAdaptiveSampling(t *testing.T) {
 	const n = 20000
 	sampling := []struct {
@@ -130,6 +130,7 @@ func TestDifferentialAdaptiveSampling(t *testing.T) {
 				cfg := sc.cfg
 				cfg.Procs = procs
 				cfg.Seed = 5
+				cfg.ScatterStrategy = ScatterCounting
 				out, stats, err := Semisort(d.data, &cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -154,9 +155,9 @@ func TestDifferentialAdaptiveSampling(t *testing.T) {
 }
 
 // TestCountingDeterministic: the counting scatter's and the dovetail
-// hybrid's output must be byte-identical across worker counts and
-// repeated runs — the split's per-bucket order equals input order
-// regardless of block boundaries, and the radix recursion is
+// route's output must be byte-identical across worker counts and
+// repeated runs — the counting scatter's per-bucket order equals input
+// order regardless of block boundaries, and the radix kernel is
 // deterministic by construction.
 func TestCountingDeterministic(t *testing.T) {
 	for _, strat := range []ScatterStrategy{ScatterCounting, ScatterDovetail} {

@@ -1,9 +1,8 @@
 // The sizeModel is the estimator contract between the sampling phase and
 // every downstream consumer of sample-derived size information: light
 // bucket merging (buckets.go), the probing scatter's f(s) slot sizes
-// (scatter_probing.go, the only sizing consumer), heavy/light
-// classification thresholds (classify.go), and the skew-adaptive
-// planner's heavy-mass signal (plan.planScatter). Before this contract,
+// (scatter_probing.go, the only sizing consumer) and heavy/light
+// classification thresholds (classify.go). Before this contract,
 // those call sites each assumed the one uniform sample rate; the adaptive
 // sampling loop (sample.go) produces per-hash-range densities, and the
 // model is the single place that turns a (sample count, hash range) pair

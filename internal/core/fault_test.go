@@ -135,23 +135,37 @@ func TestSlotCapFallsBack(t *testing.T) {
 	}
 }
 
+// The sampled pipeline (counting here) has five phase gates; the
+// planner's dovetail route is one kernel call behind a single gate, at
+// the local sort. A cancellation fired at any of them must abort the
+// call with context.Canceled.
 func TestCancellationAtEveryPhaseBoundary(t *testing.T) {
 	base := runtime.NumGoroutine()
-	phases := []string{"sampling", "bucket construction", "scatter", "local sort", "pack"}
 	a := mkRecords(30000, 100, 17)
-	for k, name := range phases {
-		ctx, cancel := context.WithCancel(context.Background())
-		inj := fault.New(1).Arm(fault.PhaseBoundary, k, 1)
-		inj.OnFire(fault.PhaseBoundary, cancel)
-		fault.Enable(inj)
-		out, _, err := Semisort(a, &Config{Procs: 2, Context: ctx})
-		fault.Disable()
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancel at gate %d (%s): err = %v, want context.Canceled", k, name, err)
-		}
-		if out != nil {
-			t.Errorf("cancel at gate %d (%s): output non-nil", k, name)
+	for _, route := range []struct {
+		strat  ScatterStrategy
+		phases []string
+	}{
+		{ScatterCounting, []string{"sampling", "bucket construction", "scatter", "local sort", "pack"}},
+		{ScatterAuto, []string{"local sort"}},
+	} {
+		for k, name := range route.phases {
+			ctx, cancel := context.WithCancel(context.Background())
+			inj := fault.New(1).Arm(fault.PhaseBoundary, k, 1)
+			inj.OnFire(fault.PhaseBoundary, cancel)
+			fault.Enable(inj)
+			out, _, err := Semisort(a, &Config{Procs: 2, Context: ctx, ScatterStrategy: route.strat})
+			fault.Disable()
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%v: cancel at gate %d (%s): err = %v, want context.Canceled", route.strat, k, name, err)
+			}
+			if out != nil {
+				t.Errorf("%v: cancel at gate %d (%s): output non-nil", route.strat, k, name)
+			}
+			if fired := inj.Fired(fault.PhaseBoundary); fired != 1 {
+				t.Errorf("%v: gate %d fired %d times, want 1", route.strat, k, fired)
+			}
 		}
 	}
 	checkNoLeak(t, base)
@@ -159,7 +173,9 @@ func TestCancellationAtEveryPhaseBoundary(t *testing.T) {
 
 func TestInjectedWorkerPanicSurfacesAsError(t *testing.T) {
 	base := runtime.NumGoroutine()
-	a := mkRecords(30000, 100, 19)
+	// At least 2^15 records, so the default route's kernel runs its
+	// passes on the parallel runtime, where the panic is injected.
+	a := mkRecords(1<<16, 100, 19)
 	withInjector(t, fault.New(1).Arm(fault.WorkerPanic, 0, 1))
 	out, _, err := Semisort(a, &Config{Procs: 2})
 	if err == nil {
@@ -446,8 +462,8 @@ func TestDovetailCancellationMidRecursion(t *testing.T) {
 	checkNoLeak(t, base)
 }
 
-// A worker panic inside a dovetail run (the split's counting passes or
-// the recursion's fork–join) must surface as a wrapped PanicError with
+// A worker panic inside a dovetail run (a parallel pass of the radix
+// kernel or its fork–join over children) must surface as a wrapped PanicError with
 // no output and no leaked goroutines, exactly like the other paths.
 func TestDovetailWorkerPanic(t *testing.T) {
 	for _, first := range []int{0, 2} {
@@ -470,8 +486,8 @@ func TestDovetailWorkerPanic(t *testing.T) {
 	}
 }
 
-// The scratch cap prices the dovetail split's histograms plus the radix
-// scratch; an unmeetable MaxSlotBytes aborts before allocation and
+// The scratch cap prices the radix kernel's n-record scratch; an
+// unmeetable MaxSlotBytes aborts before allocation and
 // degrades to the fallback in a single attempt.
 func TestDovetailSlotCapFallsBack(t *testing.T) {
 	a := mkRecords(30000, 0, 13)

@@ -1,8 +1,8 @@
 // Phase 4 — local sort (paper Section 4, Phase 4): semisort each light
 // bucket locally. The phase orchestrator delegates the traversal to the
 // scatter stage (the probing stage compacts slot ranges first; the
-// counting stage works in place in the output; the dovetail stage runs
-// its radix recursion over the whole light region instead).
+// counting stage works in place in the output). The dovetail route has
+// no buckets: its whole call is the radix kernel (scatter_dovetail.go).
 //
 // On the probing and counting routes every light bucket is grouped by
 // the introsort hybrid (sortcmp.Introsort) — the paper's final choice,
@@ -34,11 +34,6 @@ func (pl *plan) localSortPhase(st scatterStage) error {
 		return err
 	}
 	ph, kernel := obsv.PhaseLocalSort, "hybrid"
-	if pl.strat == ScatterDovetail {
-		// The dovetail route's Phase 4 is the radix recursion over the
-		// light region.
-		kernel = "radix"
-	}
 	if pl.red != nil {
 		ph, kernel = obsv.PhaseReduce, "reduce"
 	}

@@ -28,9 +28,8 @@ func TestScatterBlockRounds(t *testing.T) {
 				t.Fatalf("%v procs=%d: invalid output", spec, procs)
 			}
 			// Heavy classification must agree with the counting scatter,
-			// which, like the probing rounds, always runs the full sampling
-			// loop (the default planner stops at the pilot round when the
-			// pilot holds no heavy key).
+			// which, like the probing rounds, runs the full sampling loop
+			// (the default planner's dovetail route draws no sample).
 			_, ref, err := Semisort(a, &Config{Procs: procs, Seed: 7, ScatterStrategy: ScatterCounting})
 			if err != nil {
 				t.Fatal(err)

@@ -49,70 +49,149 @@ var cleanPhases = []obsv.Phase{
 	obsv.PhaseScatter, obsv.PhaseLocalSort, obsv.PhasePack,
 }
 
-// A clean run traces exactly one attempt: kind "fresh", all six phases in
-// paper order with outcome ok, and scheduler counters flowing into
-// Stats.Sched.
+// dovetailPhases is the planner's kernel route: the output and scratch
+// binding, then the one kernel call.
+var dovetailPhases = []obsv.Phase{obsv.PhaseAllocate, obsv.PhaseLocalSort}
+
+// A clean run traces exactly one attempt of kind "fresh" with every
+// span ok and in start order, and scheduler counters flowing into
+// Stats.Sched. The sampled pipeline (counting here) traces all six
+// phases in paper order, with one nested span per sampling round; the
+// planner's default, the dovetail route, traces the kernel route's two.
+// The input is large enough (2^16 records at Procs 4) that the kernel
+// runs its passes on the parallel runtime.
 func TestObserverCleanRunTrace(t *testing.T) {
-	a := mkRecords(30000, 100, 3)
+	a := mkRecords(1<<16, 100, 3)
+	for _, route := range []struct {
+		strat  ScatterStrategy
+		phases []obsv.Phase
+	}{
+		{ScatterCounting, cleanPhases},
+		{ScatterAuto, dovetailPhases},
+	} {
+		var col obsv.Collector
+		out, stats, err := Semisort(a, &Config{Procs: 4, Observer: &col, ScatterStrategy: route.strat})
+		if err != nil {
+			t.Fatalf("%v: semisort: %v", route.strat, err)
+		}
+		checkSemisorted(t, "observed clean run", a, out)
+
+		atts := col.Attempts()
+		if len(atts) != 1 || atts[0].Kind != obsv.AttemptFresh || atts[0].Index != 0 {
+			t.Fatalf("%v: attempts = %+v, want one fresh attempt 0", route.strat, atts)
+		}
+		if atts[0].Slack <= 1 {
+			t.Errorf("%v: AttemptStart.Slack = %v, want the configured slack > 1", route.strat, atts[0].Slack)
+		}
+		ends := col.Ends()
+		if len(ends) != 1 || ends[0].Outcome != obsv.OutcomeOK {
+			t.Fatalf("%v: attempt ends = %+v, want one ok end", route.strat, ends)
+		}
+
+		spans := col.Spans()
+		wantPhases(t, phasesOf(spans, 0), route.phases, 0)
+		var prev time.Duration = -1
+		for _, s := range spans {
+			if s.Outcome != obsv.OutcomeOK {
+				t.Errorf("%v: span %v outcome %q, want ok", route.strat, s.Phase, s.Outcome)
+			}
+			if s.Phase == obsv.PhaseSampleRound {
+				// Round spans nest inside the sample span: they close (and
+				// are emitted) before it, so they sit outside the
+				// top-level start-monotonicity chain.
+				continue
+			}
+			if s.Start < prev {
+				t.Errorf("%v: span %v starts at %v, before previous span's start %v", route.strat, s.Phase, s.Start, prev)
+			}
+			prev = s.Start
+			if s.Duration < 0 {
+				t.Errorf("%v: span %v has negative duration %v", route.strat, s.Phase, s.Duration)
+			}
+		}
+
+		// The adaptive estimator traces one nested span per sampling
+		// round, each naming the hash-range count it drew from, and the
+		// count matches Stats.SampleRounds (zero on the dovetail route).
+		rounds := roundSpansOf(spans, 0)
+		if len(rounds) != stats.SampleRounds || (route.strat == ScatterCounting) != (len(rounds) > 0) {
+			t.Fatalf("%v: sampling-round spans = %d, Stats.SampleRounds = %d",
+				route.strat, len(rounds), stats.SampleRounds)
+		}
+		for i, r := range rounds {
+			if r.Ranges <= 0 {
+				t.Errorf("%v: round %d span Ranges = %d, want > 0", route.strat, i, r.Ranges)
+			}
+		}
+
+		// An Observer turns on the scheduler counters; a 4-worker run
+		// over 2^16 records must claim chunks from the flat runtime's
+		// cursor.
+		if stats.Sched.ChunksClaimed == 0 {
+			t.Errorf("%v: Stats.Sched.ChunksClaimed = 0, want > 0: %+v", route.strat, stats.Sched)
+		}
+	}
+}
+
+// On the dovetail route the call's statistics are the radix kernel's:
+// no pipeline sample and no buckets, the heavy keys and records its
+// nodes pulled out of their distribution passes, and PlannerRoutes
+// counting its nodes plus the top-level hand-off. The localsort span
+// names the "radix" kernel, and the MaxSlotBytes cap on its scratch
+// ends the allocate span with outcome "cap" before the fallback.
+func TestObserverDovetailRouteStats(t *testing.T) {
+	const n = 1 << 16
+	for _, tc := range []struct {
+		name     string
+		keyRange uint64
+		heavy    bool
+	}{{"unique", 0, false}, {"keys10", 10, true}, {"keys100", 100, true}} {
+		a := mkRecords(n, tc.keyRange, 5)
+		var col obsv.Collector
+		out, stats, err := Semisort(a, &Config{Procs: 2, Observer: &col})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		checkSemisorted(t, tc.name, a, out)
+		r := stats.PlannerRoutes
+		if stats.ScatterStrategy != "dovetail" || stats.SampleSize != 0 || stats.SampleRounds != 0 ||
+			stats.LightBuckets != 0 || stats.SlotsAllocated != n || r.ScatterNodes != 0 || r.RadixNodes < 1 {
+			t.Errorf("%s: stats %+v, want the dovetail route with no sample or buckets", tc.name, stats)
+		}
+		if int64(stats.HeavyKeys) != r.HeavyKeysDovetailed || (stats.HeavyKeys > 0) != (r.DovetailNodes > 0) {
+			t.Errorf("%s: HeavyKeys = %d, routes %+v", tc.name, stats.HeavyKeys, r)
+		}
+		if tc.heavy != (stats.HeavyRecords > 0) || stats.HeavyRecords > n ||
+			(stats.HeavyRecords > 0) != (stats.HeavyKeys > 0) {
+			t.Errorf("%s: %d heavy records for %d heavy keys", tc.name, stats.HeavyRecords, stats.HeavyKeys)
+		}
+		if tc.keyRange == 10 && stats.HeavyRecords != n {
+			// Ten keys of ~6500 records each: every one is heavy in the
+			// node that holds it.
+			t.Errorf("%s: HeavyRecords = %d, want all %d", tc.name, stats.HeavyRecords, n)
+		}
+		for _, s := range col.Spans() {
+			if s.Phase == obsv.PhaseLocalSort && s.Kernel != "radix" {
+				t.Errorf("%s: localsort span kernel %q, want radix", tc.name, s.Kernel)
+			}
+		}
+	}
+
+	a := mkRecords(n, 0, 7)
 	var col obsv.Collector
-	out, stats, err := Semisort(a, &Config{Procs: 4, Observer: &col})
+	out, stats, err := Semisort(a, &Config{Procs: 2, Observer: &col, MaxSlotBytes: n * 8})
 	if err != nil {
-		t.Fatalf("semisort: %v", err)
+		t.Fatal(err)
 	}
-	checkSemisorted(t, "observed clean run", a, out)
-
-	atts := col.Attempts()
-	if len(atts) != 1 || atts[0].Kind != obsv.AttemptFresh || atts[0].Index != 0 {
-		t.Fatalf("attempts = %+v, want one fresh attempt 0", atts)
+	checkSemisorted(t, "capped", a, out)
+	if !stats.FallbackUsed || stats.Attempts != 1 {
+		t.Fatalf("capped dovetail call: FallbackUsed %v in %d attempts, want the fallback after 1",
+			stats.FallbackUsed, stats.Attempts)
 	}
-	if atts[0].Slack <= 1 {
-		t.Errorf("AttemptStart.Slack = %v, want the configured slack > 1", atts[0].Slack)
-	}
-	ends := col.Ends()
-	if len(ends) != 1 || ends[0].Outcome != obsv.OutcomeOK {
-		t.Fatalf("attempt ends = %+v, want one ok end", ends)
-	}
-
 	spans := col.Spans()
-	wantPhases(t, phasesOf(spans, 0), cleanPhases, 0)
-	var prev time.Duration = -1
-	for _, s := range spans {
-		if s.Outcome != obsv.OutcomeOK {
-			t.Errorf("span %v outcome %q, want ok", s.Phase, s.Outcome)
-		}
-		if s.Phase == obsv.PhaseSampleRound {
-			// Round spans nest inside the sample span: they close (and are
-			// emitted) before it, so they sit outside the top-level
-			// start-monotonicity chain.
-			continue
-		}
-		if s.Start < prev {
-			t.Errorf("span %v starts at %v, before previous span's start %v", s.Phase, s.Start, prev)
-		}
-		prev = s.Start
-		if s.Duration < 0 {
-			t.Errorf("span %v has negative duration %v", s.Phase, s.Duration)
-		}
-	}
-
-	// The adaptive estimator traces one nested span per sampling round,
-	// each naming the hash-range count it drew from, and the count matches
-	// Stats.SampleRounds.
-	rounds := roundSpansOf(spans, 0)
-	if len(rounds) != stats.SampleRounds || len(rounds) == 0 {
-		t.Fatalf("sampling-round spans = %d, want Stats.SampleRounds = %d > 0",
-			len(rounds), stats.SampleRounds)
-	}
-	for i, r := range rounds {
-		if r.Ranges <= 0 {
-			t.Errorf("round %d span Ranges = %d, want > 0", i, r.Ranges)
-		}
-	}
-
-	// An Observer turns on the scheduler counters; a 4-worker run over
-	// 30k records must claim chunks from the flat runtime's cursor.
-	if stats.Sched.ChunksClaimed == 0 {
-		t.Errorf("Stats.Sched.ChunksClaimed = 0, want > 0: %+v", stats.Sched)
+	wantPhases(t, phasesOf(spans, 0), []obsv.Phase{obsv.PhaseAllocate}, 0)
+	if spans[0].Outcome != obsv.OutcomeCap {
+		t.Errorf("capped allocate span outcome %q, want cap", spans[0].Outcome)
 	}
 }
 

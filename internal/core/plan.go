@@ -1,7 +1,8 @@
 // The plan is the heart of the pipeline refactor: one struct carrying an
 // attempt's resolved parameters and buffer views through the six phase
 // stages (sample.go, classify.go, buckets.go, scatter_probing.go /
-// scatter_counting.go, pack.go). It lives inside the Workspace so the
+// scatter_counting.go, pack.go), or through the dovetail route's single
+// kernel call (scatter_dovetail.go). It lives inside the Workspace so the
 // steady state allocates neither the plan nor its buffers, and every
 // phase body is a method on it, so parallel-for bodies can be passed as
 // method expressions (compile-time constants) instead of closures — the
@@ -46,29 +47,22 @@ type scatterStage interface {
 	pack(pl *plan) error
 }
 
-// stageFor maps a resolved strategy to its stage implementation.
+// stageFor maps a sampled route to its stage implementation.
 func stageFor(s ScatterStrategy) scatterStage {
-	switch s {
-	case ScatterCounting:
+	if s == ScatterCounting {
 		return countingStage{}
-	case ScatterDovetail:
-		return dovetailStage{}
 	}
 	return probingStage{}
 }
 
-// planScatter is the skew-adaptive planner's top-level decision: it
-// consumes the Phase 1 estimator — the heavy record mass the classify
-// pass accumulated against the estimated total mass — and routes the
-// attempt to a Phase 3 placement, recording the choice in Stats. (Under
-// a uniform one-shot sample the mass ratio collapses to the historical
-// heavy-sample fraction; adaptive densities sharpen it, because heavy
-// ranges' masses are estimated at their own rates.) A probing or
-// counting route decides the whole input at once (one scatter node);
-// on the dovetail route the radix recursion keeps planning per node, and
-// its decisions merge into Stats.PlannerRoutes after Phase 4.
+// planScatter is the planner's top-level decision, made before Phase 1
+// from the call alone (resolveScatter), and recorded in Stats. A probing
+// or counting route runs the sampled pipeline over the whole input (one
+// scatter node); the dovetail route hands the input to the radix kernel,
+// which keeps planning per node, and its decisions land in
+// Stats.PlannerRoutes after the kernel returns.
 func (pl *plan) planScatter() {
-	pl.strat = resolveScatter(&pl.cfg, float64(pl.heavyMass.Load()), pl.massTotal, pl.red != nil)
+	pl.strat = resolveScatter(&pl.cfg, pl.red != nil)
 	pl.stats.ScatterStrategy = pl.strat.String()
 	if pl.strat != ScatterDovetail {
 		pl.stats.PlannerRoutes.ScatterNodes = 1
@@ -101,10 +95,9 @@ type plan struct {
 
 	// Phase 1 products: the cumulative sorted sample, the estimator the
 	// adaptive loop built over it, and the loop's own state (sample.go).
-	ns        int // total keys kept across rounds
-	sample    []uint64
-	model     sizeModel
-	massTotal float64 // estimator's record-mass total, Σ hist[j]·rate[j]
+	ns     int // total keys kept across rounds
+	sample []uint64
+	model  sizeModel
 	// Adaptive-loop state: per-range histogram/density/selection views
 	// plus the in-flight round's geometry.
 	smplHist     []int32
@@ -117,10 +110,6 @@ type plan struct {
 	smplNBlk     int
 	smplGrain    int
 	smplSelCount int
-	// pilotRouted is set when the planner routed the attempt to the
-	// dovetail route at the pilot round (pilotRoute): Phase 1 ended
-	// there, and its classification stands.
-	pilotRouted bool
 
 	// Phase 2 products.
 	bucketsT0 time.Time // classify+allocate share the Buckets phase clock
@@ -138,10 +127,6 @@ type plan struct {
 	heavyRuns   []heavyRun
 	numHeavy    int
 	lightCounts []int32
-	// heavyMass accumulates the estimated records under heavy runs (an
-	// integer sum of per-run rounded masses, so it is grain-independent);
-	// the planner compares it against massTotal.
-	heavyMass atomic.Int64
 	// Bucket construction: ids 0..firstLight-1 are heavy, the next
 	// numLightMerged light.
 	strat          ScatterStrategy
@@ -159,9 +144,7 @@ type plan struct {
 
 	// Phase 3 state.
 	out []rec.Record
-	// Counting scatter (shared by the dovetail split, which runs the
-	// same two-pass machinery over cbins = firstLight+1 bins instead of
-	// one bin per bucket).
+	// Counting scatter.
 	cplan       countingPlan
 	cbins       int // histogram width of the counting passes
 	hist        []int32
@@ -170,9 +153,8 @@ type plan struct {
 	bidCol      []uint32 // pass 1's bucket id per record, read by pass 2
 	flushes     atomic.Int64
 	placedTotal int
-	// Dovetail placement (scatter_dovetail.go).
-	heavyEnd int                   // records in the packed heavy prefix
-	dov      sortint.DovetailStats // radix recursion routing counters
+	// Dovetail route (scatter_dovetail.go): the kernel's routing counters.
+	dov sortint.DovetailStats
 
 	// Phase 4 size-aware schedule (both paths).
 	lsCum    []int64
@@ -220,12 +202,16 @@ func (pl *plan) begin(ws *Workspace, a, dst []rec.Record, c *Config, sampleAttem
 // pins caller memory between calls.
 func (pl *plan) clearRefs() { *pl = plan{} }
 
-// semisortOnce runs one attempt through the six pipeline stages. The
-// attempt's Stats accumulate in pl.stats; the output is pl.out on
-// success.
+// semisortOnce runs one attempt: the dovetail route's single kernel call,
+// or the sampled pipeline's six stages. The attempt's Stats accumulate in
+// pl.stats; the output is pl.out on success.
 func semisortOnce(pl *plan) ([]rec.Record, error) {
 	if pl.n == 0 {
 		return []rec.Record{}, nil
+	}
+	pl.planScatter()
+	if pl.strat == ScatterDovetail {
+		return pl.dovetailRoute()
 	}
 	if err := pl.samplePhase(); err != nil {
 		return nil, err
@@ -324,8 +310,7 @@ func (pl *plan) parForEachNoCtx(n, grain int, f func(*plan, int)) {
 
 // bucketOf resolves a record to its bucket id and whether it took the
 // heavy path. Hot: called once per record in Phase 3 (the counting
-// scatter's pass 2 reads pass 1's bucket-id column instead; the dovetail
-// split still classifies in both passes).
+// scatter's pass 2 reads pass 1's bucket-id column instead).
 //
 // The classifier costs one cache-resident load for almost every record:
 //  1. lightBucketOf doubles as a range filter: ranges containing no

@@ -18,12 +18,9 @@
 // together with the sizeModel (estimator.go) carrying each range's
 // resulting density.
 //
-// Only the probing scatter sizes slots from those densities. So when the
-// planner is free to pick the dovetail route (a plain ScatterAuto or
-// ScatterDovetail semisort with linear probing), it classifies the pilot
-// sample first; if the pilot holds no heavy key, the call goes to the
-// dovetail route and Phase 1 ends after the pilot (pilotRoute). Every
-// other call runs the loop unchanged.
+// Only the sampled routes (probing and counting) run this phase, and
+// only the probing scatter sizes slots from those densities. The dovetail
+// route, the planner's pick for a plain semisort, draws no sample.
 //
 // Determinism: the draw for block b of round r is keyed by the mixed
 // index (r<<42 | b) of the attempt's sampling RNG, the per-round range
@@ -121,11 +118,6 @@ func (pl *plan) sampleBody() error {
 	pl.sample = pl.ws.sample[:0]
 	pl.smplRounds = 0
 
-	// A zero-heavy dovetail call reads nothing of the sample, so a
-	// planner that is free to choose that route asks the pilot first (see
-	// pilotRoute), before any top-up round.
-	pilotDecides := !oneShot && pl.red == nil && !probingRoute(c) &&
-		c.ScatterStrategy != ScatterCounting
 	budget := pl.n / c.SampleRate
 	bs := pilot
 	for round := 0; ; round++ {
@@ -161,60 +153,17 @@ func (pl *plan) sampleBody() error {
 		if !ok {
 			break
 		}
-		if round == 0 && pilotDecides && pl.pilotRoute() {
-			return nil
-		}
 		bs = next
 	}
 
-	// One sort over the cumulative sample; Phase 2 never sees round
-	// structure.
-	pl.sortSample()
-	pl.buildModel(oneShot)
-	return nil
-}
-
-// sortSample sorts the cumulative sample in place, against the
-// workspace's sort scratch.
-func (pl *plan) sortSample() {
+	// One sort over the cumulative sample, against the workspace's sort
+	// scratch; Phase 2 never sees round structure.
 	if pl.ns > 0 {
 		scratch := grow(&pl.ws.sampleScratch, pl.ns)
 		sortint.SortUint64With(pl.procs, pl.sample, scratch)
 	}
-}
-
-// pilotRoute classifies the pilot sample and, when it holds no heavy
-// key, asks the planner for a route. A dovetail answer ends Phase 1 here:
-// the classification stands (classifyPhase does not redo it) and it
-// reports true. Otherwise the loop goes on exactly as if this had not
-// run: the pilot keys stay a prefix of the cumulative sample, which the
-// final sort re-sorts whole, so every other call gets the full loop's
-// sample, heavy set and output, byte for byte.
-//
-// A zero-heavy dovetail call consumes no f(s) slot size and no heavy
-// key: its split is the identity, and the radix kernel reads the input
-// directly. A key the pilot misses — it keeps one record in
-// SamplePilotFactor·SampleRate, so a key of a few hundred records can
-// slip through — is still extracted by the kernel's per-node sampling
-// once it holds about 6% of a node, and is otherwise grouped like any
-// light key; neither affects correctness.
-//
-// A pilot that does flag heavy keys does not decide. At pilot density a
-// key needs only ceil(Delta/SamplePilotFactor) hits, so keys far below
-// Delta·SampleRate records get flagged, and a single flagged key sends
-// the whole input through the two-pass heavy split: on 2^20 records of
-// 8 copies per key, that made the call twice as slow as the full loop,
-// which flags none.
-func (pl *plan) pilotRoute() bool {
-	pl.sortSample()
-	pl.buildModel(false)
-	_ = pl.classifyBody()
-	if pl.numHeavy == 0 && resolveScatter(&pl.cfg, float64(pl.heavyMass.Load()), pl.massTotal, false) == ScatterDovetail {
-		pl.pilotRouted = true
-		return true
-	}
-	pl.heavyMass.Store(0)
-	return false
+	pl.buildModel(oneShot)
+	return nil
 }
 
 // sampleRound draws one round: every complete bs-record block contributes
@@ -449,8 +398,7 @@ func (pl *plan) selectRanges(pilot, budget, roundsLeft int) (int, bool) {
 	return 0, false // even the worst-range-only round busts the budget
 }
 
-// buildModel finalizes the attempt's estimator (see estimator.go) and
-// the total-mass signal for the scatter planner.
+// buildModel finalizes the attempt's estimator (see estimator.go).
 func (pl *plan) buildModel(uniform bool) {
 	c := &pl.cfg
 	m := &pl.model
@@ -463,12 +411,10 @@ func (pl *plan) buildModel(uniform bool) {
 	m.uniform = uniform
 	if uniform {
 		m.rates, m.thr = nil, nil
-		pl.massTotal = float64(pl.ns) * float64(c.SampleRate)
 		return
 	}
 	rates := grow(&pl.ws.smplRate, pl.numLight)
 	thr := grow(&pl.ws.smplThr, pl.numLight)
-	var mass float64
 	for j := range rates {
 		r := float64(c.SampleRate)
 		if d := pl.smplDens[j]; d > 0 {
@@ -484,8 +430,6 @@ func (pl *plan) buildModel(uniform bool) {
 			thr[j] = int32(c.Delta)
 		}
 		rates[j] = r
-		mass += float64(pl.smplHist[j]) * r
 	}
 	m.rates, m.thr = rates, thr
-	pl.massTotal = mass
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/distgen"
 	"repro/internal/fault"
+	"repro/internal/obsv"
 	"repro/internal/rec"
 	"repro/internal/sortint"
 )
@@ -25,7 +26,9 @@ func sameRecords(a, b []rec.Record) bool {
 }
 
 // Adaptive sampling on a skewed input must terminate within the round
-// cap and never spend more sample budget than the one-shot rate.
+// cap and never spend more sample budget than the one-shot rate. The
+// sampling tests pin ScatterCounting: the planner's default for a plain
+// semisort, the dovetail route, draws no sample.
 func TestAdaptiveSamplingBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -37,7 +40,7 @@ func TestAdaptiveSamplingBudget(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := mkRecords(120000, tc.keyRange, 7)
-			out, stats, err := Semisort(a, &Config{Procs: 4})
+			out, stats, err := Semisort(a, &Config{Procs: 4, ScatterStrategy: ScatterCounting})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +60,7 @@ func TestAdaptiveSamplingBudget(t *testing.T) {
 // round, |S| = N/SampleRate.
 func TestOneShotSamplingLegacyShape(t *testing.T) {
 	a := mkRecords(60000, 300, 5)
-	out, stats, err := Semisort(a, &Config{Procs: 2, OneShotSampling: true})
+	out, stats, err := Semisort(a, &Config{Procs: 2, OneShotSampling: true, ScatterStrategy: ScatterCounting})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +78,7 @@ func TestOneShotSamplingLegacyShape(t *testing.T) {
 // without the flag.
 func TestAdaptiveSmallInputDegradesToOneShot(t *testing.T) {
 	a := mkRecords(2000, 50, 9)
-	out, stats, err := Semisort(a, &Config{Procs: 2})
+	out, stats, err := Semisort(a, &Config{Procs: 2, ScatterStrategy: ScatterCounting})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +96,7 @@ func TestAdaptiveSmallInputDegradesToOneShot(t *testing.T) {
 // unreachable tolerance drives the loop to exactly the cap.
 func TestSampleRoundCap(t *testing.T) {
 	a := mkRecords(120000, 5000, 11)
-	_, stats, err := Semisort(a, &Config{Procs: 2, SampleMaxRounds: 1})
+	_, stats, err := Semisort(a, &Config{Procs: 2, SampleMaxRounds: 1, ScatterStrategy: ScatterCounting})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +104,6 @@ func TestSampleRoundCap(t *testing.T) {
 		t.Errorf("SampleMaxRounds=1: rounds = %d, want 1", stats.SampleRounds)
 	}
 
-	// Counting always runs the full loop; the default planner stops at
-	// the pilot round when the pilot holds no heavy key.
 	_, stats, err = Semisort(a, &Config{Procs: 2, SampleMaxRounds: 3, SampleTolerance: 0.0001, ScatterStrategy: ScatterCounting})
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +250,7 @@ func TestInjectedSampleRoundAbort(t *testing.T) {
 func TestInjectedSampleRoundAbortAtPilot(t *testing.T) {
 	a := mkRecords(120000, 2000, 23)
 	withInjector(t, fault.New(1).Arm(fault.SampleRound, 0, 1))
-	_, stats, err := Semisort(a, &Config{Procs: 2})
+	_, stats, err := Semisort(a, &Config{Procs: 2, ScatterStrategy: ScatterCounting})
 	if err == nil || !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want wrapped fault.ErrInjected", err)
 	}
@@ -280,68 +281,56 @@ func TestAdaptiveConfigSweep(t *testing.T) {
 	}
 }
 
-// A light input is routed to the dovetail route at the pilot round:
-// Phase 1 is one round, classified once, and with no sampled heavy key
-// the output is exactly the radix kernel's grouping of the input.
-func TestPilotRoutesLightInputInOneRound(t *testing.T) {
-	const n = 1 << 18
-	a := distgen.Generate(2, n, distgen.Spec{Kind: distgen.Uniform, Param: n}, 3)
-	c := (&Config{}).withDefaults()
-	for _, procs := range []int{1, 2} {
-		out, stats, err := Semisort(a, &Config{Procs: procs, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkSemisorted(t, "uniform", a, out)
-		if stats.ScatterStrategy != "dovetail" || stats.SampleRounds != 1 {
-			t.Fatalf("procs=%d: route %q in %d sampling rounds, want dovetail in 1",
-				procs, stats.ScatterStrategy, stats.SampleRounds)
-		}
-		if want := n / (c.SampleRate * c.SamplePilotFactor); stats.SampleSize != want {
-			t.Errorf("procs=%d: SampleSize = %d, want the pilot's %d", procs, stats.SampleSize, want)
-		}
-		if stats.HeavyKeys != 0 {
-			t.Fatalf("procs=%d: %d heavy keys sampled from unique keys", procs, stats.HeavyKeys)
-		}
-		want := append([]rec.Record(nil), a...)
-		if err := sortint.DovetailSemisort(procs, want, nil); err != nil {
-			t.Fatal(err)
-		}
-		if !sameRecords(out, want) {
-			t.Errorf("procs=%d: zero-heavy dovetail output differs from the radix kernel's", procs)
-		}
-	}
-}
-
-// A pilot that flags heavy keys does not decide: at pilot density a key
-// of 64 records (Delta·SampleRate is 256) reaches the 4-hit threshold
-// often enough that this input's pilot flags 31 of them. The full loop flags
-// none, so the call keeps the zero-heavy dovetail route, and its output
-// is the radix kernel's grouping of the input.
-func TestPilotFlaggedKeysRunFullLoop(t *testing.T) {
+// A plain semisort under the planner is one kernel call: no Phase 1 (no
+// sample, no sampling-round span), one fresh attempt, and the output is
+// exactly the radix kernel's grouping of the input, on light and on
+// duplicate-heavy inputs alike. The kernel's heavy keys are the call's.
+func TestDefaultRouteSkipsSampling(t *testing.T) {
 	const n = 1 << 17
-	a := spectrumInput(n, 6, 31)
-	out, stats, err := Semisort(a, &Config{Procs: 2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ScatterStrategy != "dovetail" || stats.SampleRounds < 2 || stats.HeavyKeys != 0 {
-		t.Fatalf("route %q in %d sampling rounds with %d heavy keys, want dovetail after the full loop with none",
-			stats.ScatterStrategy, stats.SampleRounds, stats.HeavyKeys)
-	}
-	want := append([]rec.Record(nil), a...)
-	if err := sortint.DovetailSemisort(2, want, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !sameRecords(out, want) {
-		t.Error("zero-heavy dovetail output differs from the radix kernel's")
+	for _, spec := range []distgen.Spec{
+		{Kind: distgen.Uniform, Param: n},
+		{Kind: distgen.Exponential, Param: n / 1000},
+		{Kind: distgen.HeavyHead, Param: 4},
+	} {
+		a := distgen.Generate(2, n, spec, 3)
+		for _, procs := range []int{1, 2} {
+			label := fmt.Sprintf("%v/procs=%d", spec, procs)
+			var col obsv.Collector
+			out, stats, err := Semisort(a, &Config{Procs: procs, Seed: 5, Observer: &col})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSemisorted(t, label, a, out)
+			if stats.ScatterStrategy != "dovetail" || stats.SampleRounds != 0 || stats.SampleSize != 0 {
+				t.Fatalf("%s: route %q with %d sampling rounds of %d keys, want dovetail with none",
+					label, stats.ScatterStrategy, stats.SampleRounds, stats.SampleSize)
+			}
+			if atts := col.Attempts(); len(atts) != 1 || atts[0].Kind != obsv.AttemptFresh {
+				t.Fatalf("%s: attempts %+v, want one fresh attempt", label, atts)
+			}
+			if rs := roundSpansOf(col.Spans(), 0); len(rs) != 0 {
+				t.Errorf("%s: %d sampling-round spans on the kernel route", label, len(rs))
+			}
+			want := append([]rec.Record(nil), a...)
+			var dov sortint.DovetailStats
+			if err := sortint.DovetailSemisort(procs, want, &dov); err != nil {
+				t.Fatal(err)
+			}
+			if !sameRecords(out, want) {
+				t.Errorf("%s: default output differs from the radix kernel's", label)
+			}
+			if stats.HeavyKeys != int(dov.HeavyKeysPlaced) || stats.HeavyRecords != int(dov.HeavyRecords) {
+				t.Errorf("%s: %d heavy keys holding %d records, the kernel placed %d holding %d",
+					label, stats.HeavyKeys, stats.HeavyRecords, dov.HeavyKeysPlaced, dov.HeavyRecords)
+			}
+		}
 	}
 }
 
-// Routes that consume the full estimator keep running the adaptive loop
-// past the pilot: a duplicate-heavy input that the planner sends to
-// counting, a fused reduce, and the explicit probing scatter.
-func TestPilotKeepsFullLoop(t *testing.T) {
+// The sampled routes consume the full estimator and keep running the
+// adaptive loop past the pilot: the counting scatter, a fused reduce
+// (which the planner sends to counting), and the probing scatter.
+func TestSampledRoutesRunFullLoop(t *testing.T) {
 	const n = 1 << 17
 	a := distgen.Generate(2, n, distgen.Spec{Kind: distgen.Exponential, Param: n / 1000}, 7)
 	for _, tc := range []struct {
@@ -349,7 +338,7 @@ func TestPilotKeepsFullLoop(t *testing.T) {
 		run   func(*Config) (Stats, error)
 		strat ScatterStrategy
 	}{
-		{"auto", func(c *Config) (Stats, error) { _, st, err := Semisort(a, c); return st, err }, ScatterAuto},
+		{"counting", func(c *Config) (Stats, error) { _, st, err := Semisort(a, c); return st, err }, ScatterCounting},
 		{"fused", func(c *Config) (Stats, error) { _, _, st, err := ReduceShared(nil, a, c, sumSpec()); return st, err }, ScatterAuto},
 		{"probing", func(c *Config) (Stats, error) { _, st, err := Semisort(a, c); return st, err }, ScatterProbing},
 	} {
@@ -360,43 +349,6 @@ func TestPilotKeepsFullLoop(t *testing.T) {
 		if stats.SampleRounds < 2 {
 			t.Errorf("%s: %d sampling rounds (route %q), want the full loop (>= 2)",
 				tc.name, stats.SampleRounds, stats.ScatterStrategy)
-		}
-	}
-}
-
-// When the pilot's planner says counting, the loop continues as if the
-// pilot decision had not run: Auto's sample, heavy set and output equal
-// the explicit counting scatter's, byte for byte.
-func TestPilotCountingRouteMatchesExplicitCounting(t *testing.T) {
-	const n = 1 << 17
-	for _, spec := range []distgen.Spec{
-		{Kind: distgen.Exponential, Param: n / 1000},
-		{Kind: distgen.Uniform, Param: 50},
-		{Kind: distgen.HeavyHead, Param: 4},
-	} {
-		a := distgen.Generate(2, n, spec, 13)
-		for _, procs := range []int{1, 2} {
-			label := fmt.Sprintf("%v/procs=%d", spec, procs)
-			auto, as, err := Semisort(a, &Config{Procs: procs, Seed: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if as.ScatterStrategy != "counting" {
-				t.Fatalf("%s: Auto routed to %q, want counting", label, as.ScatterStrategy)
-			}
-			cnt, cs, err := Semisort(a, &Config{Procs: procs, Seed: 3, ScatterStrategy: ScatterCounting})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if as.SampleRounds != cs.SampleRounds || as.SampleSize != cs.SampleSize ||
-				as.HeavyKeys != cs.HeavyKeys || as.LightBuckets != cs.LightBuckets {
-				t.Errorf("%s: Auto sampled %d rounds/%d keys/%d heavy/%d light buckets, counting %d/%d/%d/%d",
-					label, as.SampleRounds, as.SampleSize, as.HeavyKeys, as.LightBuckets,
-					cs.SampleRounds, cs.SampleSize, cs.HeavyKeys, cs.LightBuckets)
-			}
-			if !sameRecords(auto, cnt) {
-				t.Errorf("%s: Auto output differs from explicit counting", label)
-			}
 		}
 	}
 }

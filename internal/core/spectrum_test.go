@@ -5,10 +5,11 @@ package core
 // down to 2^-20 (massive duplication) and asserts, at every point, that
 // the dovetail route (a) groups exactly like the sequential reference,
 // (b) is byte-deterministic across worker counts, and (c) routes the way
-// the planner promises: radix-dominant on the near-unique end, a single
-// counting split on the duplicate-heavy end, with Stats.PlannerRoutes
-// recording the flip. This is the acceptance gate for dovetailing the
-// radix sorter into the semisort pipeline.
+// the planner promises: every plain semisort goes to the radix kernel,
+// whose nodes run plain radix passes on the near-unique end and pull
+// heavy keys out of their distribution passes on the duplicate-heavy
+// end, with Stats.PlannerRoutes recording the flip. This is the
+// acceptance gate for the radix kernel as the default route.
 
 import (
 	"fmt"
@@ -67,48 +68,33 @@ func TestDovetailDuplicationSpectrum(t *testing.T) {
 						}
 					}
 				}
-				// On the radix route the split and the recursion are both
-				// stable, so payloads must appear in input order. (The
-				// counting route makes no within-group order promise — its
-				// local sort may reorder equal keys.)
-				if stats.ScatterStrategy == "dovetail" {
-					rec.Runs(out, func(start, end int) {
-						for i := start + 1; i < end; i++ {
-							if out[i].Value < out[i-1].Value {
-								t.Fatalf("%s: group at [%d,%d) not in input order at %d",
-									label, start, end, i)
-							}
+				// The kernel's passes are all stable, so payloads must
+				// appear in input order.
+				rec.Runs(out, func(start, end int) {
+					for i := start + 1; i < end; i++ {
+						if out[i].Value < out[i-1].Value {
+							t.Fatalf("%s: group at [%d,%d) not in input order at %d",
+								label, start, end, i)
 						}
-					})
-				}
+					}
+				})
 
 				routes := stats.PlannerRoutes
-				total := routes.RadixNodes + routes.DovetailNodes + int64(routes.ScatterNodes)
-				if total == 0 {
-					t.Fatalf("%s: PlannerRoutes empty: %+v", label, routes)
+				if stats.ScatterStrategy != "dovetail" || routes.ScatterNodes != 0 || routes.RadixNodes == 0 {
+					t.Errorf("%s: route %q with %+v, want the dovetail route and its top-level hand-off",
+						label, stats.ScatterStrategy, routes)
 				}
 				switch {
 				case exp == 0:
-					// Near-unique: the planner must stay on the radix side —
-					// no top-level counting route, real recursion work.
-					if routes.ScatterNodes != 0 {
-						t.Errorf("%s: unique keys took the scatter route: %+v", label, routes)
+					// Near-unique: no node finds a heavy key.
+					if routes.DovetailNodes != 0 || stats.HeavyRecords != 0 {
+						t.Errorf("%s: unique keys pulled %d heavy records: %+v", label, stats.HeavyRecords, routes)
 					}
-					if routes.RadixNodes == 0 {
-						t.Errorf("%s: unique keys produced no radix nodes: %+v", label, routes)
-					}
-					if stats.ScatterStrategy != "dovetail" {
-						t.Errorf("%s: ScatterStrategy = %q, want dovetail", label, stats.ScatterStrategy)
-					}
-				case exp >= 20:
-					// Duplicate-heavy: the sample is dominated by heavy keys,
-					// so the planner hands the whole input to the counting
-					// scatter — one scatter node, no radix recursion.
-					if routes.ScatterNodes != 1 || routes.RadixNodes != 0 {
-						t.Errorf("%s: duplicate-heavy input not scatter-routed: %+v", label, routes)
-					}
-					if stats.ScatterStrategy != "counting" {
-						t.Errorf("%s: ScatterStrategy = %q, want counting", label, stats.ScatterStrategy)
+				case exp >= 20 && n >= 2048:
+					// One key: the kernel's top node, large enough to
+					// sample, places every record in one heavy bin.
+					if routes.DovetailNodes != 1 || routes.HeavyKeysDovetailed != 1 || stats.HeavyRecords != n {
+						t.Errorf("%s: one-key input: %d heavy records, %+v", label, stats.HeavyRecords, routes)
 					}
 				}
 			}
@@ -116,17 +102,16 @@ func TestDovetailDuplicationSpectrum(t *testing.T) {
 	}
 }
 
-// TestSpectrumPlannerFlip pins the monotone shape of the planner's
-// decision across the sweep at a fixed n: as duplication rises, the
-// radix share of the routing can only give way to scatter/heavy
-// handling, never the reverse. It asserts the two regimes both actually
-// occur (the sweep straddles the threshold) and that once the planner
-// leaves the pure-radix regime it never returns at higher duplication.
-// The route flips from dovetail to counting at exp 8, as it did before
-// light calls could stop sampling at the pilot round.
+// TestSpectrumPlannerFlip pins the monotone shape of the routing across
+// the sweep at a fixed n: every point takes the dovetail route (the
+// planner decides from the call, not the data), and as duplication rises
+// the kernel's pure-radix routing can only give way to heavy-key
+// extraction, never the reverse. It asserts that both regimes occur and
+// that once the kernel leaves the pure-radix regime it never returns at
+// higher duplication.
 func TestSpectrumPlannerFlip(t *testing.T) {
 	const n = 100000
-	sawRadixOnly, sawScatter := false, false
+	sawRadixOnly, sawDovetail := false, false
 	leftPureRadix := false
 	for exp := 0; exp <= 20; exp++ {
 		a := spectrumInput(n, exp, int64(7000+exp))
@@ -144,34 +129,31 @@ func TestSpectrumPlannerFlip(t *testing.T) {
 		} else {
 			leftPureRadix = true
 		}
-		if r.ScatterNodes == 1 {
-			sawScatter = true
+		if r.DovetailNodes > 0 && r.HeavyKeysDovetailed > 0 {
+			sawDovetail = true
 		}
-		want := "dovetail"
-		if exp >= 8 {
-			want = "counting"
-		}
-		if stats.ScatterStrategy != want {
-			t.Errorf("exp=%d: route %q, want %q", exp, stats.ScatterStrategy, want)
+		if stats.ScatterStrategy != "dovetail" || r.ScatterNodes != 0 {
+			t.Errorf("exp=%d: route %q with %+v, want dovetail", exp, stats.ScatterStrategy, r)
 		}
 		t.Logf("exp=%2d routes=%+v strategy=%s", exp, r, stats.ScatterStrategy)
 	}
 	if !sawRadixOnly {
 		t.Error("sweep never hit the pure-radix regime at low duplication")
 	}
-	if !sawScatter {
-		t.Error("sweep never hit the counting-scatter regime at high duplication")
+	if !sawDovetail {
+		t.Error("sweep never hit the heavy-extraction regime at high duplication")
 	}
 }
 
 // TestDovetailDefaultByteDeterminismAcrossProcs pins the default
 // planner's determinism contract: with a zero ScatterStrategy (and only
-// Procs varying), every distgen shape — HeavyHead included — must give
-// byte-identical output at Procs 1, 2 and 8, both for a plain semisort
-// and for a fused reduce, and every call must finish in one attempt.
+// Procs varying), every distgen shape — HeavyHead, 16 keys and one key
+// included — must give byte-identical output at Procs 1, 2 and 8, both
+// for a plain semisort (the dovetail route, groups in input order) and
+// for a fused reduce, and every call must finish in one attempt.
 // The sampling shape (rounds, sample size, heavy keys) must agree too:
-// whether a call stops at the pilot round is a serial function of the
-// pilot sample.
+// the fused reduce samples, and the plain call's heavy keys are the
+// kernel's, whose node samples are fixed strides.
 // The default never resolves to the CAS probing scatter, whose races
 // reorder records within a group.
 func TestDovetailDefaultByteDeterminismAcrossProcs(t *testing.T) {
@@ -185,6 +167,8 @@ func TestDovetailDefaultByteDeterminismAcrossProcs(t *testing.T) {
 		{"exponential", distgen.Spec{Kind: distgen.Exponential, Param: n / 1000}},
 		{"zipfian", distgen.Spec{Kind: distgen.Zipfian, Param: 10000}},
 		{"heavy-head", distgen.Spec{Kind: distgen.HeavyHead, Param: 4}},
+		{"keys16", distgen.Spec{Kind: distgen.Uniform, Param: 16}},
+		{"all-equal", distgen.Spec{Kind: distgen.Uniform, Param: 1}},
 	}
 	for _, sh := range shapes {
 		a := distgen.Generate(2, n, sh.spec, 41)
@@ -200,10 +184,19 @@ func TestDovetailDefaultByteDeterminismAcrossProcs(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			sameGrouping(t, label, a, out, refKeys)
-			if stats.ScatterStrategy == "probing" || stats.Attempts != 1 {
-				t.Errorf("%s: route %q in %d attempts, want a deterministic route in 1",
+			if stats.ScatterStrategy != "dovetail" || stats.Attempts != 1 {
+				t.Errorf("%s: route %q in %d attempts, want dovetail in 1",
 					label, stats.ScatterStrategy, stats.Attempts)
 			}
+			// The kernel's passes are stable: every group keeps its
+			// records in input order (Value is the input index).
+			rec.Runs(out, func(start, end int) {
+				for i := start + 1; i < end; i++ {
+					if out[i].Value < out[i-1].Value {
+						t.Fatalf("%s: group at [%d,%d) not in input order at %d", label, start, end, i)
+					}
+				}
+			})
 			if plain == nil {
 				plain, plainStats = out, stats
 			} else {

@@ -60,11 +60,11 @@ type Workspace struct {
 	stageCnt  []uint8      // stageWorkers × nb fill counters, all-zero at rest
 	stageFree chan int     // free-list of staging slot indices
 
-	// Phase 4, dovetail route: scratch for the radix recursion's
-	// out-of-place distribution passes over the light region (one record
-	// per light record; priced against Config.MaxSlotBytes by the
-	// allocate phase), and the recursion's count tables (per-block
-	// histograms and per-worker count stacks, a few hundred KiB at most).
+	// Dovetail route: scratch for the radix kernel's out-of-place
+	// distribution passes (one record per input record; priced against
+	// Config.MaxSlotBytes before it is grown), and the kernel's count
+	// tables (per-block histograms and per-worker count stacks, a few
+	// hundred KiB at most).
 	rxScratch []rec.Record
 	rxTables  sortint.DovetailTables
 

@@ -52,7 +52,9 @@ const (
 	// truncated spill file; occurrences count Read/ReadAt calls.
 	SpillRead
 	// PhaseBoundary fires at semisort phase boundaries (five per
-	// attempt, in phase order); arm it with an OnFire cancellation hook.
+	// attempt, in phase order, on the sampled routes; one, before the
+	// kernel call, on the dovetail route); arm it with an OnFire
+	// cancellation hook.
 	PhaseBoundary
 	// StageFlush forces a counting-scatter block to bypass its staging
 	// buffers and write records directly to their final positions;

@@ -167,9 +167,9 @@ type Span struct {
 	// Outcome is one of the Outcome* constants.
 	Outcome string
 	// Strategy names the placement algorithm of a scatter span —
-	// "probing" (the CAS scatter), "counting" (the two-pass counting
-	// scatter) or "dovetail" (the heavy-key split ahead of the radix
-	// recursion); empty on every other phase.
+	// "probing" (the CAS scatter) or "counting" (the two-pass counting
+	// scatter); empty on every other phase. The dovetail route has no
+	// scatter span: its one kernel call is its localsort span.
 	Strategy string
 	// Flushes counts the staging-buffer flushes the counting scatter
 	// performed; set on counting-strategy scatter spans only.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
@@ -275,7 +276,7 @@ func TestDovetailStatsRouting(t *testing.T) {
 	if err := DovetailSemisort(4, uniq, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.RadixNodes == 0 || st.DovetailNodes != 0 || st.HeavyKeysPlaced != 0 {
+	if st.RadixNodes == 0 || st.DovetailNodes != 0 || st.HeavyKeysPlaced != 0 || st.HeavyRecords != 0 {
 		t.Fatalf("unique keys routed wrong: %+v", st)
 	}
 	// Ten keys total: the root must dovetail and place heavy keys.
@@ -286,6 +287,23 @@ func TestDovetailStatsRouting(t *testing.T) {
 	}
 	if st.DovetailNodes == 0 || st.HeavyKeysPlaced == 0 {
 		t.Fatalf("heavy keys not dovetailed: %+v", st)
+	}
+	// Each placed key's records are counted once, in the node that
+	// pulled it out: ten keys of about 10^4 records each.
+	if st.HeavyRecords < st.HeavyKeysPlaced*8000 || st.HeavyRecords > int64(len(heavy)) {
+		t.Fatalf("HeavyRecords = %d for %d placed keys of ~10^4 records", st.HeavyRecords, st.HeavyKeysPlaced)
+	}
+	// One key: the root places every record.
+	for _, procs := range []int{1, 4} {
+		eq := dtInputs(50000, 3)["allequal"]
+		st = DovetailStats{}
+		if err := DovetailSemisort(procs, eq, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.HeavyKeysPlaced != 1 || st.HeavyRecords != int64(len(eq)) {
+			t.Fatalf("p=%d: all-equal input placed %d keys holding %d records, want 1 and %d",
+				procs, st.HeavyKeysPlaced, st.HeavyRecords, len(eq))
+		}
 	}
 }
 
@@ -397,6 +415,88 @@ func TestDovetailSemisortGatesEverySubtree(t *testing.T) {
 	}
 }
 
+// fewKeyInput draws n records over k random 64-bit keys; Value is the
+// input index.
+func fewKeyInput(n, k int, seed int64) []rec.Record {
+	r := rand.New(rand.NewSource(seed))
+	keys := make([]uint64, k)
+	for i := range keys {
+		keys[i] = r.Uint64()
+	}
+	a := make([]rec.Record, n)
+	for i := range a {
+		a[i] = rec.Record{Key: keys[r.Intn(k)], Value: uint64(i)}
+	}
+	return a
+}
+
+// recDigest is FNV-64a over the records' keys and values, in order.
+func recDigest(a []rec.Record) uint64 {
+	h := fnv.New64a()
+	var b [16]byte
+	for _, r := range a {
+		binary.LittleEndian.PutUint64(b[:8], r.Key)
+		binary.LittleEndian.PutUint64(b[8:], r.Value)
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// One-key nodes below dtSampleCutoff consume their remaining key bits in
+// one count pass instead of one pass per digit. Every pass skipped that
+// way was the identity, so the arrangement must not move: the digests
+// below pin the output of the recursion that counted every digit, on
+// all-equal and few-key inputs, for both entry points at Procs 1 and 2.
+func TestDovetailFewKeyArrangementPinned(t *testing.T) {
+	for _, c := range []struct {
+		keys, n int
+		digest  uint64
+	}{
+		{1, 33, 0x64a3a214830cd360},
+		{1, 100, 0xd4cd1b8c0a0c4b11},
+		{1, 511, 0xa279a46181b52a9e},
+		{1, 1000, 0xa603491ac84179cd},
+		{1, 2047, 0xb040be387061044c},
+		{1, 2048, 0xe45cba0670e09325},
+		{1, 4096, 0x405a005f700d0725},
+		{2, 33, 0xa48e23682bfb462f},
+		{2, 100, 0xe5061fdaf853c151},
+		{2, 511, 0xae5a68fbcdb0385d},
+		{2, 1000, 0xdf70cd3ca9280143},
+		{2, 2047, 0x843e78ba4f5407db},
+		{2, 2048, 0xab9395cee00ec889},
+		{2, 4096, 0xe0fdf46ee69fbe49},
+		{16, 33, 0x37ebc43c4a8ff3a7},
+		{16, 100, 0xf875ee445d4a3c6c},
+		{16, 511, 0x8aa1b308ee1ceef7},
+		{16, 1000, 0xf1cc70baf42b39a4},
+		{16, 2047, 0x7e9e2754768ef515},
+		{16, 2048, 0x4f2f939ff2c77194},
+		{16, 4096, 0x39038a441344dca6},
+	} {
+		src := fewKeyInput(c.n, c.keys, int64(c.n*31+c.keys))
+		for _, procs := range []int{1, 2} {
+			label := fmt.Sprintf("keys=%d/n=%d/p=%d", c.keys, c.n, procs)
+			a := append([]rec.Record(nil), src...)
+			if err := DovetailSemisort(procs, a, nil); err != nil {
+				t.Fatal(err)
+			}
+			if d := recDigest(a); d != c.digest {
+				t.Errorf("%s: Semisort digest %#x, want %#x", label, d, c.digest)
+			}
+			dst := make([]rec.Record, c.n)
+			var tab DovetailTables
+			if err := tab.SemisortFrom(context.Background(), procs, src, dst, make([]rec.Record, c.n), nil); err != nil {
+				t.Fatal(err)
+			}
+			if d := recDigest(dst); d != c.digest {
+				t.Errorf("%s: SemisortFrom digest %#x, want %#x", label, d, c.digest)
+			}
+			dtCheckGrouped(t, label, dst, src)
+		}
+	}
+}
+
 func BenchmarkDovetailSemisort1M(b *testing.B) {
 	for _, d := range []struct {
 		name     string
@@ -417,6 +517,23 @@ func BenchmarkDovetailSemisort1M(b *testing.B) {
 			}
 		})
 	}
+	// Few keys per node: 2^20 records over 1024 hashed keys. The top
+	// passes split them into one-key nodes of about 1000 records, below
+	// the sampling cutoff, which finish in one count pass each.
+	b.Run("keys1024", func(b *testing.B) {
+		const n = 1 << 20
+		orig := distgen.Generate(2, n, distgen.Spec{Kind: distgen.Uniform, Param: 1024}, 3)
+		a := make([]rec.Record, n)
+		scratch := make([]rec.Record, n)
+		b.SetBytes(n * 16)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(a, orig)
+			if err := DovetailSemisortWith(context.Background(), 0, a, scratch, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	// The records-light shape: 2^21 hashed keys uniform over [n], the
 	// light region the default planner hands the kernel.
 	const n = 1 << 21
@@ -578,6 +695,15 @@ func FuzzDovetailFrom(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 9, 9, 9}, uint8(64), uint8(2))
 	f.Add([]byte("dovetail radix semisort, out of place"), uint8(255), uint8(2))
 	f.Add([]byte{}, uint8(3), uint8(8))
+	// One, two and sixteen keys, repeated into nodes between the insertion
+	// cutoff and the sampling cutoff: the one-key nodes' single-pass exit.
+	f.Add([]byte{0xef, 0xbe, 0xad, 0xde, 0, 0, 0, 0x80}, uint8(100), uint8(1))
+	f.Add([]byte("two keys, ab"), uint8(127), uint8(2))
+	sixteen := make([]byte, 16*8)
+	for i := range sixteen {
+		sixteen[i] = byte(i*37 + 11)
+	}
+	f.Add(sixteen, uint8(100), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, reps, procs uint8) {
 		var keys []uint64
 		for i := 0; i < len(data); i += 8 {

@@ -7,8 +7,11 @@ import (
 )
 
 // ExampleConfig_observer traces one semisort call with the in-memory
-// Collector: a clean run is a single "fresh" attempt whose six phase
-// spans arrive in pipeline order.
+// Collector: a clean run is a single "fresh" attempt whose phase spans
+// arrive in pipeline order. The default planner sends a plain semisort
+// to the radix kernel, so the trace holds its allocate and localsort
+// spans; the sampled routes (ScatterCounting, ScatterProbing) trace all
+// six phases.
 func ExampleConfig_observer() {
 	recs := make([]semisort.Record, 20000)
 	for i := range recs {
@@ -33,10 +36,6 @@ func ExampleConfig_observer() {
 	// Output:
 	// semisorted: true
 	// attempt 0 (fresh):
-	//   sample    ok
-	//   classify  ok
 	//   allocate  ok
-	//   scatter   ok
 	//   localsort ok
-	//   pack      ok
 }

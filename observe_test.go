@@ -46,9 +46,10 @@ func TestByEmitsHashAndVerifySpans(t *testing.T) {
 	if verify[0].Outcome != obsv.OutcomeOK {
 		t.Errorf("verify span = %+v, want ok", verify[0])
 	}
-	// The core's own trace still arrives: six ok spans for attempt 0.
-	if topLevel != 8 {
-		t.Errorf("top-level spans = %d, want 8 (hash + 6 core phases + verify)", topLevel)
+	// The core's own trace still arrives: the dovetail route's allocate
+	// and localsort spans for attempt 0.
+	if topLevel != 4 {
+		t.Errorf("top-level spans = %d, want 4 (hash + 2 core phases + verify)", topLevel)
 	}
 }
 

@@ -41,14 +41,14 @@ const (
 type ScatterStrategy = core.ScatterStrategy
 
 // Scatter strategy options: Auto (the default) is the deterministic
-// planner — it picks Counting when the sample predicts heavy duplication
-// or the call is a fused reduce, and otherwise sends the records through
-// a heavy-key split plus a top-down MSD radix recursion (the dovetail
+// planner, decided from the call before any sampling — a fused reduce
+// takes the Counting scatter, and every plain semisort is one call of a
+// top-down MSD radix kernel that finds heavy keys per node (the dovetail
 // route; see Stats.PlannerRoutes for where records went). Its output is
 // byte-identical across Procs and it never retries. Counting forces the
-// counting scatter; Probing selects the paper's CAS scatter with its Las
-// Vegas retry ladder, the reproduction mode. Dovetail is equivalent to
-// Auto, kept for compatibility.
+// sampled pipeline with the counting scatter; Probing selects the paper's
+// CAS scatter with its Las Vegas retry ladder, the reproduction mode.
+// Dovetail is equivalent to Auto, kept for compatibility.
 const (
 	ScatterAuto     = core.ScatterAuto
 	ScatterProbing  = core.ScatterProbing

@@ -67,25 +67,24 @@ func TestScatterStrategiesPublicAPI(t *testing.T) {
 	}
 }
 
-// Auto must route heavy duplication to counting, distinct keys to the
-// dovetail radix route on a plain semisort, and distinct keys to the
-// counting scatter on a fused reduce — never to probing, the contract
-// the config documentation promises.
+// Auto must route every plain semisort — heavy duplication and distinct
+// keys alike — to the dovetail radix kernel, with no pipeline sample, and
+// every fused reduce to the counting scatter — never to probing, the
+// contract the config documentation promises.
 func TestAutoResolution(t *testing.T) {
 	in := strategyInputs(20000)
-	_, stats, err := RecordsWithStats(in["heavy"], &Config{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ScatterStrategy != "counting" {
-		t.Errorf("heavy input resolved to %q, want counting", stats.ScatterStrategy)
-	}
-	_, stats, err = RecordsWithStats(in["distinct"], &Config{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ScatterStrategy != "dovetail" {
-		t.Errorf("distinct input resolved to %q, want dovetail", stats.ScatterStrategy)
+	for name := range in {
+		out, stats, err := RecordsWithStats(in[name], &Config{Procs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !IsSemisorted(out) {
+			t.Fatalf("%s: output not semisorted", name)
+		}
+		if stats.ScatterStrategy != "dovetail" || stats.SampleSize != 0 || stats.Attempts != 1 {
+			t.Errorf("%s input resolved to %q with a %d-key sample in %d attempts, want dovetail with none in 1",
+				name, stats.ScatterStrategy, stats.SampleSize, stats.Attempts)
+		}
 	}
 	for name := range in {
 		out, stats, err := NewSorter(&Config{Procs: 2}).ReduceShared(in[name], sumReducer)
@@ -103,10 +102,10 @@ func TestAutoResolution(t *testing.T) {
 }
 
 // Strategy resolution must be invariant across the sampling modes: the
-// heavy-mass signal the planner consumes comes from the estimator, so
-// one-shot, pilot-only, and cap-forced adaptive runs must all route
-// heavy duplication to counting and distinct keys to dovetail (counting
-// on a fused reduce), grouping correctly throughout.
+// planner decides from the call, before Phase 1, so one-shot, pilot-only
+// and cap-forced configurations must all route plain semisorts to
+// dovetail (drawing no sample) and fused reduces to counting (which
+// samples under the configured mode), grouping correctly throughout.
 func TestAutoResolutionAcrossSamplingModes(t *testing.T) {
 	in := strategyInputs(20000)
 	modes := []struct {
@@ -119,7 +118,7 @@ func TestAutoResolutionAcrossSamplingModes(t *testing.T) {
 		{"cap-forced", Config{SampleTolerance: 0.0001, SampleMaxRounds: 6}},
 	}
 	for _, m := range modes {
-		for name, want := range map[string]string{"heavy": "counting", "distinct": "dovetail"} {
+		for _, name := range []string{"heavy", "distinct"} {
 			cfg := m.cfg
 			cfg.Procs = 2
 			out, stats, err := RecordsWithStats(in[name], &cfg)
@@ -129,26 +128,27 @@ func TestAutoResolutionAcrossSamplingModes(t *testing.T) {
 			if !IsSemisorted(out) {
 				t.Fatalf("%s/%s: output not semisorted", m.name, name)
 			}
-			if stats.ScatterStrategy != want {
-				t.Errorf("%s: %s input resolved to %q, want %q",
-					m.name, name, stats.ScatterStrategy, want)
+			if stats.ScatterStrategy != "dovetail" || stats.SampleRounds != 0 {
+				t.Errorf("%s: %s input resolved to %q after %d sampling rounds, want dovetail after none",
+					m.name, name, stats.ScatterStrategy, stats.SampleRounds)
 			}
 			_, stats, err = NewSorter(&cfg).ReduceShared(in[name], sumReducer)
 			if err != nil {
 				t.Fatalf("%s/%s fused: %v", m.name, name, err)
 			}
-			if stats.ScatterStrategy != "counting" {
-				t.Errorf("%s: fused reduce of %s input resolved to %q, want counting",
-					m.name, name, stats.ScatterStrategy)
+			if stats.ScatterStrategy != "counting" || stats.SampleRounds < 1 {
+				t.Errorf("%s: fused reduce of %s input resolved to %q after %d sampling rounds, want counting after at least 1",
+					m.name, name, stats.ScatterStrategy, stats.SampleRounds)
 			}
 		}
 	}
 }
 
 // Dovetail is a planner, not a single placement: distinct keys must take
-// the radix route (Stats.ScatterStrategy "dovetail", radix nodes
-// recorded), while heavy duplication must be re-routed to the counting
-// scatter — the skew-adaptive promise, observable through PlannerRoutes.
+// the radix route with plain radix nodes only, while heavy duplication
+// must be pulled out by the kernel's own nodes (dovetail nodes placing
+// the five keys) — the skew-adaptive promise, observable through
+// PlannerRoutes.
 func TestDovetailResolution(t *testing.T) {
 	in := strategyInputs(20000)
 	_, stats, err := RecordsWithStats(in["distinct"], &Config{Procs: 2, ScatterStrategy: ScatterDovetail})
@@ -158,18 +158,20 @@ func TestDovetailResolution(t *testing.T) {
 	if stats.ScatterStrategy != "dovetail" {
 		t.Errorf("distinct input resolved to %q, want dovetail", stats.ScatterStrategy)
 	}
-	if stats.PlannerRoutes.RadixNodes == 0 || stats.PlannerRoutes.ScatterNodes != 0 {
-		t.Errorf("distinct input routed wrong: %+v", stats.PlannerRoutes)
+	if r := stats.PlannerRoutes; r.RadixNodes == 0 || r.ScatterNodes != 0 || r.DovetailNodes != 0 {
+		t.Errorf("distinct input routed wrong: %+v", r)
 	}
 	_, stats, err = RecordsWithStats(in["heavy"], &Config{Procs: 2, ScatterStrategy: ScatterDovetail})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.ScatterStrategy != "counting" {
-		t.Errorf("heavy input resolved to %q, want counting", stats.ScatterStrategy)
+	if stats.ScatterStrategy != "dovetail" {
+		t.Errorf("heavy input resolved to %q, want dovetail", stats.ScatterStrategy)
 	}
-	if stats.PlannerRoutes.ScatterNodes != 1 || stats.PlannerRoutes.RadixNodes != 0 {
-		t.Errorf("heavy input routed wrong: %+v", stats.PlannerRoutes)
+	if r := stats.PlannerRoutes; r.ScatterNodes != 0 || r.DovetailNodes == 0 || r.HeavyKeysDovetailed != 5 ||
+		stats.HeavyKeys != 5 || stats.HeavyRecords != len(in["heavy"]) {
+		t.Errorf("heavy input routed wrong: %d heavy keys holding %d records, %+v",
+			stats.HeavyKeys, stats.HeavyRecords, r)
 	}
 }
 
