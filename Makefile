@@ -52,11 +52,11 @@ sweep:
 
 # sample-sweep mirrors the CI adaptive-sampling step: the multi-round
 # estimator's proc-count determinism, budget/round-cap contracts,
-# round-boundary fault aborts, the pilot-round route decision, and the
+# round-boundary fault aborts, the sampled-vs-kernel route split, and the
 # adaptive-vs-one-shot differential matrix under the race detector with
 # warm-workspace repetition.
 sample-sweep:
-	$(GO) test -race -count=2 -run 'Adaptive|Sampl|SampleRound|SizeModel|Pilot' ./internal/core/ .
+	$(GO) test -race -count=2 -run 'Adaptive|Sampl|SampleRound|SizeModel' ./internal/core/ .
 
 # soak-smoke mirrors the CI job of the same name: a short leak-gated soak
 # of the resident server under the race detector — mixed distributions,

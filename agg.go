@@ -4,14 +4,14 @@ package semisort
 // paper's applications reduce to — MapReduce's shuffle+reduce and SQL's
 // GROUP BY aggregates — packaged for direct use.
 //
-// CountBy, SumBy, Distinct and ReduceBy (when given a Merge) run FUSED:
-// the fold happens inside the semisort pipeline — heavy keys accumulate
-// into per-worker cells, light buckets reduce in-arena during Phase 4 —
-// so no grouped intermediate (and none of its per-group slice headers) is
-// ever materialized. ReduceBy without a Merge, and MaxBy, materialize
-// groups first and fold sequentially, preserving first-appearance fold
-// order. See docs/AGGREGATION.md for when each path runs and what it
-// requires.
+// CountBy, SumBy, Distinct and ReduceBy (when given a Merge) run FUSED on
+// the core's counting scatter: the fold happens inside the semisort
+// pipeline — heavy keys accumulate into per-worker cells, light buckets
+// reduce in-arena during Phase 4 — so no grouped intermediate (and none
+// of its per-group slice headers) is ever materialized. ReduceBy without
+// a Merge, and MaxBy, materialize groups first and fold sequentially,
+// preserving first-appearance fold order. See docs/AGGREGATION.md for
+// when each path runs and what it requires.
 
 import (
 	"errors"
@@ -65,11 +65,14 @@ const noCell = ^uint64(0)
 // fresh hash seed when the spec's callbacks report a 64-bit collision
 // between distinct keys via collided (the Las Vegas conversion By uses,
 // with the verification riding inside the fold instead of a second
-// pass). The returned group records and representative indices are valid
-// until the function's workspace is garbage-collected; err wraps
-// *PanicError if a user callback panicked on a pipeline worker.
+// pass). Every hash-seed attempt starts from a clear collided flag and,
+// when reset is non-nil, calls reset first so a spec keeping state behind
+// its accumulators (ReduceBy's cell slab) starts empty. The returned
+// group records and representative indices are valid until the
+// function's workspace is garbage-collected; err wraps *PanicError if a
+// user callback panicked on a pipeline worker.
 func fusedReduce[T any, K comparable](items []T, key func(T) K, cfg *Config,
-	sp core.ReduceSpec, collided *atomic.Bool) (out []rec.Record, reps []uint64, err error) {
+	sp core.ReduceSpec, collided *atomic.Bool, reset func()) (out []rec.Record, reps []uint64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			pe, ok := r.(*parallel.PanicError)
@@ -90,21 +93,14 @@ func fusedReduce[T any, K comparable](items []T, key func(T) K, cfg *Config,
 	if obs != nil {
 		epoch = time.Now()
 	}
-	// Clear the collision flag at every core attempt: an abandoned
-	// (overflowed) attempt may have flagged a collision from partial
-	// folds, but the winning attempt re-folds every record, so any
-	// genuine collision resurfaces.
-	userReset := sp.Reset
-	sp.Reset = func() {
-		collided.Store(false)
-		if userReset != nil {
-			userReset()
-		}
-	}
 	recs := make([]rec.Record, n)
 	var ws core.Workspace
 	var lastErr error
 	for attempt := 0; attempt < genericRetries; attempt++ {
+		collided.Store(false)
+		if reset != nil {
+			reset()
+		}
 		seed := maphash.MakeSeed()
 		if obs != nil {
 			obs.PhaseStart(attempt, obsv.PhaseHash)
@@ -220,7 +216,7 @@ func sumSpec[T any, K comparable, N Number](items []T, key func(T) K, val func(T
 // intermediate is materialized.
 func CountBy[T any, K comparable](items []T, key func(T) K, cfg *Config) (map[K]int, error) {
 	var collided atomic.Bool
-	out, reps, err := fusedReduce(items, key, cfg, countSpec(items, key, &collided), &collided)
+	out, reps, err := fusedReduce(items, key, cfg, countSpec(items, key, &collided), &collided, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +237,7 @@ func CountBy[T any, K comparable](items []T, key func(T) K, cfg *Config) (map[K]
 func SumBy[T any, K comparable, N Number](items []T, key func(T) K, val func(T) N, cfg *Config) (map[K]N, error) {
 	var collided atomic.Bool
 	sp, decode := sumSpec(items, key, val, &collided)
-	out, reps, err := fusedReduce(items, key, cfg, sp, &collided)
+	out, reps, err := fusedReduce(items, key, cfg, sp, &collided, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -269,9 +265,8 @@ func ReduceBy[T any, K comparable, A any](items []T, key func(T) K, r Reduction[
 	// The fused accumulators are uint64, so accumulators of arbitrary
 	// type A live in a pre-sized slab the uint64 indexes. Every slab cell
 	// is claimed by a group's first fold and each of the n records
-	// triggers at most one first fold per attempt, so n cells always
-	// suffice; Reset rewinds the slab when a Las Vegas retry discards an
-	// attempt's partial folds.
+	// triggers at most one first fold per core call, so n cells always
+	// suffice; fusedReduce rewinds the slab before each hash-seed attempt.
 	cells := make([]A, len(items))
 	var next atomic.Uint64
 	var collided atomic.Bool
@@ -292,9 +287,8 @@ func ReduceBy[T any, K comparable, A any](items []T, key func(T) K, r Reduction[
 			cells[a] = r.Merge(cells[a], cells[b])
 			return a
 		},
-		Reset: func() { next.Store(0) },
 	}
-	out, reps, err := fusedReduce(items, key, cfg, sp, &collided)
+	out, reps, err := fusedReduce(items, key, cfg, sp, &collided, func() { next.Store(0) })
 	if err != nil {
 		return nil, err
 	}
@@ -331,7 +325,7 @@ func reduceByMaterialized[T any, K comparable, A any](items []T, key func(T) K, 
 func Distinct[T comparable](items []T, cfg *Config) ([]T, error) {
 	key := func(v T) T { return v }
 	var collided atomic.Bool
-	out, reps, err := fusedReduce(items, key, cfg, countSpec(items, key, &collided), &collided)
+	out, reps, err := fusedReduce(items, key, cfg, countSpec(items, key, &collided), &collided, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -509,10 +509,10 @@ func BenchmarkAPI_CountBy(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Fused collect-reduce (`-experiment reduce`, docs/AGGREGATION.md): the
-// fused record-level entry points per strategy, against the
-// materialize-then-reduce shape they replace.
+// fused record-level entry points on their one route, the counting
+// scatter, against the materialize-then-reduce shape they replace.
 
-func benchReduceShared(b *testing.B, spec distgen.Spec, strat core.ScatterStrategy, histogram bool) {
+func benchReduceShared(b *testing.B, spec distgen.Spec, histogram bool) {
 	b.Helper()
 	a := workload(benchN, spec, 1)
 	var ws core.Workspace
@@ -523,7 +523,7 @@ func benchReduceShared(b *testing.B, spec distgen.Spec, strat core.ScatterStrate
 	b.SetBytes(int64(len(a)) * 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := &core.Config{Seed: 9, ScatterStrategy: strat}
+		cfg := &core.Config{Seed: 9}
 		var err error
 		if histogram {
 			_, _, _, err = core.HistogramShared(&ws, a, cfg)
@@ -537,16 +537,12 @@ func benchReduceShared(b *testing.B, spec distgen.Spec, strat core.ScatterStrate
 	b.ReportMetric(float64(len(a))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrec/s")
 }
 
-func BenchmarkReduce_FusedProbing(b *testing.B) {
-	benchReduceShared(b, expSpec(benchN), core.ScatterProbing, false)
-}
-
 func BenchmarkReduce_FusedCounting(b *testing.B) {
-	benchReduceShared(b, expSpec(benchN), core.ScatterCounting, false)
+	benchReduceShared(b, expSpec(benchN), false)
 }
 
 func BenchmarkReduce_HistogramCounting(b *testing.B) {
-	benchReduceShared(b, expSpec(benchN), core.ScatterCounting, true)
+	benchReduceShared(b, expSpec(benchN), true)
 }
 
 func BenchmarkReduce_Materialized(b *testing.B) {

@@ -13,8 +13,10 @@ import (
 
 // Cancellation regressions: an already-expired deadline must abort before
 // any parallel phase spins up, and a cancel landing mid-sort must be
-// observed at a phase boundary — under both scatter strategies, without
-// leaking worker goroutines either way.
+// observed at a phase boundary — on the probing scatter and on the
+// default kernel route (a plain ScatterCounting call is an alias of the
+// default and keeps its subtest name) — without leaking worker
+// goroutines either way.
 
 func cancelTestInput(n int) []Record {
 	return distgen.Generate(0, n, distgen.Spec{Kind: distgen.Zipfian, Param: 1e4}, 11)

@@ -36,7 +36,8 @@
 // arXiv 2401.00710) that samples each large node itself and pulls that
 // node's heavy keys out of its distribution pass, with no pipeline
 // sample, classification or scatter in front of it; a fused reduction
-// keeps the sampled pipeline with a two-pass counting scatter. Default
+// keeps the sampled pipeline with a two-pass counting scatter, whatever
+// ScatterStrategy says. Default
 // output is byte-identical across Procs. See DESIGN.md and the
 // internal/core package for the full construction.
 //

@@ -110,7 +110,7 @@ func TestIntegrationEndToEndAPI(t *testing.T) {
 		t.Error("exponential(80) should place some heavy records")
 	}
 	// The sampled pipeline's Phase 2 classification finds them too.
-	if _, cs, err := RecordsWithStats(pub, &Config{Procs: 4, ScatterStrategy: ScatterCounting}); err != nil {
+	if _, cs, err := RecordsWithStats(pub, &Config{Procs: 4, ScatterStrategy: ScatterProbing}); err != nil {
 		t.Fatal(err)
 	} else if cs.HeavyRecords == 0 {
 		t.Error("exponential(80) should classify some heavy records")

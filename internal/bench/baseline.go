@@ -43,14 +43,15 @@ type Baseline struct {
 	// TotalSec is the minimum across reps of the five-phase total.
 	TotalSec float64 `json:"total_sec"`
 	// AllocsPerOp is the steady-state heap allocations per warm-workspace
-	// semisort call at one worker, keyed by scatter strategy ("probing",
-	// "counting", "dovetail") and by fused aggregation entry point
-	// ("reduce", "histogram"). Absent from baselines written before the
-	// pipeline refactor. Compare gates only the keys the stored baseline
-	// has, and fails on a stored key the current measurement lacks — so
-	// baselines that still hold the retired Phase 4 kernel keys
-	// ("kernel_counting", "kernel_bucket") no longer compare; the CI
-	// cache namespace was versioned when those keys were dropped.
+	// semisort call at one worker, keyed by plain route ("probing",
+	// "dovetail") and by fused aggregation entry point ("reduce",
+	// "histogram", both on the counting route). Absent from baselines
+	// written before the pipeline refactor. Compare gates only the keys
+	// the stored baseline has, and fails on a stored key the current
+	// measurement lacks — so baselines that still hold retired keys (the
+	// Phase 4 kernel keys "kernel_counting" and "kernel_bucket", the plain
+	// "counting" route) no longer compare; the CI cache namespace is
+	// versioned whenever keys are dropped.
 	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
 }
 
@@ -63,10 +64,10 @@ const AllocSlack = 2
 // MeasureBaseline measures the uninstrumented semisort (no Observer —
 // the baseline captures production performance) on the seeded uniform
 // distribution (pinned to the probing scatter) and returns the per-phase
-// minima, plus counting_* keys covering the counting scatter on the
-// duplicate-heavy exponential workload so both placements are gated, plus
-// reduce_* keys covering the fused collect-reduce entry points on the
-// same heavy workload (docs/AGGREGATION.md).
+// minima, plus dovetail_* keys covering the default plain route on the
+// same workload, plus reduce_* keys covering the fused collect-reduce
+// entry points (the counting route) on the duplicate-heavy exponential
+// workload (docs/AGGREGATION.md).
 func MeasureBaseline(o Options) Baseline {
 	o = o.withDefaults()
 	P := o.MaxProcs()
@@ -96,33 +97,13 @@ func MeasureBaseline(o Options) Baseline {
 		}
 	}
 
-	// Counting path: its own minima on the heavy-duplicate workload. The
-	// keys ride in PhasesSec so Compare gates them automatically once a
-	// baseline stores them; older baselines without the keys still compare
-	// cleanly (Compare iterates the stored baseline's keys).
 	exp := distgen.Generate(P, o.N, repExponential(o.N), o.Seed)
-	counting := map[string]time.Duration{}
-	for r := 0; r < o.Reps; r++ {
-		_, st, err := core.SemisortWS(&ws, exp, &core.Config{Procs: P, Seed: o.Seed + 7,
-			ScatterStrategy: core.ScatterCounting})
-		if err != nil {
-			panic(err)
-		}
-		for name, d := range map[string]time.Duration{
-			"counting_scatter":   st.Phases.Scatter,
-			"counting_localsort": st.Phases.LocalSort,
-			"counting_total":     st.Phases.Total(),
-		} {
-			if old, ok := counting[name]; !ok || d < old {
-				counting[name] = d
-			}
-		}
-	}
 
 	// Dovetail path: the radix route's minima on the all-light uniform
 	// workload, where the planner hands the whole input to the recursion.
-	// Same key convention as counting_*: newer baselines gate them, older
-	// baselines without the keys still compare cleanly.
+	// The keys ride in PhasesSec so Compare gates them automatically once
+	// a baseline stores them; older baselines without the keys still
+	// compare cleanly (Compare iterates the stored baseline's keys).
 	dovetail := map[string]time.Duration{}
 	for r := 0; r < o.Reps; r++ {
 		_, st, err := core.SemisortWS(&ws, a, &core.Config{Procs: P, Seed: o.Seed + 7,
@@ -147,7 +128,7 @@ func MeasureBaseline(o Options) Baseline {
 	// extremes — the one-shot ablation (the historical Phase 1) and the
 	// estimator on the duplicate-heavy workload where the round loop does
 	// real re-targeting — so a regression in either mode is caught even if
-	// the other compensates. Same back-compat convention as counting_*:
+	// the other compensates. Same back-compat convention as dovetail_*:
 	// Compare gates only the keys the stored baseline has.
 	sampling := map[string]time.Duration{}
 	for r := 0; r < o.Reps; r++ {
@@ -174,13 +155,10 @@ func MeasureBaseline(o Options) Baseline {
 
 	b := Baseline{
 		N: o.N, Procs: P, Reps: o.Reps, Seed: o.Seed,
-		PhasesSec: make(map[string]float64, len(phases)+len(counting)+len(dovetail)+len(sampling)),
+		PhasesSec: make(map[string]float64, len(phases)+len(dovetail)+len(sampling)),
 		TotalSec:  total.Seconds(),
 	}
 	for name, d := range phases {
-		b.PhasesSec[name] = d.Seconds()
-	}
-	for name, d := range counting {
 		b.PhasesSec[name] = d.Seconds()
 	}
 	for name, d := range dovetail {
@@ -190,28 +168,21 @@ func MeasureBaseline(o Options) Baseline {
 		b.PhasesSec[name] = d.Seconds()
 	}
 
-	// Fused reduce: the collect-reduce pipeline on the duplicate-heavy
-	// workload, one set of keys per strategy. Like counting_*, the keys
-	// ride in PhasesSec so newer baselines gate them and older ones
-	// without the keys still compare cleanly.
+	// Fused reduce: the collect-reduce pipeline (the counting route) on
+	// the duplicate-heavy workload. Like dovetail_*, the keys ride in
+	// PhasesSec so newer baselines gate them and older ones without the
+	// keys still compare cleanly.
 	sp := sumReduceSpec()
 	reduced := map[string]time.Duration{}
 	for r := 0; r < o.Reps; r++ {
-		for name, strat := range map[string]core.ScatterStrategy{
-			"reduce_probing":  core.ScatterProbing,
-			"reduce_counting": core.ScatterCounting,
-		} {
-			_, _, st, err := core.ReduceShared(&ws, exp, &core.Config{Procs: P, Seed: o.Seed + 7,
-				ScatterStrategy: strat}, sp)
-			if err != nil {
-				panic(err)
-			}
-			if d := st.Phases.Total(); reduced[name] == 0 || d < reduced[name] {
-				reduced[name] = d
-			}
+		_, _, st, err := core.ReduceShared(&ws, exp, &core.Config{Procs: P, Seed: o.Seed + 7}, sp)
+		if err != nil {
+			panic(err)
 		}
-		_, _, st, err := core.HistogramShared(&ws, exp, &core.Config{Procs: P, Seed: o.Seed + 7,
-			ScatterStrategy: core.ScatterCounting})
+		if d := st.Phases.Total(); reduced["reduce_counting"] == 0 || d < reduced["reduce_counting"] {
+			reduced["reduce_counting"] = d
+		}
+		_, _, st, err = core.HistogramShared(&ws, exp, &core.Config{Procs: P, Seed: o.Seed + 7})
 		if err != nil {
 			panic(err)
 		}
@@ -268,16 +239,9 @@ func MeasureBaseline(o Options) Baseline {
 				panic(err)
 			}
 		}),
-		"counting": allocsPerOp(allocReps, func() {
-			if _, _, err := core.SemisortWS(&ws, exp, &core.Config{Procs: 1, Seed: o.Seed + 7,
-				ScatterStrategy: core.ScatterCounting}); err != nil {
-				panic(err)
-			}
-		}),
 		// The dovetail route threads its radix scratch through the
-		// workspace, so a warm run allocates only what the other
-		// strategies do; a recursion buffer escaping the workspace
-		// shows up here first.
+		// workspace, so a warm run allocates only what probing does; a
+		// recursion buffer escaping the workspace shows up here first.
 		"dovetail": allocsPerOp(allocReps, func() {
 			if _, _, err := core.SemisortWS(&ws, a, &core.Config{Procs: 1, Seed: o.Seed + 7,
 				ScatterStrategy: core.ScatterDovetail}); err != nil {
@@ -288,14 +252,12 @@ func MeasureBaseline(o Options) Baseline {
 		// cells and reduce stage, so warm calls must stay allocation-free
 		// just like plain semisorts.
 		"reduce": allocsPerOp(allocReps, func() {
-			if _, _, _, err := core.ReduceShared(&ws, exp, &core.Config{Procs: 1, Seed: o.Seed + 7,
-				ScatterStrategy: core.ScatterProbing}, sp); err != nil {
+			if _, _, _, err := core.ReduceShared(&ws, exp, &core.Config{Procs: 1, Seed: o.Seed + 7}, sp); err != nil {
 				panic(err)
 			}
 		}),
 		"histogram": allocsPerOp(allocReps, func() {
-			if _, _, _, err := core.HistogramShared(&ws, exp, &core.Config{Procs: 1, Seed: o.Seed + 7,
-				ScatterStrategy: core.ScatterCounting}); err != nil {
+			if _, _, _, err := core.HistogramShared(&ws, exp, &core.Config{Procs: 1, Seed: o.Seed + 7}); err != nil {
 				panic(err)
 			}
 		}),

@@ -199,8 +199,8 @@ func TestRunReduceTiny(t *testing.T) {
 		t.Fatalf("reduce tables = %d, want 2", len(tabs))
 	}
 	for _, tab := range tabs {
-		if len(tab.Rows) != 6 { // 3 distributions x 2 strategies
-			t.Errorf("table %q rows = %d, want 6", tab.Title, len(tab.Rows))
+		if len(tab.Rows) != 3 { // 3 distributions, one fused route
+			t.Errorf("table %q rows = %d, want 3", tab.Title, len(tab.Rows))
 		}
 	}
 }

@@ -145,9 +145,9 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 	for _, ph := range []string{
 		"sample", "buckets", "scatter", "localsort", "pack",
-		"counting_scatter", "counting_localsort", "counting_total",
+		"dovetail_localsort", "dovetail_total",
 		"sampling_oneshot_sample", "sampling_adaptive_sample", "sampling_adaptive_total",
-		"reduce_probing", "reduce_counting", "reduce_histogram",
+		"reduce_counting", "reduce_histogram",
 	} {
 		if b.PhasesSec[ph] <= 0 {
 			t.Fatalf("baseline phase %q = %v, want positive (%+v)", ph, b.PhasesSec[ph], b)

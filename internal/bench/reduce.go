@@ -107,63 +107,61 @@ func reduceTable(o Options, histogram bool) *Table {
 	}
 	tab := &Table{
 		Title: fmt.Sprintf("Fused %s vs materialize-then-reduce, n=%d", op, o.N),
-		Headers: []string{"dist", "strategy", fmt.Sprintf("fused t(p=%d)", P),
+		Headers: []string{"dist", fmt.Sprintf("fused t(p=%d)", P),
 			fmt.Sprintf("mat t(p=%d)", P), "mat/fused", "fused t(p=1)", "groups"},
 	}
 	for _, d := range reduceDists(o.N) {
 		a := distgen.Generate(P, o.N, d.spec, o.Seed)
-		for _, strat := range []core.ScatterStrategy{core.ScatterProbing, core.ScatterCounting} {
-			groups := 0
-			fusedRun := func(procs int) time.Duration {
-				var ws core.Workspace
-				sp := sumReduceSpec()
-				return timeIt(o.Reps, func() {
-					cfg := &core.Config{Procs: procs, Seed: o.Seed + 7, ScatterStrategy: strat}
-					var (
-						out []rec.Record
-						err error
-					)
-					if histogram {
-						out, _, _, err = core.HistogramShared(&ws, a, cfg)
-					} else {
-						out, _, _, err = core.ReduceShared(&ws, a, cfg, sp)
-					}
-					if err != nil {
-						panic(err)
-					}
-					groups = len(out)
-				})
-			}
-			fusedP := fusedRun(P)
-			fused1 := fusedRun(1)
-
+		groups := 0
+		fusedRun := func(procs int) time.Duration {
 			var ws core.Workspace
-			dst := make([]rec.Record, 0, groups)
-			mat := timeIt(o.Reps, func() {
-				cfg := &core.Config{Procs: P, Seed: o.Seed + 7, ScatterStrategy: strat}
-				var err error
+			sp := sumReduceSpec()
+			return timeIt(o.Reps, func() {
+				cfg := &core.Config{Procs: procs, Seed: o.Seed + 7}
+				var (
+					out []rec.Record
+					err error
+				)
 				if histogram {
-					dst, err = materializedCount(&ws, a, cfg, dst)
+					out, _, _, err = core.HistogramShared(&ws, a, cfg)
 				} else {
-					dst, err = materializedReduce(&ws, a, cfg, dst)
+					out, _, _, err = core.ReduceShared(&ws, a, cfg, sp)
 				}
 				if err != nil {
 					panic(err)
 				}
+				groups = len(out)
 			})
-			if len(dst) != groups {
-				panic(fmt.Sprintf("bench: fused %s found %d groups, materialized found %d", op, groups, len(dst)))
-			}
-			tab.AddRow(d.name, strat.String(), secs(fusedP), secs(mat), ratio(mat, fusedP), secs(fused1), groups)
 		}
+		fusedP := fusedRun(P)
+		fused1 := fusedRun(1)
+
+		var ws core.Workspace
+		dst := make([]rec.Record, 0, groups)
+		mat := timeIt(o.Reps, func() {
+			cfg := &core.Config{Procs: P, Seed: o.Seed + 7}
+			var err error
+			if histogram {
+				dst, err = materializedCount(&ws, a, cfg, dst)
+			} else {
+				dst, err = materializedReduce(&ws, a, cfg, dst)
+			}
+			if err != nil {
+				panic(err)
+			}
+		})
+		if len(dst) != groups {
+			panic(fmt.Sprintf("bench: fused %s found %d groups, materialized found %d", op, groups, len(dst)))
+		}
+		tab.AddRow(d.name, secs(fusedP), secs(mat), ratio(mat, fusedP), secs(fused1), groups)
 	}
 	tab.Notes = append(tab.Notes,
-		fmt.Sprintf("fused arm: core pipeline folds during scatter/local phases; materialized arm: %s, sequential after the sort", ref),
+		fmt.Sprintf("fused arm: the counting route folds during scatter/local phases; materialized arm: %s (the radix kernel's semisort), sequential after the sort", ref),
 		"both arms reuse warm workspaces; the delta is staging+packing grouped records and the extra pass over n",
 		"uniform (all light) is the control: fusion degenerates to per-segment folds and the arms should be close")
 	if histogram {
 		tab.Notes = append(tab.Notes,
-			"counting histogram reuses the pass-1 histogram for heavy keys — no grouped staging at all (Stats.ScatterFlushes = 0)")
+			"the fused histogram reuses the pass-1 histogram for heavy keys — no grouped staging at all")
 	}
 	return tab
 }

@@ -9,14 +9,15 @@ import (
 	"repro/internal/rec"
 )
 
-// RunScatter is the scatter-strategy head-to-head: probing (the paper's
-// CAS scatter), counting (the two-pass alternative) and Auto (the
-// deterministic planner, whose plain semisorts all take the dovetail
-// radix route), across distributions spanning the duplication spectrum —
-// from all-light uniform to Zipfian and few-heavy-keys inputs, where the
-// counting scatter's exact offsets avoid the CAS contention that heavy
-// duplicates concentrate on a few buckets, and the radix kernel pulls
-// the heavy keys out of its own distribution passes.
+// RunScatter is the plain-semisort head-to-head: probing (the paper's CAS
+// scatter) against Auto (the deterministic planner, whose plain
+// semisorts all take the dovetail radix route), across distributions
+// spanning the duplication spectrum — from all-light uniform to Zipfian
+// and few-heavy-keys inputs, where heavy duplicates concentrate CAS
+// contention on a few buckets and the radix kernel pulls the heavy keys
+// out of its own distribution passes. ScatterCounting and
+// ScatterDovetail are aliases of Auto on a plain call, so they get no
+// rows of their own.
 func RunScatter(o Options) []*Table {
 	o = o.withDefaults()
 	P := o.MaxProcs()
@@ -30,14 +31,12 @@ func RunScatter(o Options) []*Table {
 		{"zipfian M=10^4", distgen.Spec{Kind: distgen.Zipfian, Param: 1e4}},
 		{"uniform N=16 (few heavy)", distgen.Spec{Kind: distgen.Uniform, Param: 16}},
 	}
-	// ScatterDovetail is an alias of the default planner (ScatterAuto),
-	// so it gets no row of its own.
-	strategies := []core.ScatterStrategy{core.ScatterProbing, core.ScatterCounting, core.ScatterAuto}
+	strategies := []core.ScatterStrategy{core.ScatterProbing, core.ScatterAuto}
 
 	tab := &Table{
-		Title: fmt.Sprintf("Scatter strategies — probing vs counting, n=%d, p=%d", o.N, P),
+		Title: fmt.Sprintf("Scatter strategies — probing vs the planner, n=%d, p=%d", o.N, P),
 		Headers: []string{"distribution", "strategy", "t(s)", "scatter(s)",
-			"localsort(s)", "pack(s)", "resolved", "flushes", "vs probing"},
+			"localsort(s)", "pack(s)", "resolved", "vs probing"},
 	}
 
 	var ws core.Workspace
@@ -62,11 +61,10 @@ func RunScatter(o Options) []*Table {
 			}
 			tab.AddRow(d.name, strat.String(), secs(t), secs(stats.Phases.Scatter),
 				secs(stats.Phases.LocalSort), secs(stats.Phases.Pack),
-				stats.ScatterStrategy, stats.ScatterFlushes, ratio(probingTotal, t))
+				stats.ScatterStrategy, ratio(probingTotal, t))
 		}
 	}
 	tab.Notes = append(tab.Notes,
-		"counting removes CAS traffic and the Phase 5 pack (records land packed); expect it ahead on the duplicate-heavy rows",
 		"'resolved' is the placement the run actually used — on the Auto rows it shows the planner's pick (dovetail for every plain semisort)")
 	render(o, tab)
 	return []*Table{tab}

@@ -94,9 +94,9 @@ func TestSteadyStateAllocsShared(t *testing.T) {
 
 func TestSemisortInto(t *testing.T) {
 	a := distgen.Generate(2, 20000, distgen.Spec{Kind: distgen.Zipfian, Param: 500}, 3)
-	// Counting scatter: deterministic placement at any Procs, so the
-	// in-place output can be compared record-for-record against want.
-	cfg := &Config{Procs: 2, Seed: 9, ScatterStrategy: ScatterCounting}
+	// The default route is deterministic at any Procs, so the in-place
+	// output can be compared record-for-record against want.
+	cfg := &Config{Procs: 2, Seed: 9}
 	ws := &Workspace{}
 	want, _, err := SemisortWS(ws, a, cfg)
 	if err != nil {
@@ -150,7 +150,7 @@ func TestSemisortInto(t *testing.T) {
 // and produce a correct grouping anyway.
 func TestSharedOutputFedBackAsInput(t *testing.T) {
 	a := distgen.Generate(2, 20000, distgen.Spec{Kind: distgen.Zipfian, Param: 500}, 4)
-	cfg := &Config{Procs: 2, Seed: 9, ScatterStrategy: ScatterCounting}
+	cfg := &Config{Procs: 2, Seed: 9}
 	ws := &Workspace{}
 	out, _, err := SemisortShared(ws, a, cfg)
 	if err != nil {

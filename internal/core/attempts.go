@@ -1,7 +1,8 @@
 // The attempt driver: the Las Vegas conversion at the end of the paper's
 // Section 3. Every call runs attempt 0. The counting and dovetail routes
 // place records at exact offsets and cannot overflow, so only the probing
-// route (probingRoute), whose f(s)-sized buckets can, ever gets past it:
+// route (a plain ScatterProbing call, resolveScatter), whose f(s)-sized
+// buckets can, ever gets past it:
 // an overflowed attempt is detected and retried with more room.
 package core
 

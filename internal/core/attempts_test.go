@@ -118,51 +118,37 @@ func attemptKinds(col *obsv.Collector) []string {
 // The probing ladder's escalation, pinned: three injected overflows, each
 // naming one deficient bucket, spend the two boosted retries on the
 // sample and then resample with doubled slack, and the fourth attempt
-// succeeds.
+// succeeds. Only a plain ScatterProbing call climbs the ladder: a fused
+// reduce runs counting (TestReduceRetryNoDoubleCount).
 func TestProbeLadderResample(t *testing.T) {
 	a := mkRecords(30000, 200, 22)
-	for _, fused := range []bool{false, true} {
-		inj := fault.New(1).Arm(fault.ScatterOverflow, 0, 3)
-		withInjector(t, inj)
-		var col obsv.Collector
-		cfg := &Config{Procs: 2, MaxRetries: 5, Slack: 1.5, ScatterStrategy: ScatterProbing, Observer: &col}
-		var stats Stats
-		if fused {
-			out, reps, s, err := ReduceShared(&Workspace{}, a, cfg, sumSpec())
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, sum, vals := refAgg(a)
-			checkReduced(t, "fused ladder", out, reps, sum, vals)
-			stats = s
-		} else {
-			out, s, err := Semisort(a, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkSemisorted(t, "ladder", a, out)
-			stats = s
-		}
-		want := []string{obsv.AttemptFresh, obsv.AttemptBoosted, obsv.AttemptBoosted, obsv.AttemptResample}
-		if got := attemptKinds(&col); !slices.Equal(got, want) {
-			t.Errorf("fused=%v: attempt kinds %v, want %v", fused, got, want)
-		}
-		if stats.Attempts != 4 || stats.Retries != 3 || stats.FallbackUsed {
-			t.Errorf("fused=%v: Attempts=%d Retries=%d FallbackUsed=%v, want 4, 3, false",
-				fused, stats.Attempts, stats.Retries, stats.FallbackUsed)
-		}
-		if stats.EffectiveSlack != 2*1.5 {
-			t.Errorf("fused=%v: EffectiveSlack = %v, want %v", fused, stats.EffectiveSlack, 2*1.5)
-		}
-		// Each injected overflow names bucket 0 with one failed placement.
-		if stats.OverflowedBuckets != 3 || stats.OverflowDeficit != 3 {
-			t.Errorf("fused=%v: OverflowedBuckets=%d OverflowDeficit=%d, want 3 and 3",
-				fused, stats.OverflowedBuckets, stats.OverflowDeficit)
-		}
-		if f := inj.Fired(fault.ScatterOverflow); f != 3 {
-			t.Errorf("fused=%v: ScatterOverflow fired %d times, want 3", fused, f)
-		}
-		fault.Disable()
+	inj := fault.New(1).Arm(fault.ScatterOverflow, 0, 3)
+	withInjector(t, inj)
+	var col obsv.Collector
+	cfg := &Config{Procs: 2, MaxRetries: 5, Slack: 1.5, ScatterStrategy: ScatterProbing, Observer: &col}
+	out, stats, err := Semisort(a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSemisorted(t, "ladder", a, out)
+	want := []string{obsv.AttemptFresh, obsv.AttemptBoosted, obsv.AttemptBoosted, obsv.AttemptResample}
+	if got := attemptKinds(&col); !slices.Equal(got, want) {
+		t.Errorf("attempt kinds %v, want %v", got, want)
+	}
+	if stats.Attempts != 4 || stats.Retries != 3 || stats.FallbackUsed {
+		t.Errorf("Attempts=%d Retries=%d FallbackUsed=%v, want 4, 3, false",
+			stats.Attempts, stats.Retries, stats.FallbackUsed)
+	}
+	if stats.EffectiveSlack != 2*1.5 {
+		t.Errorf("EffectiveSlack = %v, want %v", stats.EffectiveSlack, 2*1.5)
+	}
+	// Each injected overflow names bucket 0 with one failed placement.
+	if stats.OverflowedBuckets != 3 || stats.OverflowDeficit != 3 {
+		t.Errorf("OverflowedBuckets=%d OverflowDeficit=%d, want 3 and 3",
+			stats.OverflowedBuckets, stats.OverflowDeficit)
+	}
+	if f := inj.Fired(fault.ScatterOverflow); f != 3 {
+		t.Errorf("ScatterOverflow fired %d times, want 3", f)
 	}
 }
 
@@ -273,9 +259,7 @@ func TestDefaultRoutesIgnoreProbingKnobs(t *testing.T) {
 							if !slices.Equal(got.out, want.out) {
 								t.Errorf("%+v: output differs", k)
 							}
-							// Heavy representatives merge in scheduling order
-							// above one worker; only Procs 1 pins them.
-							if procs == 1 && !slices.Equal(got.reps, want.reps) {
+							if !slices.Equal(got.reps, want.reps) {
 								t.Errorf("%+v: representatives differ", k)
 							}
 						}

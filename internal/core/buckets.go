@@ -67,9 +67,6 @@ func (pl *plan) allocatePhase(st scatterStage) error {
 	}
 	pl.numLightMerged = int(id) - pl.firstLight
 	pl.buildHeavyDir()
-	if pl.red != nil {
-		pl.ensureReduceState()
-	}
 
 	if err := st.allocate(pl); err != nil {
 		pl.stats.Phases.Buckets = time.Since(pl.bucketsT0)
@@ -148,5 +145,5 @@ func (pl *plan) buildHeavyDir() {
 }
 
 // dirBytes is the heavy directory's footprint, priced against
-// Config.MaxSlotBytes with the counting routes' scratch.
+// Config.MaxSlotBytes with the counting route's scratch.
 func (pl *plan) dirBytes() int64 { return int64(len(pl.heavyDir)) * 16 }

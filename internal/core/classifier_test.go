@@ -228,10 +228,9 @@ func countShared(keys []uint64, logD int) int {
 // resolves through the table fallback, at several worker counts (the CI
 // race-stress sweep runs it under -race): plain semisorts must group
 // exactly, and the fused reduce must fold every key to its reference sum.
-// A plain semisort classifies only on the sampled routes (counting and
-// probing); under the planner (Auto, Dovetail) it goes to the radix
-// kernel, and only its fused reduce, which the planner sends to
-// counting, reaches the classifier.
+// A plain semisort classifies only on the probing route; under the
+// planner (Auto) it goes to the radix kernel, and only its fused reduce,
+// which always runs counting, reaches the classifier.
 func TestClassifierSharedSlotsEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n = 1 << 15
@@ -255,7 +254,7 @@ func TestClassifierSharedSlotsEndToEnd(t *testing.T) {
 		a[i] = rec.Record{Key: k, Value: uint64(i)}
 	}
 	_, sum, vals := refAgg(a)
-	for _, strat := range []ScatterStrategy{ScatterAuto, ScatterCounting, ScatterDovetail, ScatterProbing} {
+	for _, strat := range []ScatterStrategy{ScatterAuto, ScatterProbing} {
 		for _, procs := range []int{1, 2, 4} {
 			label := fmt.Sprintf("%v/procs=%d", strat, procs)
 			cfg := &Config{Procs: procs, Seed: 5, ScatterStrategy: strat}

@@ -37,33 +37,34 @@ const (
 	// from the call alone: a plain semisort takes the dovetail route (one
 	// call of the radix kernel over the whole input, with no sample,
 	// classification or scatter in front of it), and a fused reduce takes
-	// the counting scatter. Unless a non-linear Config.Probe forces
-	// probing, its output is byte-identical across Procs and Attempts is
-	// always 1. The zero value.
+	// the counting scatter. Unless a plain call asks for probing, its
+	// output is byte-identical across Procs and Attempts is always 1. The
+	// zero value.
 	ScatterAuto ScatterStrategy = iota
 	// ScatterProbing is the paper's placement: a pseudo-random slot per
 	// record, claimed with CAS, probing on collision (parameterized by
 	// Config.Probe). Overflow triggers the Las Vegas retry ladder. Only
-	// an explicit request (or a non-linear Probe) selects it: it is the
-	// paper-reproduction mode every internal/bench table pins.
+	// a plain semisort that asks for it (or sets a non-linear Probe)
+	// takes it: it is the paper-reproduction mode every internal/bench
+	// table pins. A fused reduce ignores it and runs counting.
 	ScatterProbing
-	// ScatterCounting is the deterministic two-pass counting scatter over
-	// the sampled pipeline's buckets: a per-block histogram over bucket
-	// ids, prefix sums to exact write cursors, then blocked writes through
-	// per-worker staging buffers that flush cache-line-sized runs. No CAS,
-	// no probing, and no overflow retries — the offsets are exact, so the
-	// path cannot fail. The planner picks it for every fused reduce; a
-	// plain semisort takes it only on this explicit request.
+	// ScatterCounting names the fused reduce's route: the deterministic
+	// two-pass counting scatter over the sampled pipeline's buckets. Pass
+	// 1 builds a per-block histogram over bucket ids, prefix sums turn it
+	// into exact write cursors, and pass 2 folds heavy records into
+	// per-worker cells and stores light records for the in-arena reduce.
+	// No CAS, no probing, and no overflow retries. Every fused reduce
+	// takes it, whatever ScatterStrategy says. As a Config value it is
+	// equivalent to ScatterAuto, and kept for API compatibility.
 	ScatterCounting
-	// ScatterDovetail names the planner's radix route: the whole input
+	// ScatterDovetail names the plain semisort's route: the whole input
 	// goes to a top-down MSD radix recursion (internal/sortint's
 	// DovetailSort kernel) that samples every large node and pulls that
 	// node's heavy keys out of its distribution pass. Phases 1–3 do not
 	// run, so the route reads none of the sampling and sizing knobs.
 	// Per-node decisions are reported in Stats.PlannerRoutes. As a Config
-	// value it is equivalent to ScatterAuto, which takes this route for
-	// every plain semisort (and counting for a fused reduce); it is kept
-	// for API compatibility.
+	// value it is equivalent to ScatterAuto, and kept for API
+	// compatibility.
 	ScatterDovetail
 )
 
@@ -85,10 +86,10 @@ func (s ScatterStrategy) String() string {
 // buckets, c = 1.25, slack 1.1, bucket merging on, linear probing. Its
 // route is the deterministic planner (ScatterAuto: the dovetail radix
 // kernel for a plain semisort, counting for a fused reduce), not the
-// paper's; the paper's CAS scatter and probing needs ScatterStrategy:
-// ScatterProbing. The sampling, bucket and sizing knobs are read only by
-// the sampled routes (probing and counting); the dovetail route ignores
-// them.
+// paper's; a plain semisort takes the paper's CAS scatter and probing
+// with ScatterStrategy: ScatterProbing. The sampling, bucket and sizing
+// knobs are read only by the sampled routes (probing, and counting for a
+// fused reduce); the dovetail route ignores them.
 type Config struct {
 	// Procs is the number of workers; <= 0 means GOMAXPROCS.
 	Procs int
@@ -144,14 +145,13 @@ type Config struct {
 	// benches. Read by the probing route only.
 	ExactBucketSizes bool
 	// Probe selects the Phase 3 collision strategy (probing scatter only).
-	// A non-linear probe kind forces ScatterProbing — the alternative
-	// probes parameterize the probing placement, so combining them with
-	// the counting scatter would be meaningless.
+	// On a plain semisort a non-linear probe kind forces ScatterProbing,
+	// which it parameterizes. A fused reduce ignores it.
 	Probe ProbeKind
-	// ScatterStrategy selects the route: the paper's CAS + probing
-	// scatter, the deterministic two-pass counting scatter, or (the
-	// default) the deterministic planner, which sends a plain semisort to
-	// the dovetail radix kernel and a fused reduce to counting.
+	// ScatterStrategy selects a plain semisort's route: the paper's CAS +
+	// probing scatter (ScatterProbing), or the default dovetail radix
+	// kernel (every other value). A fused reduce always runs the counting
+	// scatter and ignores it.
 	ScatterStrategy ScatterStrategy
 	// MaxRetries bounds the probing route's Las Vegas attempts after
 	// bucket overflow. The retry policy is adaptive: the first restarts
@@ -273,15 +273,14 @@ type Stats struct {
 	LightBuckets int
 	// SlotsAllocated is the total bucket-array slot count the winning
 	// attempt allocated. On the probing path it is ≈ Σ slack·f(s) over
-	// the buckets (light-only under a fused reduce, which gives heavy
-	// buckets no slots); the counting and dovetail paths write the output
-	// directly and report exactly N.
+	// the buckets; the counting and dovetail paths place records at exact
+	// offsets and report exactly N.
 	SlotsAllocated int
 	// HeavyRecords counts records routed through the heavy path: placed
-	// in heavy-bucket slots on a plain probing or counting semisort,
-	// placed in a kernel node's heavy bins on the dovetail route, folded
-	// into per-worker accumulator cells (or, for a counting Histogram,
-	// counted by pass 1 and skipped) on a fused reduce.
+	// in heavy-bucket slots on the probing route, placed in a kernel
+	// node's heavy bins on the dovetail route, folded into per-worker
+	// accumulator cells (or, for a Histogram, counted by pass 1 and
+	// skipped) on a fused reduce.
 	HeavyRecords int
 	// EffectiveSlack is the probing route's slack for the attempt that
 	// produced the output (doubled per resample). The other routes read
@@ -313,22 +312,17 @@ type Stats struct {
 	MaxProbeCluster int
 
 	// ScatterStrategy names the route the last attempt took: "probing",
-	// "counting" or "dovetail". ScatterAuto (and its alias
-	// ScatterDovetail) resolves before Phase 1, from the call alone:
-	// counting on a fused reduce, dovetail on a plain semisort; only an
-	// explicit ScatterProbing (or a non-linear Probe) reports "probing".
-	// Empty only on an empty input.
+	// "counting" or "dovetail". It is decided before Phase 1, from the
+	// call alone: "counting" on every fused reduce, "probing" on a plain
+	// semisort with an explicit ScatterProbing (or a non-linear Probe),
+	// and "dovetail" on every other plain semisort. Empty only on an
+	// empty input.
 	ScatterStrategy string
 	// PlannerRoutes breaks down the skew-adaptive planner's routing
 	// decisions for the attempt that produced the output. Zero on an
 	// empty input; after a fallback it holds what the failed attempt
 	// recorded.
 	PlannerRoutes PlannerRoutes
-	// ScatterFlushes counts the staging-buffer flushes the counting
-	// scatter performed (full cache-line flushes plus end-of-block
-	// drains); zero on the probing path, when staging was bypassed, and
-	// on a fused reduce (whose counting pass 2 stores records directly).
-	ScatterFlushes int64
 	// LocalSortRanges is the number of size-aware bucket ranges the Phase
 	// 4 schedule cut the light buckets into (1 at Procs == 1, at most
 	// 8 × Procs otherwise). Zero when the attempt had no light buckets,
@@ -379,8 +373,8 @@ type Stats struct {
 // docs/OBSERVABILITY.md.
 type PlannerRoutes struct {
 	// ScatterNodes is 1 when the top level routed to the probing or
-	// counting scatter — an explicit request, or a fused reduce under the
-	// planner — and 0 when the dovetail radix kernel ran.
+	// counting scatter — a plain ScatterProbing request, or a fused
+	// reduce — and 0 when the dovetail radix kernel ran.
 	ScatterNodes int
 	// RadixNodes counts dovetail recursion nodes whose sample found no
 	// heavy key, so they ran a plain MSD radix distribution pass, plus
@@ -403,30 +397,23 @@ var ErrOverflow = errors.New("semisort: bucket overflow")
 // Config.MaxSlotBytes; SemisortWS reacts by degrading to the fallback.
 var errSlotCap = errors.New("semisort: slot memory cap exceeded")
 
-// probingRoute reports whether the call takes the paper's probing
-// scatter: an explicit ScatterProbing, or a non-linear Probe, which
-// parameterizes the probing placement and forces it. It is known before
-// Phase 1 and is the one decision that brings in f(s) slot sizing, and
-// with it overflow and the retries of runAttempts; every other call
-// finishes in one attempt.
-func probingRoute(c *Config) bool {
-	return c.Probe != ProbeLinear || c.ScatterStrategy == ScatterProbing
-}
-
 // resolveScatter is the planner's top-level route, a function of the
-// Config and the call kind only, so it is known before Phase 1. Probing
-// (probingRoute) and an explicit ScatterCounting are honored. A fused
-// reduce goes to the counting scatter, whose pass 2 folds records as it
-// stores them. Every other call — a plain ScatterAuto or ScatterDovetail
-// semisort — goes to the dovetail route: the radix kernel finds heavy
-// keys per node, in its own distribution passes, for less than a
-// pipeline-level sample and heavy split in front of it would cost.
+// Config and the call kind only, so it is known before Phase 1, and each
+// route serves exactly one call kind. Every fused reduce goes to the
+// counting scatter, whose pass 2 folds records as it stores them; its
+// exact offsets cannot overflow, so a fused call finishes in one attempt
+// whatever ScatterStrategy or Probe say. A plain semisort goes to the
+// paper's probing scatter on an explicit ScatterProbing or a non-linear
+// Probe (which parameterizes it): the one route that sizes f(s) slots,
+// and with them overflow and the retries of runAttempts. Every other
+// plain call goes to the dovetail route: the radix kernel finds heavy
+// keys per node, in its own distribution passes.
 func resolveScatter(c *Config, fused bool) ScatterStrategy {
 	switch {
-	case probingRoute(c):
-		return ScatterProbing
-	case fused || c.ScatterStrategy == ScatterCounting:
+	case fused:
 		return ScatterCounting
+	case c.Probe != ProbeLinear || c.ScatterStrategy == ScatterProbing:
+		return ScatterProbing
 	}
 	return ScatterDovetail
 }

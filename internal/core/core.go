@@ -20,9 +20,9 @@
 //  3. Scattering (scatter_probing.go, scatter_counting.go): the paper's
 //     placement (ScatterProbing) writes every record to a pseudo-random
 //     slot of its bucket, claiming slots with compare-and-swap and linear
-//     probing on collision. ScatterCounting is deterministic instead: a
-//     two-pass counting scatter that computes exact per-bucket offsets
-//     and needs no atomics.
+//     probing on collision. A fused reduce runs a deterministic two-pass
+//     counting scatter instead, which computes exact per-bucket offsets,
+//     needs no atomics, and folds heavy records into per-worker cells.
 //  4. Local sort (localsort.go): compact each light bucket and group it
 //     locally with the introsort hybrid (the paper's std::sort choice)
 //     over size-aware bucket ranges; a fused reduce folds each bucket in
@@ -31,14 +31,16 @@
 //     technique (Section 4, Phase 5) and copy the already-compact light
 //     buckets, all into one contiguous output array.
 //
-// The default planner (ScatterAuto) decides the route from the call
-// alone, before Phase 1 (resolveScatter). A fused reduce runs the five
-// phases above with the counting scatter. A plain semisort skips Phases
-// 1–3 (and the pack): its Phase 4 is one call of the DovetailSort radix
-// kernel over the whole input (scatter_dovetail.go), a top-down MSD
-// recursion that
-// samples every large node and pulls that node's heavy keys out of its
-// own distribution pass (arXiv 2401.00710), so heavy keys are found where
+// The planner decides the route from the call alone, before Phase 1
+// (resolveScatter), and each route serves one call kind. A fused reduce
+// runs the five phases above with the counting scatter, whatever
+// ScatterStrategy says. A plain semisort with an explicit ScatterProbing
+// runs them with the paper's probing scatter. Every other plain
+// semisort skips Phases 1–3 (and the pack): its Phase 4 is one call of
+// the DovetailSort radix kernel over the whole input
+// (scatter_dovetail.go), a top-down MSD recursion that samples every
+// large node and pulls that node's heavy keys out of its own
+// distribution pass (arXiv 2401.00710), so heavy keys are found where
 // they are, per node, rather than by a pipeline-level sample. Both
 // default routes are deterministic, and default output is byte-identical
 // across Procs.
@@ -119,9 +121,10 @@ func SemisortShared(ws *Workspace, a []rec.Record, cfg *Config) ([]rec.Record, S
 // one attempt on the counting and dovetail routes, the Las Vegas ladder
 // on the probing route, and the sequential fallback when either gives
 // up. When retain is set the produced output is kept in ws.out for the
-// next Shared call. A non-nil red switches every stage to its fused collect-reduce
-// arm (reduce.go): the output is then one record per group, with reps its
-// parallel representative slice (nil on plain semisorts). The deferred
+// next Shared call. A non-nil red makes the call a fused reduce, which
+// the planner sends to the counting scatter (reduce.go): the output is
+// then one record per group, with reps its parallel representative slice
+// (nil on plain semisorts). The deferred
 // epilogue drops the plan's references to caller memory and enforces
 // Config.MaxRetainedBytes, whatever path returned. A nil ws allocates a
 // private workspace for the call.

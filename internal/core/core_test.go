@@ -107,10 +107,10 @@ func TestSemisortDistributionShapes(t *testing.T) {
 func TestSemisortHeavyClassification(t *testing.T) {
 	// With 10 distinct keys over 100k records each key has ~10k copies,
 	// guaranteeing sample counts far above delta: all records must take
-	// the heavy path. Pinned to counting, a route that runs the Phase 2
-	// classification (the planner's dovetail route has none).
+	// the heavy path. Pinned to probing, the plain route that runs the
+	// Phase 2 classification (the planner's dovetail route has none).
 	a := mkRecords(100000, 10, 3)
-	_, stats, err := Semisort(a, &Config{Procs: 4, ScatterStrategy: ScatterCounting})
+	_, stats, err := Semisort(a, &Config{Procs: 4, ScatterStrategy: ScatterProbing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestSemisortEmptySentinelKey(t *testing.T) {
 				a[i] = rec.Record{Key: uint64(i), Value: uint64(i)}
 			}
 		}
-		out, stats, err := Semisort(a, &Config{Procs: 4, ScatterStrategy: ScatterCounting})
+		out, stats, err := Semisort(a, &Config{Procs: 4, ScatterStrategy: ScatterProbing})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestSemisortPhaseTimesPopulated(t *testing.T) {
 	a := mkRecords(100000, 100, 18)
 	// The sampled pipeline times its scatter; the planner's default, the
 	// dovetail route, is one kernel call timed as the local sort.
-	_, stats, err := Semisort(a, &Config{ScatterStrategy: ScatterCounting})
+	_, stats, err := Semisort(a, &Config{ScatterStrategy: ScatterProbing})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,9 +88,10 @@ func TestDifferentialStrategies(t *testing.T) {
 				switch {
 				case stats.FallbackUsed:
 					// A fallback run reports the failing attempts' strategy.
-				case strat == ScatterAuto || strat == ScatterDovetail:
-					// The planner sends every plain semisort to the
-					// dovetail route, whatever the duplication.
+				case strat != ScatterProbing:
+					// The planner sends every plain semisort but an
+					// explicit probing one to the dovetail route,
+					// whatever the duplication.
 					if stats.ScatterStrategy != "dovetail" {
 						t.Errorf("%s: Stats.ScatterStrategy = %q, want dovetail",
 							label, stats.ScatterStrategy)
@@ -109,7 +110,7 @@ func TestDifferentialStrategies(t *testing.T) {
 // run (round cap 1), the default estimator, and an unreachable tolerance
 // that forces the round cap. Every combination must agree with the
 // sequential reference, and the reported round count must respect its
-// configuration. It pins ScatterCounting: a plain semisort under the
+// configuration. It pins ScatterProbing: a plain semisort under the
 // planner takes the dovetail route, which draws no sample.
 func TestDifferentialAdaptiveSampling(t *testing.T) {
 	const n = 20000
@@ -130,7 +131,7 @@ func TestDifferentialAdaptiveSampling(t *testing.T) {
 				cfg := sc.cfg
 				cfg.Procs = procs
 				cfg.Seed = 5
-				cfg.ScatterStrategy = ScatterCounting
+				cfg.ScatterStrategy = ScatterProbing
 				out, stats, err := Semisort(d.data, &cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -154,17 +155,30 @@ func TestDifferentialAdaptiveSampling(t *testing.T) {
 	}
 }
 
-// TestCountingDeterministic: the counting scatter's and the dovetail
-// route's output must be byte-identical across worker counts and
-// repeated runs — the counting scatter's per-bucket order equals input
-// order regardless of block boundaries, and the radix kernel is
-// deterministic by construction.
+// runRoute runs a through the counting route (a fused histogram, the
+// route's one call kind) when fused is set, else through a plain
+// semisort, and returns an output the next call through ws cannot
+// overwrite.
+func runRoute(ws *Workspace, a []rec.Record, cfg *Config, fused bool) ([]rec.Record, error) {
+	if fused {
+		out, _, err := sampledRun(ws, a, cfg)
+		return out, err
+	}
+	out, _, err := SemisortWS(ws, a, cfg)
+	return out, err
+}
+
+// TestCountingDeterministic: the counting route's (a fused reduce) and
+// the dovetail route's output must be byte-identical across worker
+// counts and repeated runs — the counting scatter's per-bucket order
+// equals input order regardless of block boundaries, and the radix
+// kernel is deterministic by construction.
 func TestCountingDeterministic(t *testing.T) {
 	for _, strat := range []ScatterStrategy{ScatterCounting, ScatterDovetail} {
 		for _, d := range diffMatrix(20000, 123) {
 			var first []rec.Record
 			for _, procs := range []int{1, 2, 4, 4} {
-				out, _, err := Semisort(d.data, &Config{Procs: procs, Seed: 3, ScatterStrategy: strat})
+				out, err := runRoute(nil, d.data, &Config{Procs: procs, Seed: 3}, strat == ScatterCounting)
 				if err != nil {
 					t.Fatalf("%v/%s procs=%d: %v", strat, d.name, procs, err)
 				}
@@ -185,10 +199,10 @@ func TestCountingDeterministic(t *testing.T) {
 
 // TestWorkspaceReuseByteIdentical: reusing a warm Workspace must not
 // change the output — every call with the same input, seed and strategy
-// is byte-identical to a fresh-workspace run. Covered where the strategy
-// itself is deterministic: the counting scatter at any worker count, the
-// probing scatter at one worker (its CAS placement is interleaving-
-// dependent beyond that).
+// is byte-identical to a fresh-workspace run. Covered where the route
+// itself is deterministic: the counting scatter (a fused histogram) and
+// the dovetail route at any worker count, the probing scatter at one
+// worker (its CAS placement is interleaving-dependent beyond that).
 func TestWorkspaceReuseByteIdentical(t *testing.T) {
 	cases := []struct {
 		strat ScatterStrategy
@@ -205,13 +219,14 @@ func TestWorkspaceReuseByteIdentical(t *testing.T) {
 	for _, d := range diffMatrix(20000, 205) {
 		for _, tc := range cases {
 			cfg := &Config{Procs: tc.procs, Seed: 17, ScatterStrategy: tc.strat}
-			ref, _, err := Semisort(d.data, cfg)
+			fused := tc.strat == ScatterCounting
+			ref, err := runRoute(nil, d.data, cfg, fused)
 			if err != nil {
 				t.Fatalf("%s %v procs=%d: %v", d.name, tc.strat, tc.procs, err)
 			}
 			ws := &Workspace{}
 			for call := 0; call < 3; call++ {
-				out, _, err := SemisortWS(ws, d.data, cfg)
+				out, err := runRoute(ws, d.data, cfg, fused)
 				if err != nil {
 					t.Fatalf("%s %v procs=%d call %d: %v", d.name, tc.strat, tc.procs, call, err)
 				}

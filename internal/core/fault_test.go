@@ -43,7 +43,7 @@ func TestInjectedOverflowRetries(t *testing.T) {
 	a := mkRecords(30000, 100, 7)
 	withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 2))
 	// Pinned to probing: the injected faults model probe-slack exhaustion,
-	// which the counting scatter (Auto's pick on this heavy input) lacks.
+	// which the default dovetail route lacks.
 	out, stats, err := Semisort(a, &Config{Procs: 2, MaxRetries: 4, ScatterStrategy: ScatterProbing})
 	if err != nil {
 		t.Fatalf("semisort after 2 injected overflows: %v", err)
@@ -135,7 +135,7 @@ func TestSlotCapFallsBack(t *testing.T) {
 	}
 }
 
-// The sampled pipeline (counting here) has five phase gates; the
+// The sampled pipeline (probing here) has five phase gates; the
 // planner's dovetail route is one kernel call behind a single gate, at
 // the local sort. A cancellation fired at any of them must abort the
 // call with context.Canceled.
@@ -146,7 +146,7 @@ func TestCancellationAtEveryPhaseBoundary(t *testing.T) {
 		strat  ScatterStrategy
 		phases []string
 	}{
-		{ScatterCounting, []string{"sampling", "bucket construction", "scatter", "local sort", "pack"}},
+		{ScatterProbing, []string{"sampling", "bucket construction", "scatter", "local sort", "pack"}},
 		{ScatterAuto, []string{"local sort"}},
 	} {
 		for k, name := range route.phases {
@@ -194,20 +194,21 @@ func TestInjectedWorkerPanicSurfacesAsError(t *testing.T) {
 	checkNoLeak(t, base)
 }
 
-// The counting scatter has no probe slack to exhaust, so the overflow and
-// saturation points must never even be consulted on that path, and every
-// overflow statistic must stay zero.
+// The counting scatter (every fused reduce) has no probe slack to
+// exhaust, so the overflow and saturation points must never even be
+// consulted on that path, and every overflow statistic must stay zero.
 func TestCountingIgnoresScatterOverflow(t *testing.T) {
 	a := mkRecords(30000, 100, 7)
+	count, _, vals := refAgg(a)
 	inj := fault.New(1).
 		Arm(fault.ScatterOverflow, 0, 100).
 		Arm(fault.ProbeSaturation, 0, 100)
 	withInjector(t, inj)
-	out, stats, err := Semisort(a, &Config{Procs: 2, ScatterStrategy: ScatterCounting})
+	out, reps, stats, err := HistogramShared(nil, a, &Config{Procs: 2})
 	if err != nil {
-		t.Fatalf("counting semisort under armed overflow faults: %v", err)
+		t.Fatalf("counting histogram under armed overflow faults: %v", err)
 	}
-	checkSemisorted(t, "counting vs overflow faults", a, out)
+	checkReduced(t, "counting vs overflow faults", out, reps, count, vals)
 	if stats.ScatterStrategy != "counting" {
 		t.Fatalf("ScatterStrategy = %q, want counting", stats.ScatterStrategy)
 	}
@@ -226,25 +227,6 @@ func TestCountingIgnoresScatterOverflow(t *testing.T) {
 	}
 	if f := inj.Fired(fault.ProbeSaturation); f != 0 {
 		t.Errorf("ProbeSaturation fired %d times on the counting path", f)
-	}
-}
-
-// StageFlush forces every counting block onto the unstaged direct-store
-// path, which must produce the same output with zero recorded flushes.
-func TestInjectedStageFlushBypass(t *testing.T) {
-	a := mkRecords(30000, 100, 29)
-	inj := fault.New(1).Arm(fault.StageFlush, 0, 1<<20)
-	withInjector(t, inj)
-	out, stats, err := Semisort(a, &Config{Procs: 2, ScatterStrategy: ScatterCounting})
-	if err != nil {
-		t.Fatalf("counting semisort with staging bypassed: %v", err)
-	}
-	checkSemisorted(t, "stage-flush bypass", a, out)
-	if inj.Fired(fault.StageFlush) == 0 {
-		t.Fatal("StageFlush never fired; the input did not reach a staged counting block")
-	}
-	if stats.ScatterFlushes != 0 {
-		t.Errorf("ScatterFlushes = %d, want 0 when every block bypassed staging", stats.ScatterFlushes)
 	}
 }
 
@@ -289,14 +271,15 @@ func TestAutoProbingOverflowAccounting(t *testing.T) {
 	}
 }
 
-// A worker panic anywhere in a counting-strategy run must surface as a
-// wrapped PanicError with no output and no leaked goroutines.
+// A worker panic anywhere in a counting-route run (a fused reduce) must
+// surface as a wrapped PanicError with no output and no leaked
+// goroutines.
 func TestCountingWorkerPanic(t *testing.T) {
 	for _, first := range []int{0, 1} {
 		base := runtime.NumGoroutine()
 		a := mkRecords(30000, 100, 19)
 		withInjector(t, fault.New(1).Arm(fault.WorkerPanic, first, 1))
-		out, _, err := Semisort(a, &Config{Procs: 2, ScatterStrategy: ScatterCounting})
+		out, _, _, err := ReduceShared(nil, a, &Config{Procs: 2}, sumSpec())
 		fault.Disable()
 		if err == nil {
 			t.Fatalf("occurrence %d: injected worker panic produced no error", first)
@@ -317,11 +300,12 @@ func TestCountingWorkerPanic(t *testing.T) {
 // single attempt, exactly like the probing path's slot cap.
 func TestCountingSlotCapFallsBack(t *testing.T) {
 	a := mkRecords(30000, 100, 13)
-	out, stats, err := Semisort(a, &Config{Procs: 2, MaxSlotBytes: 512, ScatterStrategy: ScatterCounting})
+	_, sum, vals := refAgg(a)
+	out, reps, stats, err := ReduceShared(nil, a, &Config{Procs: 2, MaxSlotBytes: 512}, sumSpec())
 	if err != nil {
-		t.Fatalf("scratch-capped counting semisort: %v", err)
+		t.Fatalf("scratch-capped counting reduce: %v", err)
 	}
-	checkSemisorted(t, "counting scratch cap", a, out)
+	checkReduced(t, "counting scratch cap", out, reps, sum, vals)
 	if !stats.FallbackUsed {
 		t.Error("FallbackUsed = false under an unmeetable scratch cap")
 	}
@@ -329,7 +313,7 @@ func TestCountingSlotCapFallsBack(t *testing.T) {
 		t.Errorf("Attempts = %d, want 1 (cap abort is not retryable)", stats.Attempts)
 	}
 
-	_, _, err = Semisort(a, &Config{Procs: 2, MaxSlotBytes: 512, ScatterStrategy: ScatterCounting, DisableFallback: true})
+	_, _, _, err = ReduceShared(nil, a, &Config{Procs: 2, MaxSlotBytes: 512, DisableFallback: true}, sumSpec())
 	if !errors.Is(err, ErrOverflow) {
 		t.Fatalf("capped + DisableFallback err = %v, want ErrOverflow", err)
 	}
@@ -338,22 +322,20 @@ func TestCountingSlotCapFallsBack(t *testing.T) {
 // A clean counting run's stats must satisfy the path's invariants.
 func TestCountingStatsInvariants(t *testing.T) {
 	a := mkRecords(30000, 100, 41)
-	out, stats, err := Semisort(a, &Config{Procs: 2, ScatterStrategy: ScatterCounting})
+	_, sum, vals := refAgg(a)
+	out, reps, stats, err := ReduceShared(nil, a, &Config{Procs: 2}, sumSpec())
 	if err != nil {
-		t.Fatalf("counting semisort: %v", err)
+		t.Fatalf("counting reduce: %v", err)
 	}
-	checkSemisorted(t, "counting invariants", a, out)
+	checkReduced(t, "counting invariants", out, reps, sum, vals)
 	if stats.Attempts != stats.Retries+1 {
 		t.Errorf("Attempts=%d Retries=%d, want Attempts == Retries+1", stats.Attempts, stats.Retries)
 	}
 	if stats.ScatterStrategy != "counting" {
 		t.Errorf("ScatterStrategy = %q, want counting", stats.ScatterStrategy)
 	}
-	if stats.ScatterFlushes == 0 {
-		t.Error("ScatterFlushes = 0, want staged flushes on a heavy-duplicate input")
-	}
 	if stats.SlotsAllocated != len(a) {
-		t.Errorf("SlotsAllocated = %d, want n=%d (counting writes straight to output)",
+		t.Errorf("SlotsAllocated = %d, want n=%d (counting places at exact offsets)",
 			stats.SlotsAllocated, len(a))
 	}
 	if stats.HeavyRecords == 0 {

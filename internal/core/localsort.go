@@ -1,11 +1,12 @@
 // Phase 4 — local sort (paper Section 4, Phase 4): semisort each light
 // bucket locally. The phase orchestrator delegates the traversal to the
 // scatter stage (the probing stage compacts slot ranges first; the
-// counting stage works in place in the output). The dovetail route has
-// no buckets: its whole call is the radix kernel (scatter_dovetail.go).
+// counting stage reduces in place in its staging area). The dovetail
+// route has no buckets: its whole call is the radix kernel
+// (scatter_dovetail.go).
 //
-// On the probing and counting routes every light bucket is grouped by
-// the introsort hybrid (sortcmp.Introsort) — the paper's final choice,
+// On the probing route every light bucket is grouped by the introsort
+// hybrid (sortcmp.Introsort) — the paper's final choice,
 // "the sort in the C++ Standard Library", after it tried bucket, counting
 // and hybrid sorts; EXPERIMENTS.md records the same ranking here. The
 // buckets are traversed in size-aware ranges: a prefix sum over the
@@ -14,8 +15,9 @@
 // of its own instead of dragging its neighbors onto one worker's critical
 // path.
 //
-// A fused reduce replaces the sort with reduceSeg (reduce.go), which
-// folds each bucket in a per-worker arena owned by the Workspace.
+// A fused reduce, the counting route's one call kind, replaces the sort
+// with reduceSeg (reduce.go), which folds each bucket in a per-worker
+// arena owned by the Workspace.
 package core
 
 import (

@@ -60,12 +60,12 @@ func TestArenaCountingSemisortGrouped(t *testing.T) {
 
 // TestSizeAwareScheduleStats: a parallel run reports a size-aware range
 // count in (0, 8*procs]; a serial run collapses to one range. Output must
-// be identical across both (the counting scatter is deterministic at any
-// procs).
+// be identical across both (the counting scatter, which a fused reduce
+// runs, is deterministic at any procs).
 func TestSizeAwareScheduleStats(t *testing.T) {
 	a := distgen.Generate(4, 60000, distgen.Spec{Kind: distgen.Uniform, Param: 60000}, 12)
-	base := &Config{Procs: 4, Seed: 5, ScatterStrategy: ScatterCounting}
-	out, st, err := Semisort(a, base)
+	base := &Config{Procs: 4, Seed: 5}
+	out, _, st, err := ReduceShared(nil, a, base, sumSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSizeAwareScheduleStats(t *testing.T) {
 
 	serial := *base
 	serial.Procs = 1
-	outS, stS, err := Semisort(a, &serial)
+	outS, _, stS, err := ReduceShared(nil, a, &serial, sumSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,10 +27,10 @@ func TestScatterBlockRounds(t *testing.T) {
 			if !rec.IsSemisorted(out) || !rec.SamePermutation(a, out) {
 				t.Fatalf("%v procs=%d: invalid output", spec, procs)
 			}
-			// Heavy classification must agree with the counting scatter,
+			// Heavy classification must agree with the CAS scatter's,
 			// which, like the probing rounds, runs the full sampling loop
 			// (the default planner's dovetail route draws no sample).
-			_, ref, err := Semisort(a, &Config{Procs: procs, Seed: 7, ScatterStrategy: ScatterCounting})
+			_, ref, err := Semisort(a, &Config{Procs: procs, Seed: 7, ScatterStrategy: ScatterProbing})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -55,7 +55,7 @@ var dovetailPhases = []obsv.Phase{obsv.PhaseAllocate, obsv.PhaseLocalSort}
 
 // A clean run traces exactly one attempt of kind "fresh" with every
 // span ok and in start order, and scheduler counters flowing into
-// Stats.Sched. The sampled pipeline (counting here) traces all six
+// Stats.Sched. The sampled pipeline (probing here) traces all six
 // phases in paper order, with one nested span per sampling round; the
 // planner's default, the dovetail route, traces the kernel route's two.
 // The input is large enough (2^16 records at Procs 4) that the kernel
@@ -66,7 +66,7 @@ func TestObserverCleanRunTrace(t *testing.T) {
 		strat  ScatterStrategy
 		phases []obsv.Phase
 	}{
-		{ScatterCounting, cleanPhases},
+		{ScatterProbing, cleanPhases},
 		{ScatterAuto, dovetailPhases},
 	} {
 		var col obsv.Collector
@@ -114,7 +114,7 @@ func TestObserverCleanRunTrace(t *testing.T) {
 		// round, each naming the hash-range count it drew from, and the
 		// count matches Stats.SampleRounds (zero on the dovetail route).
 		rounds := roundSpansOf(spans, 0)
-		if len(rounds) != stats.SampleRounds || (route.strat == ScatterCounting) != (len(rounds) > 0) {
+		if len(rounds) != stats.SampleRounds || (route.strat == ScatterProbing) != (len(rounds) > 0) {
 			t.Fatalf("%v: sampling-round spans = %d, Stats.SampleRounds = %d",
 				route.strat, len(rounds), stats.SampleRounds)
 		}
@@ -292,8 +292,8 @@ func TestObserverFallbackSpan(t *testing.T) {
 	}
 }
 
-// Scatter spans must carry the strategy attribute, and counting-strategy
-// spans the flush counter matching Stats.ScatterFlushes.
+// Scatter spans must carry the strategy attribute: counting on a fused
+// reduce, probing on a plain ScatterProbing semisort.
 func TestObserverScatterStrategyAttributes(t *testing.T) {
 	lastScatter := func(spans []obsv.Span) (obsv.Span, bool) {
 		for i := len(spans) - 1; i >= 0; i-- {
@@ -306,9 +306,9 @@ func TestObserverScatterStrategyAttributes(t *testing.T) {
 
 	a := mkRecords(30000, 100, 31)
 	var col obsv.Collector
-	_, stats, err := Semisort(a, &Config{Procs: 2, Observer: &col, ScatterStrategy: ScatterCounting})
+	_, _, _, err := HistogramShared(nil, a, &Config{Procs: 2, Observer: &col})
 	if err != nil {
-		t.Fatalf("counting semisort: %v", err)
+		t.Fatalf("counting histogram: %v", err)
 	}
 	sp, ok := lastScatter(col.Spans())
 	if !ok {
@@ -316,10 +316,6 @@ func TestObserverScatterStrategyAttributes(t *testing.T) {
 	}
 	if sp.Strategy != "counting" {
 		t.Errorf("counting scatter span Strategy = %q, want counting", sp.Strategy)
-	}
-	if sp.Flushes != stats.ScatterFlushes || sp.Flushes == 0 {
-		t.Errorf("counting scatter span Flushes = %d, want Stats.ScatterFlushes = %d > 0",
-			sp.Flushes, stats.ScatterFlushes)
 	}
 
 	var colP obsv.Collector
@@ -333,9 +329,6 @@ func TestObserverScatterStrategyAttributes(t *testing.T) {
 	}
 	if sp.Strategy != "probing" {
 		t.Errorf("probing scatter span Strategy = %q, want probing", sp.Strategy)
-	}
-	if sp.Flushes != 0 {
-		t.Errorf("probing scatter span Flushes = %d, want 0", sp.Flushes)
 	}
 }
 

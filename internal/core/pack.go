@@ -1,9 +1,8 @@
 // Phase 5 — packing (paper Section 4, Phase 5). The work is
 // strategy-specific (the probing stage compacts the heavy region with the
 // interval technique and copies the light buckets; the counting stage
-// packed during its scatter and only checks the invariant), so the phase
-// orchestrator delegates to the stage; the span is emitted for every
-// strategy so traces keep the six-phase shape.
+// merges the heavy cells and compacts the reduced light buckets into the
+// group-sized output), so the phase orchestrator delegates to the stage.
 package core
 
 import (

@@ -26,11 +26,13 @@ import (
 )
 
 // A scatterStage is one Phase 3 placement algorithm together with the
-// Phase 2 sizing and Phase 4/5 behavior it implies. The probing stage
-// sizes f(s) slot arrays, scatters into them with CAS (then compacts and
-// packs); the counting stage writes final packed positions directly
-// (local sort in place, pack a no-op). The implementations are zero-size
-// types, so storing them in the interface does not allocate.
+// Phase 2 sizing and Phase 4/5 behavior it implies. Each serves one call
+// kind. The probing stage (a plain semisort that asks for it) sizes f(s)
+// slot arrays, scatters into them with CAS, then compacts, sorts and
+// packs. The counting stage (every fused reduce) places at exact offsets,
+// folding heavy records into cells, reduces the light buckets in
+// arenas and packs the groups. The implementations are zero-size types,
+// so storing them in the interface does not allocate.
 type scatterStage interface {
 	// allocate sizes the stage's scratch once the bucket ids are known
 	// (the end of Phase 2). A wrapped errSlotCap return means the
@@ -40,7 +42,8 @@ type scatterStage interface {
 	// ErrOverflow return (probing only) triggers the Las Vegas retry
 	// ladder; any other error aborts the attempt (cancellation).
 	scatter(pl *plan) error
-	// localSort semisorts each light bucket (Phase 4).
+	// localSort semisorts (or, on a fused reduce, folds) each light
+	// bucket (Phase 4).
 	localSort(pl *plan) error
 	// pack compacts the placed records into pl.out (Phase 5) and checks
 	// the placement invariant.
@@ -56,8 +59,8 @@ func stageFor(s ScatterStrategy) scatterStage {
 }
 
 // planScatter is the planner's top-level decision, made before Phase 1
-// from the call alone (resolveScatter), and recorded in Stats. A probing
-// or counting route runs the sampled pipeline over the whole input (one
+// from the call alone (resolveScatter), and recorded in Stats. The probing
+// and counting routes run the sampled pipeline over the whole input (one
 // scatter node); the dovetail route hands the input to the radix kernel,
 // which keeps planning per node, and its decisions land in
 // Stats.PlannerRoutes after the kernel returns.
@@ -144,36 +147,34 @@ type plan struct {
 
 	// Phase 3 state.
 	out []rec.Record
-	// Counting scatter.
-	cplan       countingPlan
-	cbins       int // histogram width of the counting passes
-	hist        []int32
-	counts      []int32
-	cbase       []int32
-	bidCol      []uint32 // pass 1's bucket id per record, read by pass 2
-	flushes     atomic.Int64
-	placedTotal int
+	// Counting scatter: pass blocking, histograms and cursors.
+	cgrain, cblocks int
+	cbins           int // histogram width of the counting passes
+	hist            []int32
+	counts          []int32
+	cbase           []int32
+	bidCol          []uint32 // pass 1's bucket id per record, read by pass 2
+	placedTotal     int
 	// Dovetail route (scatter_dovetail.go): the kernel's routing counters.
 	dov sortint.DovetailStats
 
-	// Phase 4 size-aware schedule (both paths).
+	// Phase 4 size-aware schedule (both sampled routes).
 	lsCum    []int64
 	lsBounds []int32
 	lsRanges int
 
 	// Fused collect-reduce state (reduce.go); red == nil on plain
-	// semisorts and every reduce branch below is skipped.
+	// semisorts, which never reach the counting stage.
 	red          *ReduceSpec
 	redSlots     int      // per-worker cell rows (== procs)
 	redCells     int      // cells per row (== firstLight, one per heavy bucket)
 	redAccs      []uint64 // redSlots × redCells accumulators
 	redCellReps  []uint64 // redSlots × redCells representatives
-	redUsed      []uint8  // redSlots × redCells used flags, cleared per attempt
+	redRepBlk    []int32  // redSlots × redCells rep block+1; 0 = unused
 	redStage     []rec.Record
 	redStageReps []uint64
 	redDistinct  []int32 // per merged light bucket: groups after reduceSeg
 	redOff       []int32 // exclusive scan of redDistinct
-	redHeavyRecs int     // counting path: records in heavy buckets (pass 1)
 	redBadHeavy  atomic.Int64
 	reps         []uint64 // final per-group representatives (view of ws.redReps)
 }
@@ -247,15 +248,15 @@ func (pl *plan) scatterPhase(st scatterStage) error {
 	err := st.scatter(pl)
 	if err == nil {
 		pl.stats.Phases.Scatter = time.Since(t0)
-		pl.tr.scatterSpan(pl.attempt, t0, obsv.OutcomeOK, pl.strat, pl.stats.ScatterFlushes)
+		pl.tr.scatterSpan(pl.attempt, t0, obsv.OutcomeOK, pl.strat)
 		return nil
 	}
 	if errors.Is(err, ErrOverflow) {
 		pl.stats.Phases.Scatter = time.Since(t0)
-		pl.tr.scatterSpan(pl.attempt, t0, obsv.OutcomeOverflow, pl.strat, 0)
+		pl.tr.scatterSpan(pl.attempt, t0, obsv.OutcomeOverflow, pl.strat)
 		return err
 	}
-	pl.tr.scatterSpan(pl.attempt, t0, obsv.OutcomeCanceled, pl.strat, 0)
+	pl.tr.scatterSpan(pl.attempt, t0, obsv.OutcomeCanceled, pl.strat)
 	return fmt.Errorf("semisort: canceled at scatter: %w", err)
 }
 
@@ -309,8 +310,9 @@ func (pl *plan) parForEachNoCtx(n, grain int, f func(*plan, int)) {
 }
 
 // bucketOf resolves a record to its bucket id and whether it took the
-// heavy path. Hot: called once per record in Phase 3 (the counting
-// scatter's pass 2 reads pass 1's bucket-id column instead).
+// heavy path. Hot: called once per record by the block-rounds placement
+// (rounds.go); the CAS scatter and counting pass 1 classify in batches
+// (bucketOfBatch).
 //
 // The classifier costs one cache-resident load for almost every record:
 //  1. lightBucketOf doubles as a range filter: ranges containing no

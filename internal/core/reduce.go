@@ -1,14 +1,18 @@
-// Fused collect-reduce (ROADMAP item 1; the "flexible interface" the
-// 2023 semisort follow-up, arXiv:2304.10078, makes its headline):
-// aggregate during the pipeline instead of after it. A plain semisort
-// materializes fully grouped records and leaves the caller to fold them —
-// one extra full write+read of the dataset. ReduceShared pushes the fold
-// into the phases instead:
+// Fused collect-reduce (the "flexible interface" the 2023 semisort
+// follow-up, arXiv:2304.10078, makes its headline): aggregate during the
+// pipeline instead of after it. A plain semisort materializes fully
+// grouped records and leaves the caller to fold them — one extra full
+// write+read of the dataset. ReduceShared pushes the fold into the
+// phases of the counting scatter (scatter_counting.go), the one route
+// every fused call takes:
 //
-//   - Heavy keys never occupy scatter slots at all. Each worker folds the
-//     heavy records it encounters into a private accumulator cell (one
-//     cell per heavy bucket per worker, no contention, no atomics); the
-//     pack phase merges the per-worker cells once with MergeFunc.
+//   - Heavy keys never occupy output positions at all. Each worker folds
+//     the heavy records it encounters into a private accumulator cell
+//     (one cell per heavy bucket per worker, no contention, no atomics);
+//     the pack phase merges the per-worker cells once with MergeFunc.
+//     Each cell also keeps the lowest input block that fed its
+//     representative, so a heavy group's representative is its first
+//     input record whatever the scheduling, as a light group's is.
 //
 //   - Light buckets reduce in-arena during Phase 4: the arena's naming
 //     table (a flat open-addressing table, the naming problem of the
@@ -16,27 +20,24 @@
 //     label and folds values as it names, so a light bucket of k records
 //     with g groups writes g records instead of sorting and packing k.
 //
-//   - On the counting strategy, Histogram (FoldFunc == count) reuses the
-//     pass-1 histogram for the heavy counts: heavy records are neither
-//     staged nor folded — their multiplicity already exists — so a heavy-
-//     duplicate histogram classifies each heavy record exactly once (in
-//     pass 1; pass 2 reads its bucket id from the column) and
-//     materializes nothing.
+//   - Histogram (FoldFunc == count) reuses the pass-1 histogram for the
+//     heavy counts: heavy records are not folded — their multiplicity
+//     already exists — so a heavy-duplicate histogram classifies each
+//     heavy record exactly once (in pass 1; pass 2 reads its bucket id
+//     from the column) and materializes nothing.
 //
-// The fused path shares the Las Vegas ladder with the plain pipeline
-// (semisortInto): a bucket overflow clears the accumulator cells on retry
-// (ensureReduceState), so no record is ever folded twice, and ladder
-// exhaustion degrades to the sequential fallback followed by a run-walk
-// fold (reduceRuns).
+// The counting scatter places at exact offsets and cannot overflow, so a
+// fused call runs one attempt and never folds a record twice. Its only
+// degradation, the Config.MaxSlotBytes cap, fires in allocate, before any
+// fold; the sequential fallback then sorts and folds each run once
+// (reduceRuns).
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
-	"repro/internal/fault"
 	"repro/internal/hash"
 	"repro/internal/prim"
 	"repro/internal/rec"
@@ -66,15 +67,9 @@ type ReduceSpec struct {
 	Identity uint64
 	Fold     FoldFunc
 	Merge    MergeFunc
-	// Reset, when non-nil, is called once per Las Vegas attempt before
-	// any Fold (and once before the fallback's fold), so callers keeping
-	// per-attempt state behind the accumulators (the generic front-end's
-	// cell slab) can discard partial folds from an overflowed attempt.
-	Reset func()
 	// Histogram requests a pure multiplicity count (output Value = group
-	// size). On the counting strategy the heavy counts come straight from
-	// the scatter's pass-1 histogram and heavy records skip the fold
-	// entirely.
+	// size). The heavy counts come straight from the counting scatter's
+	// pass-1 histogram and heavy records skip the fold entirely.
 	Histogram bool
 }
 
@@ -83,14 +78,12 @@ func histMerge(a, _, b, _ uint64) uint64 { return a + b }
 
 // ReduceShared semisort-reduces a through ws: the output holds one record
 // per distinct key — Key the group's key, Value its final accumulator —
-// in the same group order a plain semisort would emit groups (heavy
-// buckets first, then light groups in first-appearance-per-bucket order).
-// reps parallels out with one original record Value per group (the
-// group's representative). Both slices are workspace-owned, valid until
-// the next call through ws. The input is never modified.
-//
-// Reduce forces ProbeLinear: the alternative probe kinds parameterize
-// heavy-record placement, and the fused path never places heavy records.
+// heavy groups first, then light groups in first-appearance-per-bucket
+// order. reps parallels out with one original record Value per group
+// (the group's representative: its first input record's Value). Both
+// slices are workspace-owned, valid until the next call through ws. The
+// input is never modified. Every fused call runs the counting scatter in
+// one attempt; Config.ScatterStrategy and Config.Probe do not apply.
 func ReduceShared(ws *Workspace, a []rec.Record, cfg *Config, sp ReduceSpec) (out []rec.Record, reps []uint64, stats Stats, err error) {
 	if ws == nil {
 		ws = &Workspace{}
@@ -100,16 +93,11 @@ func ReduceShared(ws *Workspace, a []rec.Record, cfg *Config, sp ReduceSpec) (ou
 	} else if sp.Fold == nil || sp.Merge == nil {
 		return nil, nil, Stats{}, errors.New("semisort: reduce spec needs Fold and Merge (or Histogram)")
 	}
-	var c Config
-	if cfg != nil {
-		c = *cfg
-	}
-	c.Probe = ProbeLinear
 	// The spec lives in the workspace for the duration so storing it in
 	// the plan does not heap-allocate a copy per call; it is dropped
 	// before returning so a retained workspace never pins the closures.
 	ws.redSpec = sp
-	out, reps, stats, err = semisortInto(ws, ws.out, a, &c, true, &ws.redSpec)
+	out, reps, stats, err = semisortInto(ws, ws.out, a, cfg, true, &ws.redSpec)
 	ws.redSpec = ReduceSpec{}
 	return out, reps, stats, err
 }
@@ -125,9 +113,6 @@ func HistogramShared(ws *Workspace, a []rec.Record, cfg *Config) ([]rec.Record, 
 // one {key, accumulator} record each. The in-place prefix write is safe
 // because the write cursor never passes the read cursor.
 func reduceRuns(ws *Workspace, sorted []rec.Record, sp *ReduceSpec) ([]rec.Record, []uint64) {
-	if sp.Reset != nil {
-		sp.Reset()
-	}
 	n := len(sorted)
 	reps := grow(&ws.redReps, n)
 	w := 0
@@ -148,17 +133,15 @@ func reduceRuns(ws *Workspace, sorted []rec.Record, sp *ReduceSpec) ([]rec.Recor
 }
 
 // ensureReduceState sizes the per-worker heavy accumulator cells for the
-// attempt and clears their used flags — the clear is what makes the Las
-// Vegas retry safe: an overflowed attempt's partial folds are abandoned
-// wholesale, never merged, so no record double-counts (reduce_test.go
-// pins this under fault injection). Called from allocatePhase once the
-// heavy bucket count is known.
+// attempt and clears their block tags (0 marks an unused cell). Called
+// from the counting stage's allocate once the heavy bucket count is
+// known and the scratch cap has passed.
 func (pl *plan) ensureReduceState() {
 	ws := pl.ws
 	pl.redCells = pl.firstLight
 	pl.redSlots = pl.procs
 	need := pl.redSlots * pl.redCells
-	pl.redUsed = growClear(&ws.redUsed, need)
+	pl.redRepBlk = growClear(&ws.redRepBlk, need)
 	pl.redAccs = grow(&ws.redAccs, need)
 	pl.redCellReps = grow(&ws.redCellReps, need)
 	if ws.redFree == nil || cap(ws.redFree) < pl.redSlots {
@@ -170,15 +153,12 @@ func (pl *plan) ensureReduceState() {
 	for s := 0; s < pl.redSlots; s++ {
 		ws.redFree <- s
 	}
-	if pl.red.Reset != nil {
-		pl.red.Reset()
-	}
 }
 
 // An lsArena is one worker's fused-reduce scratch (reduceSeg): the naming
 // table and the per-distinct-key buffers. Arenas live in the Workspace
 // and are handed to workers through a buffered-channel free-list (the
-// same pattern as the counting scatter's staging slots), one acquire per
+// same pattern as the heavy cell rows), one acquire per
 // size-aware range; each buffer grows to the largest segment its worker
 // has seen and is then reused, so a warm workspace reduces without
 // allocating.
@@ -254,157 +234,19 @@ func (ar *lsArena) reduceSeg(sp *ReduceSpec, seg []rec.Record, reps []uint64) in
 }
 
 // ---------------------------------------------------------------------------
-// Probing strategy, fused arms.
+// The counting stage's fused bodies (scatter_counting.go).
 
-func (pl *plan) probeReduceScatterBody() error {
-	return pl.parFor(pl.n, 8192, (*plan).probeReduceScatterChunk)
-}
-
-// probeReduceScatterChunk is probeScatterChunk with the heavy branch
-// folding into this worker's accumulator cells instead of placing: heavy
-// buckets have no slots under reduce (probingStage.allocate sizes them to
-// zero).
-func (pl *plan) probeReduceScatterChunk(lo, hi int) {
-	if pl.overflow.Load() {
-		return
-	}
-	if fault.Should(fault.ProbeSaturation) {
-		bid, _ := pl.bucketOf(pl.a[lo])
-		pl.recordOverflow(bid)
-		return
-	}
-	exact := pl.cfg.ExactBucketSizes
-	sp := pl.red
-	slot := pl.ws.acquireRed()
-	base0 := slot * pl.redCells
-	accs := pl.redAccs[base0 : base0+pl.redCells]
-	crep := pl.redCellReps[base0 : base0+pl.redCells]
-	used := pl.redUsed[base0 : base0+pl.redCells]
-	localHeavy := int64(0)
-	localMaxRun := int64(0)
-	var bids [probeBatch]int64
-	var heavy [probeBatch]bool
-	for base := lo; base < hi; base += probeBatch {
-		m := min(probeBatch, hi-base)
-		pl.bucketOfBatch(base, m, &bids, &heavy)
-		for u := 0; u < m; u++ {
-			i := base + u
-			r := pl.a[i]
-			bid := bids[u]
-			if heavy[u] {
-				localHeavy++
-				c := int(bid)
-				if used[c] == 0 {
-					used[c] = 1
-					crep[c] = r.Value
-					accs[c] = sp.Identity
-				}
-				accs[c] = sp.Fold(accs[c], crep[c], r.Value)
-				continue
-			}
-			bk := pl.buckets[bid]
-			pos := bucketPos(pl.scatterRNG.Rand(uint64(i)), bk.sz, exact)
-			placed := false
-			for try := uint64(0); try < bk.sz; try++ {
-				idx := bk.off + int64(pos)
-				if atomic.CompareAndSwapUint32(&pl.occ[idx], 0, 1) {
-					pl.slots[idx] = r
-					placed = true
-					if int64(try) > localMaxRun {
-						localMaxRun = int64(try)
-					}
-					break
-				}
-				pos++
-				if pos == bk.sz {
-					pos = 0
-				}
-			}
-			if !placed {
-				pl.ws.releaseRed(slot)
-				pl.recordOverflow(bid)
-				return
-			}
-		}
-	}
-	pl.ws.releaseRed(slot)
-	pl.heavyPlaced.Add(localHeavy)
-	for {
-		cur := pl.maxCluster.Load()
-		if localMaxRun <= cur || pl.maxCluster.CompareAndSwap(cur, localMaxRun) {
-			break
-		}
-	}
-}
-
-func (pl *plan) probeReduceBody() error {
-	return pl.parForEach(pl.lsRanges, 1, (*plan).probeReduceRange)
-}
-
-// probeReduceRange compacts each light bucket's occupied slots to the
-// bucket prefix (as the plain Phase 4 does) and then reduces the prefix
-// in place, leaving the bucket's groups at slots[bk.off:] and their
-// representatives at redStageReps[bk.off:].
-func (pl *plan) probeReduceRange(ri int) {
-	slot := pl.ws.acquireArena()
-	ar := &pl.ws.lsArenas[slot]
-	sp := pl.red
-	for j := int(pl.lsBounds[ri]); j < int(pl.lsBounds[ri+1]); j++ {
-		bk := pl.buckets[pl.firstLight+j]
-		lo, hi := bk.off, bk.off+int64(bk.sz)
-		w := lo
-		for i := lo; i < hi; i++ {
-			if pl.occ[i] != 0 {
-				pl.slots[w] = pl.slots[i]
-				w++
-			}
-		}
-		cnt := int64(w - lo)
-		pl.lightCnt[j] = int32(cnt)
-		m := ar.reduceSeg(sp, pl.slots[lo:lo+cnt], pl.redStageReps[lo:lo+cnt])
-		pl.redDistinct[j] = int32(m)
-	}
-	pl.ws.releaseArena(slot)
-}
-
-func (pl *plan) packReduceProbing() error {
-	var lightRecs int64
-	for j := 0; j < pl.numLightMerged; j++ {
-		lightRecs += int64(pl.lightCnt[j])
-	}
-	if got := pl.heavyPlaced.Load() + lightRecs; got != int64(pl.n) {
-		return fmt.Errorf("semisort internal error: fused reduce folded %d of %d records", got, pl.n)
-	}
-	return pl.packReduceCommon((*plan).packReduceLightProbe)
-}
-
-func (pl *plan) packReduceLightProbe(j int) {
-	m := int(pl.redDistinct[j])
-	if m == 0 {
-		return
-	}
-	bk := pl.buckets[pl.firstLight+j]
-	dst := pl.firstLight + int(pl.redOff[j])
-	copy(pl.out[dst:dst+m], pl.slots[bk.off:bk.off+int64(m)])
-	copy(pl.reps[dst:dst+m], pl.redStageReps[bk.off:bk.off+int64(m)])
-}
-
-// ---------------------------------------------------------------------------
-// Counting strategy, fused arms.
-
-// countingReduceScatterBody is countingScatterBody with two twists: the
-// bucket base scan zeroes the heavy prefix (heavy records fold into cells
-// instead of being placed, so light buckets pack densely into the reduce
-// staging area), and pass 2 writes light records to the staging area
-// directly — the write-combining staging buffers batch stores into the
-// output array, which the fused path does not produce until pack. Pass 2
-// reads pass 1's bucket-id column like the plain arm: an id below
-// firstLight is a heavy bucket.
+// countingReduceScatterBody runs both counting passes and the cursor
+// conversion between them. The bucket base scan zeroes the heavy prefix
+// (heavy records fold into cells instead of being placed, so light
+// buckets pack densely into the reduce staging area), and pass 2 writes
+// light records to the staging area directly. Pass 2 reads pass 1's
+// bucket-id column: an id below firstLight is a heavy bucket.
 func (pl *plan) countingReduceScatterBody() error {
 	nb := pl.cbins
-	pl.hist = pl.ws.getHist(pl.cplan.nblocks * nb)
+	pl.hist = pl.ws.getHist(pl.cblocks * nb)
 	pl.bidCol = grow(&pl.ws.bidCol, pl.n)
-	if err := pl.parFor(pl.cplan.nblocks, 1, (*plan).countingHistChunk); err != nil {
+	if err := pl.parFor(pl.cblocks, 1, (*plan).countingHistChunk); err != nil {
 		return err
 	}
 	pl.counts = grow(&pl.ws.counts, nb)
@@ -416,14 +258,20 @@ func (pl *plan) countingReduceScatterBody() error {
 		heavyRecs += int(pl.cbase[b])
 		pl.cbase[b] = 0
 	}
-	pl.redHeavyRecs = heavyRecs
+	pl.stats.HeavyRecords = heavyRecs
 	pl.placedTotal = int(prim.ExclusiveScan(1, pl.cbase))
 	pl.parForNoCtx(nb, 512, (*plan).countingCursorChunk)
 	pl.redStage = grow(&pl.ws.redStage, pl.placedTotal)
 	pl.redStageReps = grow(&pl.ws.redStageReps, pl.placedTotal)
-	return pl.parFor(pl.cplan.nblocks, 1, (*plan).countingReducePassChunk)
+	return pl.parFor(pl.cblocks, 1, (*plan).countingReducePassChunk)
 }
 
+// countingReducePassChunk is pass 2 over blocks [blo, bhi). A heavy
+// record folds into this worker's cell; the cell keeps the
+// representative from the lowest block that fed it (tagged block+1, so 0
+// means unused). Blocks ascend within a chunk and records within a
+// block, so the first record of a lower block replaces the rep and the
+// merged cell's rep is the group's first input record.
 func (pl *plan) countingReducePassChunk(blo, bhi int) {
 	nb := pl.cbins
 	sp := pl.red
@@ -432,30 +280,28 @@ func (pl *plan) countingReducePassChunk(blo, bhi int) {
 	base0 := slot * pl.redCells
 	accs := pl.redAccs[base0 : base0+pl.redCells]
 	crep := pl.redCellReps[base0 : base0+pl.redCells]
-	used := pl.redUsed[base0 : base0+pl.redCells]
+	cblk := pl.redRepBlk[base0 : base0+pl.redCells]
 	firstLight := uint32(pl.firstLight)
 	for blk := blo; blk < bhi; blk++ {
 		offs := pl.hist[blk*nb : (blk+1)*nb]
-		lo, hi := blk*pl.cplan.grain, min((blk+1)*pl.cplan.grain, pl.n)
+		lo, hi := blk*pl.cgrain, min((blk+1)*pl.cgrain, pl.n)
 		src := pl.a[lo:hi]
+		tag := int32(blk + 1)
 		for i, bid := range pl.bidCol[lo:hi] {
 			r := src[i]
 			if bid < firstLight {
 				c := int(bid)
-				if histOnly {
-					// The count is already in pass 1's histogram; only a
-					// representative is still needed.
-					if used[c] == 0 {
-						used[c], crep[c] = 1, r.Value
-					}
-					continue
+				switch t := cblk[c]; {
+				case t == 0:
+					cblk[c], crep[c], accs[c] = tag, r.Value, sp.Identity
+				case tag < t:
+					cblk[c], crep[c] = tag, r.Value
 				}
-				if used[c] == 0 {
-					used[c] = 1
-					crep[c] = r.Value
-					accs[c] = sp.Identity
+				if !histOnly {
+					// A Histogram's count is already in pass 1's histogram;
+					// only a representative is still needed.
+					accs[c] = sp.Fold(accs[c], crep[c], r.Value)
 				}
-				accs[c] = sp.Fold(accs[c], crep[c], r.Value)
 				continue
 			}
 			pl.redStage[offs[bid]] = r
@@ -483,36 +329,16 @@ func (pl *plan) countingReduceRange(ri int) {
 	pl.ws.releaseArena(slot)
 }
 
-func (pl *plan) packReduceCounting() error {
-	if got := pl.redHeavyRecs + pl.placedTotal; got != pl.n {
-		return fmt.Errorf("semisort internal error: fused reduce folded %d of %d records", got, pl.n)
-	}
-	return pl.packReduceCommon((*plan).packReduceLightCounting)
-}
-
-func (pl *plan) packReduceLightCounting(j int) {
-	m := int(pl.redDistinct[j])
-	if m == 0 {
-		return
-	}
-	b := pl.firstLight + j
-	lo := int(pl.cbase[b])
-	dst := pl.firstLight + int(pl.redOff[j])
-	copy(pl.out[dst:dst+m], pl.redStage[lo:lo+m])
-	copy(pl.reps[dst:dst+m], pl.redStageReps[lo:lo+m])
-}
-
-// ---------------------------------------------------------------------------
-// Shared fused pack.
-
-// packReduceCommon finishes the fused reduce: merge each heavy bucket's
+// packReduceCounting finishes the fused reduce: merge each heavy bucket's
 // per-worker cells into one output record, then compact the light
 // buckets' reduced prefixes behind them (an exclusive scan over per-
-// bucket group counts gives the offsets). Group order is deterministic
-// given where the groups landed: heavy buckets in sample-run order, then
-// light buckets in hash order, each bucket's groups in the order the
-// reduce stage saw them.
-func (pl *plan) packReduceCommon(lightCopy func(*plan, int)) error {
+// bucket group counts gives the offsets). Group order is deterministic:
+// heavy buckets in sample-run order, then light buckets in hash order,
+// each bucket's groups in first-appearance order.
+func (pl *plan) packReduceCounting() error {
+	if got := pl.stats.HeavyRecords + pl.placedTotal; got != pl.n {
+		return fmt.Errorf("semisort internal error: fused reduce folded %d of %d records", got, pl.n)
+	}
 	pl.redOff = grow(&pl.ws.redOff, pl.numLightMerged)
 	copy(pl.redOff, pl.redDistinct)
 	lightGroups := prim.ExclusiveScan(1, pl.redOff)
@@ -529,46 +355,54 @@ func (pl *plan) packReduceCommon(lightCopy func(*plan, int)) error {
 		// saw at least one record; an empty one is a classifier bug.
 		return fmt.Errorf("semisort internal error: %d heavy buckets saw no records in the fused reduce", bad)
 	}
-	pl.parForEachNoCtx(pl.numLightMerged, 64, lightCopy)
+	pl.parForEachNoCtx(pl.numLightMerged, 64, (*plan).packReduceLightCounting)
 	pl.stats.ReducedGroups = total
 	return nil
 }
 
-// packReduceHeavyCell merges heavy bucket hb's per-worker cells (slot-
-// ascending order — one of the scheduling-dependent orders that make the
-// commutativity requirement real) and writes the group's output record.
+func (pl *plan) packReduceLightCounting(j int) {
+	m := int(pl.redDistinct[j])
+	if m == 0 {
+		return
+	}
+	b := pl.firstLight + j
+	lo := int(pl.cbase[b])
+	dst := pl.firstLight + int(pl.redOff[j])
+	copy(pl.out[dst:dst+m], pl.redStage[lo:lo+m])
+	copy(pl.reps[dst:dst+m], pl.redStageReps[lo:lo+m])
+}
+
+// packReduceHeavyCell merges heavy bucket hb's per-worker cells in slot-
+// ascending order — scheduling-dependent, which is what makes the
+// commutativity requirement real — and writes the group's output record.
+// The representative is the one from the lowest block, whichever slot
+// holds it.
 func (pl *plan) packReduceHeavyCell(hb int) {
 	sp := pl.red
-	var acc, rp uint64
-	found := false
-	if pl.strat == ScatterCounting && sp.Histogram {
-		// The count was never folded: it is pass 1's per-bucket total.
-		acc = uint64(pl.counts[hb])
-		for s := 0; s < pl.redSlots; s++ {
-			c := s*pl.redCells + hb
-			if pl.redUsed[c] != 0 {
-				rp = pl.redCellReps[c]
-				found = true
-				break
-			}
+	var acc, first, rp uint64
+	var best int32
+	for s := 0; s < pl.redSlots; s++ {
+		c := s*pl.redCells + hb
+		t := pl.redRepBlk[c]
+		switch {
+		case t == 0:
+			continue
+		case best == 0:
+			acc, first = pl.redAccs[c], pl.redCellReps[c]
+		case !sp.Histogram:
+			acc = sp.Merge(acc, first, pl.redAccs[c], pl.redCellReps[c])
 		}
-		found = found && acc > 0
-	} else {
-		for s := 0; s < pl.redSlots; s++ {
-			c := s*pl.redCells + hb
-			if pl.redUsed[c] == 0 {
-				continue
-			}
-			if !found {
-				acc, rp, found = pl.redAccs[c], pl.redCellReps[c], true
-			} else {
-				acc = sp.Merge(acc, rp, pl.redAccs[c], pl.redCellReps[c])
-			}
+		if best == 0 || t < best {
+			best, rp = t, pl.redCellReps[c]
 		}
 	}
-	if !found {
+	if best == 0 {
 		pl.redBadHeavy.Add(1)
 		return
+	}
+	if sp.Histogram {
+		// The count was never folded: it is pass 1's per-bucket total.
+		acc = uint64(pl.counts[hb])
 	}
 	pl.out[hb] = rec.Record{Key: pl.heavyRuns[hb].key, Value: acc}
 	pl.reps[hb] = rp

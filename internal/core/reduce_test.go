@@ -1,14 +1,16 @@
 package core
 
 // Differential and recovery coverage for the fused collect-reduce
-// (reduce.go): every strategy × procs × distribution must agree with a
-// sequential map-built reference, the Las Vegas retry must never fold a
-// record twice, exhaustion must degrade to the run-walk fallback, and the
-// warm path must obey the steady-state allocation contract.
+// (reduce.go): every procs × distribution must agree with a sequential
+// map-built reference whatever ScatterStrategy says (a fused call always
+// runs counting), overflow faults must never reach it, the scratch cap
+// must degrade to the run-walk fallback, and the warm path must obey the
+// steady-state allocation contract.
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -77,14 +79,27 @@ func checkReduced(t *testing.T, label string, out []rec.Record, reps []uint64,
 	}
 }
 
+// fusedStrategies are the ScatterStrategy values the fused tests cover:
+// the default, and an explicit ScatterProbing that a fused call must
+// ignore (it still resolves to counting).
+var fusedStrategies = []ScatterStrategy{ScatterAuto, ScatterProbing}
+
+// checkCountingRoute asserts a fused call ran the counting route in one
+// attempt.
+func checkCountingRoute(t *testing.T, label string, stats Stats) {
+	t.Helper()
+	if stats.ScatterStrategy != "counting" || stats.Attempts != 1 {
+		t.Fatalf("%s: route %q in %d attempts, want counting in 1", label, stats.ScatterStrategy, stats.Attempts)
+	}
+}
+
 // TestReduceDifferential is the full matrix: strategies × procs ×
 // distributions, fused sum-reduce against the map reference.
 func TestReduceDifferential(t *testing.T) {
 	const n = 20000
-	strategies := []ScatterStrategy{ScatterAuto, ScatterProbing, ScatterCounting}
 	for _, d := range diffMatrix(n, 301) {
 		_, sum, vals := refAgg(d.data)
-		for _, strat := range strategies {
+		for _, strat := range fusedStrategies {
 			for _, procs := range []int{1, 4} {
 				label := fmt.Sprintf("%s/%v/procs=%d", d.name, strat, procs)
 				ws := &Workspace{}
@@ -94,6 +109,7 @@ func TestReduceDifferential(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				checkReduced(t, label, out, reps, sum, vals)
+				checkCountingRoute(t, label, stats)
 				if stats.ReducedGroups != len(out) {
 					t.Errorf("%s: ReducedGroups = %d, want %d", label, stats.ReducedGroups, len(out))
 				}
@@ -108,14 +124,15 @@ func TestHistogramDifferential(t *testing.T) {
 	const n = 20000
 	for _, d := range diffMatrix(n, 409) {
 		count, _, vals := refAgg(d.data)
-		for _, strat := range []ScatterStrategy{ScatterAuto, ScatterProbing, ScatterCounting} {
+		for _, strat := range fusedStrategies {
 			label := fmt.Sprintf("%s/%v", d.name, strat)
-			out, reps, _, err := HistogramShared(nil, d.data,
+			out, reps, stats, err := HistogramShared(nil, d.data,
 				&Config{Procs: 4, Seed: 7, ScatterStrategy: strat})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			checkReduced(t, label, out, reps, count, vals)
+			checkCountingRoute(t, label, stats)
 			var total uint64
 			for _, r := range out {
 				total += r.Value
@@ -128,14 +145,14 @@ func TestHistogramDifferential(t *testing.T) {
 }
 
 // TestReduceCountingDeterministic: with a commutative fold the counting
-// strategy's fused output (group order and accumulators) is identical
+// route's fused output (group order and accumulators) is identical
 // across worker counts and repeated runs.
 func TestReduceCountingDeterministic(t *testing.T) {
 	for _, d := range diffMatrix(20000, 511) {
 		var first []rec.Record
 		for _, procs := range []int{1, 2, 4, 4} {
 			out, _, _, err := ReduceShared(nil, d.data,
-				&Config{Procs: procs, Seed: 3, ScatterStrategy: ScatterCounting}, sumSpec())
+				&Config{Procs: procs, Seed: 3}, sumSpec())
 			if err != nil {
 				t.Fatalf("%s procs=%d: %v", d.name, procs, err)
 			}
@@ -174,7 +191,7 @@ func TestReduceFirstFoldContract(t *testing.T) {
 		},
 		Merge: func(a, _, b, _ uint64) uint64 { return (a + b) | tag },
 	}
-	for _, strat := range []ScatterStrategy{ScatterProbing, ScatterCounting} {
+	for _, strat := range fusedStrategies {
 		a := distgen.Generate(2, 30000, distgen.Spec{Kind: distgen.Zipfian, Param: 500}, 77)
 		if _, _, _, err := ReduceShared(nil, a, &Config{Procs: 4, ScatterStrategy: strat}, sp); err != nil {
 			t.Fatalf("%v: %v", strat, err)
@@ -203,7 +220,7 @@ func TestReduceSpecValidation(t *testing.T) {
 // TestReduceEdgeCases: the degenerate inputs every pipeline shortcut must
 // survive — empty, singleton, all keys equal, all keys distinct.
 func TestReduceEdgeCases(t *testing.T) {
-	for _, strat := range []ScatterStrategy{ScatterProbing, ScatterCounting} {
+	for _, strat := range fusedStrategies {
 		out, reps, stats, err := ReduceShared(nil, nil, &Config{ScatterStrategy: strat}, sumSpec())
 		if err != nil || len(out) != 0 || len(reps) != 0 || stats.ReducedGroups != 0 {
 			t.Fatalf("%v empty: out=%v reps=%v stats=%+v err=%v", strat, out, reps, stats, err)
@@ -230,12 +247,7 @@ func TestReduceEdgeCases(t *testing.T) {
 	if len(out) != 1 || out[0] != (rec.Record{Key: 42, Value: 10000}) {
 		t.Fatalf("all-equal: out = %v, want one group {42, 10000}", out)
 	}
-	// The fused probing path gives heavy buckets no slots, so an input
-	// that is one heavy key needs (almost) no slot memory.
-	if stats.SlotsAllocated >= len(allEqual) {
-		t.Errorf("all-equal: SlotsAllocated = %d, want far below n=%d (heavy buckets are slotless)",
-			stats.SlotsAllocated, len(allEqual))
-	}
+	checkCountingRoute(t, "all-equal", stats)
 	if stats.HeavyRecords != len(allEqual) {
 		t.Errorf("all-equal: HeavyRecords = %d, want %d", stats.HeavyRecords, len(allEqual))
 	}
@@ -249,9 +261,10 @@ func TestReduceEdgeCases(t *testing.T) {
 	checkReduced(t, "all-distinct", out, reps, sum, vals)
 }
 
-// TestReduceRetryNoDoubleCount: injected Phase 3 failures force boosted
-// retries; the abandoned attempts' partial folds must not leak into the
-// final accumulators (the ensureReduceState clear).
+// TestReduceRetryNoDoubleCount: the Phase 3 faults that force the probing
+// route's retries never reach a fused call, even one that asks for
+// ScatterProbing: it runs counting in one attempt, the injector never
+// fires, and every record is folded exactly once.
 func TestReduceRetryNoDoubleCount(t *testing.T) {
 	a := distgen.Generate(2, 30000, distgen.Spec{Kind: distgen.Zipfian, Param: 100}, 13)
 	_, sum, vals := refAgg(a)
@@ -264,44 +277,28 @@ func TestReduceRetryNoDoubleCount(t *testing.T) {
 		{"scatter-overflow", fault.ScatterOverflow, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			withInjector(t, fault.New(1).Arm(tc.point, 0, tc.times))
+			inj := fault.New(1).Arm(tc.point, 0, tc.times)
+			withInjector(t, inj)
 			out, reps, stats, err := ReduceShared(nil, a,
 				&Config{Procs: 2, MaxRetries: 5, ScatterStrategy: ScatterProbing}, sumSpec())
 			if err != nil {
-				t.Fatalf("reduce after %d injected %s: %v", tc.times, tc.name, err)
+				t.Fatalf("reduce with %s armed: %v", tc.name, err)
 			}
 			checkReduced(t, tc.name, out, reps, sum, vals)
-			if stats.Retries != tc.times {
-				t.Errorf("Retries = %d, want %d", stats.Retries, tc.times)
-			}
-			if stats.FallbackUsed {
-				t.Error("FallbackUsed = true, but a later attempt should have succeeded")
+			checkCountingRoute(t, tc.name, stats)
+			if f := inj.Fired(tc.point); f != 0 || stats.FallbackUsed {
+				t.Errorf("%s fired %d times, FallbackUsed = %v; want 0 and false", tc.name, f, stats.FallbackUsed)
 			}
 		})
 	}
 }
 
-// TestReduceFallback: ladder exhaustion and the slot cap both degrade to
-// the sequential run-walk fold, still producing the reference reduction.
+// TestReduceFallback: the slot cap, the fused route's one degradation,
+// falls back to the sequential run-walk fold, still producing the
+// reference reduction, or to ErrOverflow under DisableFallback.
 func TestReduceFallback(t *testing.T) {
 	a := distgen.Generate(2, 20000, distgen.Spec{Kind: distgen.Zipfian, Param: 100}, 15)
 	_, sum, vals := refAgg(a)
-
-	t.Run("exhaustion", func(t *testing.T) {
-		withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 100))
-		out, reps, stats, err := ReduceShared(nil, a,
-			&Config{Procs: 2, MaxRetries: 3, ScatterStrategy: ScatterProbing}, sumSpec())
-		if err != nil {
-			t.Fatalf("exhaustion with fallback enabled must succeed: %v", err)
-		}
-		checkReduced(t, "exhaustion", out, reps, sum, vals)
-		if !stats.FallbackUsed {
-			t.Error("FallbackUsed = false after every attempt overflowed")
-		}
-		if stats.ReducedGroups != len(out) {
-			t.Errorf("ReducedGroups = %d, want %d", stats.ReducedGroups, len(out))
-		}
-	})
 
 	t.Run("slot-cap", func(t *testing.T) {
 		out, reps, stats, err := ReduceShared(nil, a,
@@ -313,12 +310,14 @@ func TestReduceFallback(t *testing.T) {
 		if !stats.FallbackUsed {
 			t.Error("FallbackUsed = false under an unmeetable slot cap")
 		}
+		if stats.ReducedGroups != len(out) {
+			t.Errorf("ReducedGroups = %d, want %d", stats.ReducedGroups, len(out))
+		}
 	})
 
 	t.Run("disable-fallback", func(t *testing.T) {
-		withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 100))
 		out, _, _, err := ReduceShared(nil, a,
-			&Config{Procs: 2, MaxRetries: 2, DisableFallback: true, ScatterStrategy: ScatterProbing}, sumSpec())
+			&Config{Procs: 2, MaxSlotBytes: 512, DisableFallback: true}, sumSpec())
 		if !errors.Is(err, ErrOverflow) {
 			t.Fatalf("err = %v, want ErrOverflow", err)
 		}
@@ -328,27 +327,10 @@ func TestReduceFallback(t *testing.T) {
 	})
 }
 
-// TestReduceResetPerAttempt: Reset fires once per attempt (and once for
-// the fallback), giving spec owners their own partial-state discard hook.
-func TestReduceResetPerAttempt(t *testing.T) {
-	a := distgen.Generate(2, 20000, distgen.Spec{Kind: distgen.Zipfian, Param: 100}, 19)
-	var resets atomic.Int64
-	sp := sumSpec()
-	sp.Reset = func() { resets.Add(1) }
-	withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 2))
-	_, _, stats, err := ReduceShared(nil, a,
-		&Config{Procs: 2, MaxRetries: 5, ScatterStrategy: ScatterProbing}, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := resets.Load(), int64(stats.Attempts); got != want {
-		t.Errorf("Reset fired %d times over %d attempts, want one per attempt", got, want)
-	}
-}
-
 // TestReduceSteadyStateAllocs: a warm workspace reduce allocates nothing
-// (the output is workspace-owned) on either strategy and either
-// duplication regime, matching the SemisortShared contract.
+// (the output is workspace-owned) in either duplication regime, matching
+// the SemisortShared contract. Both strategy values run the counting
+// route: a fused call ignores ScatterStrategy.
 func TestReduceSteadyStateAllocs(t *testing.T) {
 	const n = 60000
 	for _, strat := range []ScatterStrategy{ScatterProbing, ScatterCounting} {
@@ -416,4 +398,55 @@ func TestReduceWorkspaceAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSemisorted(t, "interleaved plain", a, plain)
+}
+
+// TestFusedRepsDeterministic: a fused group's representative is its
+// first input record's Value, heavy groups included, so reps are
+// identical run to run at Procs 8 (fresh workspaces, dynamic chunk
+// claiming) and across Procs 1/2/8. Heavy cells used to keep the rep of
+// whichever worker slot saw the group first.
+func TestFusedRepsDeterministic(t *testing.T) {
+	const n = 1 << 18
+	for _, d := range []struct {
+		name string
+		spec distgen.Spec
+	}{
+		{"uniform-n/256", distgen.Spec{Kind: distgen.Uniform, Param: n / 256}},
+		{"exponential-n/1000", distgen.Spec{Kind: distgen.Exponential, Param: n / 1000}},
+		{"zipf-2^16", distgen.Spec{Kind: distgen.Zipfian, Param: 1 << 16}},
+	} {
+		a := distgen.Generate(2, n, d.spec, 3)
+		first := make(map[uint64]uint64)
+		for i := len(a) - 1; i >= 0; i-- {
+			first[a[i].Key] = a[i].Value
+		}
+		for _, hist := range []bool{false, true} {
+			sp := sumSpec()
+			if hist {
+				sp = ReduceSpec{Histogram: true}
+			}
+			var ref []uint64
+			for run, procs := range []int{8, 8, 8, 8, 8, 8, 1, 2, 8} {
+				label := fmt.Sprintf("%s/hist=%v/run %d procs=%d", d.name, hist, run, procs)
+				out, reps, stats, err := ReduceShared(&Workspace{}, a, &Config{Procs: procs, Seed: 3}, sp)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if stats.HeavyKeys == 0 {
+					t.Fatalf("%s: no heavy keys, the input does not exercise the heavy cells", label)
+				}
+				for g, r := range out {
+					if reps[g] != first[r.Key] {
+						t.Fatalf("%s: group %#x rep %d, want its first record's value %d",
+							label, r.Key, reps[g], first[r.Key])
+					}
+				}
+				if ref == nil {
+					ref = append([]uint64(nil), reps...)
+				} else if !slices.Equal(reps, ref) {
+					t.Fatalf("%s: reps differ from run 0", label)
+				}
+			}
+		}
+	}
 }

@@ -25,10 +25,33 @@ func sameRecords(a, b []rec.Record) bool {
 	return true
 }
 
+// sampledRun runs a through the counting route — a fused histogram, the
+// default call kind that still draws the pipeline sample (a plain
+// semisort takes the dovetail route, which draws none) — and returns a
+// copy of its groups, so the sampling tests see Phase 1 statistics and
+// byte-comparable output at any Procs.
+func sampledRun(ws *Workspace, a []rec.Record, cfg *Config) ([]rec.Record, Stats, error) {
+	out, _, stats, err := HistogramShared(ws, a, cfg)
+	return append([]rec.Record(nil), out...), stats, err
+}
+
+// checkCounts asserts a sampledRun output holds one group per distinct
+// key of in, each with the key's multiplicity.
+func checkCounts(t *testing.T, label string, in, out []rec.Record) {
+	t.Helper()
+	want := rec.KeyCounts(in)
+	if len(out) != len(want) {
+		t.Fatalf("%s: %d groups, want %d", label, len(out), len(want))
+	}
+	for _, r := range out {
+		if uint64(want[r.Key]) != r.Value {
+			t.Fatalf("%s: key %#x count %d, want %d", label, r.Key, r.Value, want[r.Key])
+		}
+	}
+}
+
 // Adaptive sampling on a skewed input must terminate within the round
-// cap and never spend more sample budget than the one-shot rate. The
-// sampling tests pin ScatterCounting: the planner's default for a plain
-// semisort, the dovetail route, draws no sample.
+// cap and never spend more sample budget than the one-shot rate.
 func TestAdaptiveSamplingBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -40,11 +63,11 @@ func TestAdaptiveSamplingBudget(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := mkRecords(120000, tc.keyRange, 7)
-			out, stats, err := Semisort(a, &Config{Procs: 4, ScatterStrategy: ScatterCounting})
+			out, stats, err := sampledRun(nil, a, &Config{Procs: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkSemisorted(t, tc.name, a, out)
+			checkCounts(t, tc.name, a, out)
 			c := (&Config{}).withDefaults()
 			if stats.SampleRounds < 1 || stats.SampleRounds > c.SampleMaxRounds {
 				t.Errorf("SampleRounds = %d, want in [1, %d]", stats.SampleRounds, c.SampleMaxRounds)
@@ -60,11 +83,11 @@ func TestAdaptiveSamplingBudget(t *testing.T) {
 // round, |S| = N/SampleRate.
 func TestOneShotSamplingLegacyShape(t *testing.T) {
 	a := mkRecords(60000, 300, 5)
-	out, stats, err := Semisort(a, &Config{Procs: 2, OneShotSampling: true, ScatterStrategy: ScatterCounting})
+	out, stats, err := sampledRun(nil, a, &Config{Procs: 2, OneShotSampling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSemisorted(t, "one-shot", a, out)
+	checkCounts(t, "one-shot", a, out)
 	if stats.SampleRounds != 1 {
 		t.Errorf("SampleRounds = %d, want 1", stats.SampleRounds)
 	}
@@ -78,11 +101,11 @@ func TestOneShotSamplingLegacyShape(t *testing.T) {
 // without the flag.
 func TestAdaptiveSmallInputDegradesToOneShot(t *testing.T) {
 	a := mkRecords(2000, 50, 9)
-	out, stats, err := Semisort(a, &Config{Procs: 2, ScatterStrategy: ScatterCounting})
+	out, stats, err := sampledRun(nil, a, &Config{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSemisorted(t, "small input", a, out)
+	checkCounts(t, "small input", a, out)
 	if stats.SampleRounds != 1 {
 		t.Errorf("SampleRounds = %d, want 1 (n too small for a pilot)", stats.SampleRounds)
 	}
@@ -96,7 +119,7 @@ func TestAdaptiveSmallInputDegradesToOneShot(t *testing.T) {
 // unreachable tolerance drives the loop to exactly the cap.
 func TestSampleRoundCap(t *testing.T) {
 	a := mkRecords(120000, 5000, 11)
-	_, stats, err := Semisort(a, &Config{Procs: 2, SampleMaxRounds: 1, ScatterStrategy: ScatterCounting})
+	_, stats, err := sampledRun(nil, a, &Config{Procs: 2, SampleMaxRounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +127,7 @@ func TestSampleRoundCap(t *testing.T) {
 		t.Errorf("SampleMaxRounds=1: rounds = %d, want 1", stats.SampleRounds)
 	}
 
-	_, stats, err = Semisort(a, &Config{Procs: 2, SampleMaxRounds: 3, SampleTolerance: 0.0001, ScatterStrategy: ScatterCounting})
+	_, stats, err = sampledRun(nil, a, &Config{Procs: 2, SampleMaxRounds: 3, SampleTolerance: 0.0001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +146,7 @@ func TestAdaptiveSamplingProcDeterminism(t *testing.T) {
 	var ref []rec.Record
 	var refStats Stats
 	for i, procs := range []int{1, 2, 8} {
-		out, stats, err := Semisort(a, &Config{Procs: procs, ScatterStrategy: ScatterCounting})
+		out, stats, err := sampledRun(nil, a, &Config{Procs: procs})
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}
@@ -214,9 +237,9 @@ func TestInjectedSampleRoundAbort(t *testing.T) {
 	// Occurrence 1 is the first top-up round: the pilot has run and the
 	// loop's cross-round state (cumulative sample, densities) is live.
 	// Counting scatter keeps the clean runs byte-comparable at procs > 1.
-	cfg := func() *Config { return &Config{Procs: 2, ScatterStrategy: ScatterCounting} }
+	cfg := func() *Config { return &Config{Procs: 2} }
 	fault.Enable(fault.New(1).Arm(fault.SampleRound, 1, 1))
-	_, _, err := SemisortWS(&ws, a, cfg())
+	_, _, err := sampledRun(&ws, a, cfg())
 	fault.Disable()
 	if err == nil {
 		t.Fatal("semisort with injected sample-round fault succeeded, want error")
@@ -227,12 +250,12 @@ func TestInjectedSampleRoundAbort(t *testing.T) {
 
 	// The same workspace must complete a clean run bit-identical to a
 	// fresh one: no mid-loop sampling state may leak across calls.
-	out, stats, err := SemisortWS(&ws, a, cfg())
+	out, stats, err := sampledRun(&ws, a, cfg())
 	if err != nil {
 		t.Fatalf("reused workspace after injected abort: %v", err)
 	}
-	checkSemisorted(t, "post-abort reuse", a, out)
-	fresh, freshStats, err := Semisort(a, cfg())
+	checkCounts(t, "post-abort reuse", a, out)
+	fresh, freshStats, err := sampledRun(nil, a, cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +273,7 @@ func TestInjectedSampleRoundAbort(t *testing.T) {
 func TestInjectedSampleRoundAbortAtPilot(t *testing.T) {
 	a := mkRecords(120000, 2000, 23)
 	withInjector(t, fault.New(1).Arm(fault.SampleRound, 0, 1))
-	_, stats, err := Semisort(a, &Config{Procs: 2, ScatterStrategy: ScatterCounting})
+	_, stats, err := sampledRun(nil, a, &Config{Procs: 2})
 	if err == nil || !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want wrapped fault.ErrInjected", err)
 	}
@@ -328,8 +351,8 @@ func TestDefaultRouteSkipsSampling(t *testing.T) {
 }
 
 // The sampled routes consume the full estimator and keep running the
-// adaptive loop past the pilot: the counting scatter, a fused reduce
-// (which the planner sends to counting), and the probing scatter.
+// adaptive loop past the pilot: the counting scatter under a fused
+// histogram and a fused reduce, and the probing scatter.
 func TestSampledRoutesRunFullLoop(t *testing.T) {
 	const n = 1 << 17
 	a := distgen.Generate(2, n, distgen.Spec{Kind: distgen.Exponential, Param: n / 1000}, 7)
@@ -338,7 +361,7 @@ func TestSampledRoutesRunFullLoop(t *testing.T) {
 		run   func(*Config) (Stats, error)
 		strat ScatterStrategy
 	}{
-		{"counting", func(c *Config) (Stats, error) { _, st, err := Semisort(a, c); return st, err }, ScatterCounting},
+		{"counting", func(c *Config) (Stats, error) { _, st, err := sampledRun(nil, a, c); return st, err }, ScatterAuto},
 		{"fused", func(c *Config) (Stats, error) { _, _, st, err := ReduceShared(nil, a, c, sumSpec()); return st, err }, ScatterAuto},
 		{"probing", func(c *Config) (Stats, error) { _, st, err := Semisort(a, c); return st, err }, ScatterProbing},
 	} {

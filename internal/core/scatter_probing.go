@@ -57,9 +57,7 @@ type probingStage struct{}
 // allocate sizes every bucket with the high-probability estimate f(s)
 // from Section 3.1 times Config.Slack (sizeModel), grows the buckets the
 // retry ladder boosted, and carves them all out of one slot array so
-// Phase 5 can pack with simple interval scans. A fused reduce gives heavy
-// buckets no slots at all: their records fold into per-worker cells, so
-// the slot arrays and the MaxSlotBytes cap cover light keys only.
+// Phase 5 can pack with simple interval scans.
 func (probingStage) allocate(pl *plan) error {
 	c, m := &pl.cfg, &pl.model
 	pl.buckets = growEmpty(&pl.ws.buckets, pl.firstLight+pl.numLightMerged)
@@ -71,11 +69,7 @@ func (probingStage) allocate(pl *plan) error {
 		pl.slotTotal += int64(size)
 	}
 	for _, hr := range pl.heavyRuns {
-		if pl.red != nil {
-			pl.buckets = append(pl.buckets, bucket{})
-		} else {
-			place(m.heavySize(int(hr.count), hr.key>>pl.shift, c.Slack, c.ExactBucketSizes))
-		}
+		place(m.heavySize(int(hr.count), hr.key>>pl.shift, c.Slack, c.ExactBucketSizes))
 	}
 	pl.heavySlotEnd = pl.slotTotal
 	// A merged light bucket is a run of hash ranges sharing one id; its
@@ -128,17 +122,7 @@ func (probingStage) scatter(pl *plan) error {
 	if fault.Should(fault.ScatterOverflow) {
 		return &overflowError{buckets: map[int32]int32{0: 1}}
 	}
-	if pl.red != nil {
-		// Fused reduce (reduce.go): heavy records fold into per-worker
-		// cells, light records scatter as usual. ReduceShared forces
-		// ProbeLinear, so the block-rounds arm cannot be reached here.
-		if err := pl.tr.labeledPhase(pl, "scatter", (*plan).probeReduceScatterBody); err != nil {
-			return err
-		}
-		if pl.overflow.Load() {
-			return &overflowError{buckets: pl.ofBuckets}
-		}
-	} else if pl.cfg.Probe == ProbeBlockRounds {
+	if pl.cfg.Probe == ProbeBlockRounds {
 		if err := pl.tr.labeledPhase(pl, "scatter", (*plan).blockRoundsBody); err != nil {
 			return err
 		}
@@ -245,17 +229,10 @@ func (pl *plan) recordOverflow(bid int64) {
 // it there (Phase 4); the compacted counts feed the pack phase. Buckets
 // are traversed in size-aware ranges (planLightRanges); on this path a
 // bucket's cost is dominated by scanning its slot range, so the weight is
-// the slot-array length. A fused reduce serves each range from one
-// workspace arena.
+// the slot-array length.
 func (probingStage) localSort(pl *plan) error {
 	pl.lightCnt = grow(&pl.ws.lightCnt, pl.numLightMerged)
 	pl.planLightRanges((*plan).probeBucketWeight)
-	if pl.red != nil {
-		pl.ws.ensureArenas(pl.procs)
-		pl.redDistinct = grow(&pl.ws.redDistinct, pl.numLightMerged)
-		pl.redStageReps = grow(&pl.ws.redStageReps, int(pl.slotTotal))
-		return pl.tr.labeledPhase(pl, "reduce", (*plan).probeReduceBody)
-	}
 	return pl.tr.labeledPhase(pl, "localsort", (*plan).probeLocalSortBody)
 }
 
@@ -288,9 +265,6 @@ func (pl *plan) probeLocalSortRange(ri int) {
 // the already-compact light buckets, all into one contiguous output array
 // (Phase 5).
 func (probingStage) pack(pl *plan) error {
-	if pl.red != nil {
-		return pl.packReduceProbing()
-	}
 	pl.ensureOut()
 	pl.heavyTotal, pl.lightTotal = 0, 0
 	if err := pl.tr.labeledPhase(pl, "pack", (*plan).probePackBody); err != nil {

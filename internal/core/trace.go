@@ -52,9 +52,8 @@ func (t *tracer) span(attempt int, ph obsv.Phase, start time.Time, outcome strin
 }
 
 // scatterSpan closes a scatter span like span(), additionally attaching
-// the strategy attribute and, on the counting path, the staging-flush
-// counter.
-func (t *tracer) scatterSpan(attempt int, start time.Time, outcome string, strat ScatterStrategy, flushes int64) {
+// the strategy attribute.
+func (t *tracer) scatterSpan(attempt int, start time.Time, outcome string, strat ScatterStrategy) {
 	if t.obs == nil {
 		return
 	}
@@ -65,7 +64,6 @@ func (t *tracer) scatterSpan(attempt int, start time.Time, outcome string, strat
 		Duration: time.Since(start),
 		Outcome:  outcome,
 		Strategy: strat.String(),
-		Flushes:  flushes,
 	})
 }
 

@@ -8,8 +8,8 @@ import (
 
 // A Workspace owns every per-attempt buffer of the pipeline — sample
 // arrays, run/bucket descriptors, light histograms, slot and occupancy
-// arrays, the counting scatter's histograms, bucket-id column and staging
-// arena, the heavy directory and heavy-key hash table, the retry boost
+// arrays, the counting scatter's histograms and bucket-id column, the
+// heavy directory and heavy-key hash table, the retry boost
 // map, and (for SemisortShared) a retained output buffer — so repeated
 // semisorts reuse memory instead of reallocating ~4-6n bytes per call. In
 // steady state a call through a warm Workspace allocates nothing beyond
@@ -49,16 +49,12 @@ type Workspace struct {
 	slots []rec.Record
 	occ   []uint32
 
-	// Phase 3: counting scatter (histograms, the pass-1 bucket-id column,
-	// and the per-worker staging arena; the arena replaces the old
-	// package-global sync.Pool).
-	hist      []int32
-	counts    []int32
-	cbase     []int32
-	bidCol    []uint32     // one bucket id per record
-	stageBuf  []rec.Record // stageWorkers × nb × countingStageSlots records
-	stageCnt  []uint8      // stageWorkers × nb fill counters, all-zero at rest
-	stageFree chan int     // free-list of staging slot indices
+	// Phase 3: counting scatter (histograms and the pass-1 bucket-id
+	// column).
+	hist   []int32
+	counts []int32
+	cbase  []int32
+	bidCol []uint32 // one bucket id per record
 
 	// Dovetail route: scratch for the radix kernel's out-of-place
 	// distribution passes (one record per input record; priced against
@@ -81,14 +77,14 @@ type Workspace struct {
 	packCounts   []int32
 
 	// Fused collect-reduce (reduce.go): per-worker heavy accumulator
-	// cells (redAccs/redCellReps/redUsed, handed out through the redFree
+	// cells (redAccs/redCellReps/redRepBlk, handed out through the redFree
 	// free-list), the counting path's light staging area (redStage), the
 	// per-group representative buffers, and the spec in flight. redSpec
 	// is cleared by ReduceShared before returning so a retained workspace
 	// never pins the caller's closures.
 	redAccs      []uint64
 	redCellReps  []uint64
-	redUsed      []uint8
+	redRepBlk    []int32
 	redFree      chan int
 	redStage     []rec.Record
 	redStageReps []uint64
@@ -190,40 +186,6 @@ func (w *Workspace) getTable(capacity int) *hashtable.Table {
 	return w.table
 }
 
-// ensureStages sizes the counting scatter's staging arena for `workers`
-// concurrent slots of nb buckets each and refills the free-list. The fill
-// counters are cleared so an attempt aborted mid-flight (worker panic)
-// cannot leak stale partial lines into the next call.
-func (w *Workspace) ensureStages(workers, nb int) {
-	need := workers * nb
-	if cap(w.stageCnt) < need {
-		w.stageCnt = make([]uint8, need)
-		w.stageBuf = make([]rec.Record, need*countingStageSlots)
-	}
-	w.stageCnt = w.stageCnt[:need]
-	w.stageBuf = w.stageBuf[:need*countingStageSlots]
-	clear(w.stageCnt)
-	if w.stageFree == nil || cap(w.stageFree) < workers {
-		w.stageFree = make(chan int, workers)
-	}
-	for len(w.stageFree) > 0 {
-		<-w.stageFree
-	}
-	for s := 0; s < workers; s++ {
-		w.stageFree <- s
-	}
-}
-
-// acquireStage blocks until a staging slot is free and claims it. The
-// free-list is a buffered channel of ints: channel operations on scalar
-// elements do not allocate, and the channel's happens-before edge hands
-// the slot's buffers cleanly between workers.
-func (w *Workspace) acquireStage() int { return <-w.stageFree }
-
-// releaseStage returns a staging slot to the free-list. The caller must
-// have drained the slot's fill counters back to zero.
-func (w *Workspace) releaseStage(s int) { w.stageFree <- s }
-
 // ensureArenas sizes the Phase 4 arena pool for `workers` concurrent
 // fused-reduce ranges and refills its free-list. Arenas keep their grown
 // buffers across calls (that is the point); only the pool bookkeeping is
@@ -246,10 +208,10 @@ func (w *Workspace) ensureArenas(workers int) {
 	}
 }
 
-// acquireArena blocks until a Phase 4 arena is free and claims it; same
-// buffered-channel free-list pattern as the staging slots (scalar channel
-// operations do not allocate, and the channel's happens-before edge hands
-// the arena's buffers cleanly between workers).
+// acquireArena blocks until a Phase 4 arena is free and claims it. The
+// free-list is a buffered channel of ints: channel operations on scalar
+// elements do not allocate, and the channel's happens-before edge hands
+// the arena's buffers cleanly between workers.
 func (w *Workspace) acquireArena() int { return <-w.lsFree }
 
 // releaseArena returns an arena to the free-list.
@@ -278,7 +240,6 @@ func (w *Workspace) RetainedBytes() int64 {
 	n += int64(cap(w.heavyRuns))*16 + int64(cap(w.buckets))*16 + int64(cap(w.heavyDir))*16
 	n += int64(cap(w.slots))*16 + int64(cap(w.occ))*4
 	n += int64(cap(w.rxScratch))*16 + w.rxTables.RetainedBytes()
-	n += int64(cap(w.stageBuf))*16 + int64(cap(w.stageCnt))
 	arenas := w.lsArenas[:cap(w.lsArenas)]
 	for i := range arenas {
 		ar := &arenas[i]
@@ -287,8 +248,8 @@ func (w *Workspace) RetainedBytes() int64 {
 	}
 	n += int64(cap(w.lsCum))*8 + int64(cap(w.lsBounds))*4
 	n += int64(cap(w.redAccs)+cap(w.redCellReps)+cap(w.redStageReps)+cap(w.redReps)) * 8
-	n += int64(cap(w.redUsed)) + int64(cap(w.redStage))*16
-	n += int64(cap(w.redDistinct)+cap(w.redOff)) * 4
+	n += int64(cap(w.redStage)) * 16
+	n += int64(cap(w.redRepBlk)+cap(w.redDistinct)+cap(w.redOff)) * 4
 	n += int64(cap(w.out)) * 16
 	if w.table != nil {
 		n += int64(w.table.Capacity()) * 16
@@ -310,10 +271,9 @@ func (w *Workspace) Release() {
 	w.slots, w.occ, w.rxScratch = nil, nil, nil
 	w.rxTables.Release()
 	w.hist, w.counts, w.cbase, w.bidCol = nil, nil, nil, nil
-	w.stageBuf, w.stageCnt, w.stageFree = nil, nil, nil
 	w.lsArenas, w.lsFree, w.lsCum, w.lsBounds = nil, nil, nil, nil
 	w.lightCnt, w.lightOffsets, w.packCounts = nil, nil, nil
-	w.redAccs, w.redCellReps, w.redUsed, w.redFree = nil, nil, nil, nil
+	w.redAccs, w.redCellReps, w.redRepBlk, w.redFree = nil, nil, nil, nil
 	w.redStage, w.redStageReps = nil, nil
 	w.redDistinct, w.redOff, w.redReps = nil, nil, nil
 	w.redSpec = ReduceSpec{}
@@ -341,10 +301,9 @@ func (w *Workspace) shrink(max int64) {
 		return
 	}
 	w.hist, w.bidCol, w.heavyDir = nil, nil, nil
-	w.stageBuf, w.stageCnt, w.stageFree = nil, nil, nil
 	w.rxTables.Release()
 	w.lsArenas, w.lsFree, w.lsCum, w.lsBounds = nil, nil, nil, nil
-	w.redAccs, w.redCellReps, w.redUsed, w.redFree = nil, nil, nil, nil
+	w.redAccs, w.redCellReps, w.redRepBlk, w.redFree = nil, nil, nil, nil
 	w.redDistinct, w.redOff = nil, nil
 	if w.RetainedBytes() <= max {
 		return

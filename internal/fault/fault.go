@@ -56,11 +56,6 @@ const (
 	// kernel call, on the dovetail route); arm it with an OnFire
 	// cancellation hook.
 	PhaseBoundary
-	// StageFlush forces a counting-scatter block to bypass its staging
-	// buffers and write records directly to their final positions;
-	// occurrences count counting-path scatter blocks that had staging
-	// available.
-	StageFlush
 	// ServerAccept fails a semisortd request at the accept/decode stage,
 	// before admission, as if the body could not be read; occurrences
 	// count requests reaching the accept check.
@@ -103,7 +98,6 @@ var pointNames = [numPoints]string{
 	"spill-write",
 	"spill-read",
 	"phase-boundary",
-	"stage-flush",
 	"server-accept",
 	"server-admission",
 	"server-handler-panic",

@@ -167,16 +167,14 @@ type Span struct {
 	// Outcome is one of the Outcome* constants.
 	Outcome string
 	// Strategy names the placement algorithm of a scatter span —
-	// "probing" (the CAS scatter) or "counting" (the two-pass counting
-	// scatter); empty on every other phase. The dovetail route has no
-	// scatter span: its one kernel call is its localsort span.
+	// "probing" (the CAS scatter of a plain semisort) or "counting" (the
+	// two-pass counting scatter of a fused reduce); empty on every other
+	// phase. The dovetail route has no scatter span: its one kernel call
+	// is its localsort span.
 	Strategy string
-	// Flushes counts the staging-buffer flushes the counting scatter
-	// performed; set on counting-strategy scatter spans only.
-	Flushes int64
 	// Kernel names the Phase 4 local-sort kernel of a localsort span —
-	// "hybrid" (introsort per light bucket, the probing and counting
-	// routes), "radix" (the dovetail route) or "reduce" (a fused reduce);
+	// "hybrid" (introsort per light bucket, the probing route), "radix"
+	// (the dovetail route) or "reduce" (a fused reduce, on counting);
 	// empty on every other phase.
 	Kernel string
 	// Ranges is the number of size-aware bucket ranges the Phase 4

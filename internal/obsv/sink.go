@@ -18,7 +18,7 @@ import (
 //
 //	{"event":"attempt_start","attempt":0,"kind":"fresh","slack":1.1}
 //	{"event":"span","attempt":0,"phase":"scatter","start_us":812,"dur_us":1604,"outcome":"overflow","strategy":"probing"}
-//	{"event":"span","attempt":0,"phase":"scatter","start_us":812,"dur_us":903,"outcome":"ok","strategy":"counting","flushes":412}
+//	{"event":"span","attempt":0,"phase":"scatter","start_us":812,"dur_us":903,"outcome":"ok","strategy":"counting"}
 //	{"event":"attempt_end","attempt":0,"outcome":"overflow","overflowed_buckets":2}
 type JSONSink struct {
 	mu  sync.Mutex
@@ -44,7 +44,6 @@ type jsonEvent struct {
 	DurUS             int64   `json:"dur_us,omitempty"`
 	Outcome           string  `json:"outcome,omitempty"`
 	Strategy          string  `json:"strategy,omitempty"`
-	Flushes           int64   `json:"flushes,omitempty"`
 	Kernel            string  `json:"kernel,omitempty"`
 	Ranges            int64   `json:"ranges,omitempty"`
 	OverflowedBuckets int     `json:"overflowed_buckets,omitempty"`
@@ -68,7 +67,7 @@ func (s *JSONSink) PhaseStart(attempt int, ph Phase) {}
 func (s *JSONSink) PhaseEnd(sp Span) {
 	s.emit(jsonEvent{Event: "span", Attempt: sp.Attempt, Phase: sp.Phase.String(),
 		StartUS: sp.Start.Microseconds(), DurUS: sp.Duration.Microseconds(),
-		Outcome: sp.Outcome, Strategy: sp.Strategy, Flushes: sp.Flushes,
+		Outcome: sp.Outcome, Strategy: sp.Strategy,
 		Kernel: sp.Kernel, Ranges: sp.Ranges})
 }
 

@@ -10,8 +10,8 @@ import (
 // Collector: a clean run is a single "fresh" attempt whose phase spans
 // arrive in pipeline order. The default planner sends a plain semisort
 // to the radix kernel, so the trace holds its allocate and localsort
-// spans; the sampled routes (ScatterCounting, ScatterProbing) trace all
-// six phases.
+// spans; the sampled routes (ScatterProbing, and the counting scatter a
+// fused reduce runs) trace all six phases.
 func ExampleConfig_observer() {
 	recs := make([]semisort.Record, 20000)
 	for i := range recs {

@@ -1,8 +1,10 @@
 package semisort
 
 // Record-level fused aggregation: reduce records during the semisort
-// instead of grouping first and folding after. See docs/AGGREGATION.md
-// for the full surface and its guarantees.
+// instead of grouping first and folding after. Every fused call runs the
+// core's counting scatter in one attempt, whatever Config.ScatterStrategy
+// or Config.Probe say. See docs/AGGREGATION.md for the full surface and
+// its guarantees.
 
 import (
 	"repro/internal/core"
@@ -42,7 +44,8 @@ func (r Reducer) spec() core.ReduceSpec {
 
 // ReduceRecords reduces a fused: the result holds one record per
 // distinct key — Key the group's key, Value its final accumulator — in
-// the order a semisort would emit the groups. The input is not modified.
+// a group order that is deterministic for a fixed input, Procs and Seed.
+// The input is not modified.
 // Callers performing many reductions should use a Sorter's Reduce
 // methods to reuse scratch memory.
 func ReduceRecords(a []Record, r Reducer, cfg *Config) ([]Record, error) {
@@ -51,10 +54,9 @@ func ReduceRecords(a []Record, r Reducer, cfg *Config) ([]Record, error) {
 }
 
 // Histogram counts key multiplicities fused: the result holds one record
-// per distinct key with Value its number of occurrences in a. On the
-// counting scatter strategy the heavy counts come straight from the
-// scatter's first-pass histogram, so heavy-duplicate inputs are counted
-// without materializing anything.
+// per distinct key with Value its number of occurrences in a. The heavy
+// counts come straight from the counting scatter's first-pass histogram,
+// so heavy-duplicate inputs are counted without materializing anything.
 func Histogram(a []Record, cfg *Config) ([]Record, error) {
 	out, _, _, err := core.HistogramShared(nil, a, cfg)
 	return out, err

@@ -32,6 +32,11 @@ func refReduce(a []Record) (sums, counts map[uint64]uint64) {
 // proc count and key distribution: the fused path must find exactly the
 // reference's groups with exactly its accumulators, regardless of how
 // records were placed or how partial accumulators were merged.
+// fusedStrategies are the ScatterStrategy values the fused tests cover:
+// the default, and an explicit ScatterProbing that a fused call ignores
+// (it still runs counting; TestRouteTable pins the resolution).
+var fusedStrategies = []ScatterStrategy{ScatterAuto, ScatterProbing}
+
 func TestReduceRecordsDifferential(t *testing.T) {
 	dists := []struct {
 		name string
@@ -44,7 +49,7 @@ func TestReduceRecordsDifferential(t *testing.T) {
 	}
 	for _, d := range dists {
 		wantSum, wantCount := refReduce(d.a)
-		for _, strat := range []ScatterStrategy{ScatterAuto, ScatterProbing, ScatterCounting} {
+		for _, strat := range fusedStrategies {
 			for _, procs := range []int{1, 4} {
 				cfg := &Config{Procs: procs, Seed: 21, ScatterStrategy: strat}
 				out, err := ReduceRecords(d.a, sumReducer, cfg)
@@ -96,7 +101,7 @@ func TestReduceByFusedMatchesMaterialized(t *testing.T) {
 	key := func(e ev) int { return e.k }
 	fold := func(acc int, e ev) int { return acc + e.v }
 
-	for _, strat := range []ScatterStrategy{ScatterProbing, ScatterCounting} {
+	for _, strat := range fusedStrategies {
 		cfg := &Config{Procs: 4, Seed: 17, ScatterStrategy: strat}
 		fused, err := ReduceBy(items, key, Reduction[ev, int]{
 			Fold:  fold,
@@ -136,7 +141,7 @@ func TestReduceByNonCommutativeMergeDiverges(t *testing.T) {
 	key := func(v int) int { return v }
 	fold := func(acc int, v int) int { return acc*31 + v + 1 }
 
-	cfg := &Config{Procs: 4, Seed: 23, ScatterStrategy: ScatterCounting}
+	cfg := &Config{Procs: 4, Seed: 23}
 	fused, err := ReduceBy(items, key, Reduction[int, int]{
 		Fold:  fold,
 		Merge: func(a, b int) int { return a*31 + b },
@@ -223,14 +228,14 @@ func sumItems(n, keys int, seed int64) []sumItem {
 }
 
 // checkSumBy runs SumBy and the materialized ReduceBy reference (Merge
-// nil) over items with val as the measure, on both fused scatter
-// strategies at one and four workers, and demands identical maps. The
+// nil) over items with val as the measure, under both fusedStrategies at
+// one and four workers, and demands identical maps. The
 // values must make the sum order-independent in N (every integer kind;
 // exactly representable floats), so identical means bit-identical.
 func checkSumBy[N Number](t *testing.T, name string, items []sumItem, val func(sumItem) N) {
 	t.Helper()
 	key := func(e sumItem) int { return e.k }
-	for _, strat := range []ScatterStrategy{ScatterProbing, ScatterCounting} {
+	for _, strat := range fusedStrategies {
 		for _, procs := range []int{1, 4} {
 			cfg := &Config{Procs: procs, Seed: 29, ScatterStrategy: strat}
 			got, err := SumBy(items, key, val, cfg)
@@ -303,7 +308,7 @@ func TestSumByFloat32Precision(t *testing.T) {
 		seq64 += float64(v)
 	}
 	got, err := SumBy(items, func(float32) int { return 0 }, func(v float32) float32 { return v },
-		&Config{Procs: 1, Seed: 3, ScatterStrategy: ScatterCounting})
+		&Config{Procs: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +488,7 @@ func TestGenericAllocGates(t *testing.T) {
 func TestReduceRecordsGroupSizedOutput(t *testing.T) {
 	const n = 50000
 	a := mkRecords(n, 200, 47)
-	for _, strat := range []ScatterStrategy{ScatterProbing, ScatterCounting} {
+	for _, strat := range fusedStrategies {
 		out, err := ReduceRecords(a, sumReducer, &Config{Procs: 2, Seed: 9, ScatterStrategy: strat})
 		if err != nil {
 			t.Fatal(err)

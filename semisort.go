@@ -41,14 +41,14 @@ const (
 type ScatterStrategy = core.ScatterStrategy
 
 // Scatter strategy options: Auto (the default) is the deterministic
-// planner, decided from the call before any sampling — a fused reduce
-// takes the Counting scatter, and every plain semisort is one call of a
-// top-down MSD radix kernel that finds heavy keys per node (the dovetail
-// route; see Stats.PlannerRoutes for where records went). Its output is
-// byte-identical across Procs and it never retries. Counting forces the
-// sampled pipeline with the counting scatter; Probing selects the paper's
-// CAS scatter with its Las Vegas retry ladder, the reproduction mode.
-// Dovetail is equivalent to Auto, kept for compatibility.
+// planner, decided from the call before any sampling — every fused
+// reduce takes the counting scatter, whatever the strategy says, and
+// every plain semisort is one call of a top-down MSD radix kernel that
+// finds heavy keys per node (the dovetail route; see Stats.PlannerRoutes
+// for where records went). Its output is byte-identical across Procs and
+// it never retries. Probing selects the paper's CAS scatter with its Las
+// Vegas retry ladder for a plain semisort, the reproduction mode.
+// Counting and Dovetail are equivalent to Auto, kept for compatibility.
 const (
 	ScatterAuto     = core.ScatterAuto
 	ScatterProbing  = core.ScatterProbing

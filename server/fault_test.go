@@ -105,6 +105,47 @@ func TestInjectedHandlerPanicRecyclesWorkspace(t *testing.T) {
 	}
 }
 
+// /v1/reduce is a fused call, so it runs the counting scatter whatever
+// the server's ScatterStrategy says: the probing overflow fault that
+// fails /v1/semisort above never reaches it.
+func TestReduceEndpointIgnoresProbingOverflow(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		PoolSize: 1,
+		Semisort: semisort.Config{
+			DisableFallback: true,
+			MaxRetries:      2,
+			ScatterStrategy: semisort.ScatterProbing,
+		},
+	})
+	inj := fault.New(1).Arm(fault.ScatterOverflow, 0, 8)
+	fault.Enable(inj)
+	defer fault.Disable()
+
+	in := genRecords(20_000, 5)
+	resp := postRecords(t, ts.URL+"/v1/reduce", encodeRecords(in), nil)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s), want 200", resp.StatusCode, body)
+	}
+	out, err := rec.DecodeRecords(nil, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rec.KeyCounts(in)
+	if len(out) != len(want) {
+		t.Fatalf("%d groups, want %d", len(out), len(want))
+	}
+	for _, r := range out {
+		if r.Value != uint64(want[r.Key]) {
+			t.Fatalf("count[%#x] = %d, want %d", r.Key, r.Value, want[r.Key])
+		}
+	}
+	if f := inj.Fired(fault.ScatterOverflow); f != 0 {
+		t.Errorf("ScatterOverflow fired %d times on /v1/reduce", f)
+	}
+}
+
 func TestBucketOverflowFaultYieldsClean500(t *testing.T) {
 	// DisableFallback turns retry exhaustion into an error; arming
 	// ScatterOverflow for more attempts than MaxRetries guarantees

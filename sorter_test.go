@@ -52,10 +52,10 @@ func TestSorterSortConfigOverride(t *testing.T) {
 	a := mkRecords(30000, 200, 6)
 	// OneShotSampling pins the sample to exactly N/SampleRate so the
 	// override is observable through SampleSize (the adaptive estimator
-	// may keep fewer when it converges early). The counting route samples;
+	// may keep fewer when it converges early). The probing route samples;
 	// the planner's default for a plain semisort does not.
 	out, stats, err := s.SortConfig(a, &Config{SampleRate: 4, Procs: 2, OneShotSampling: true,
-		ScatterStrategy: ScatterCounting})
+		ScatterStrategy: ScatterProbing})
 	if err != nil {
 		t.Fatal(err)
 	}
