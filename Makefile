@@ -50,13 +50,12 @@ stress:
 sweep:
 	$(GO) test -race -count=2 -run 'Spectrum|Dovetail|Classif' ./internal/core/ ./internal/sortint/ .
 
-# sample-sweep mirrors the CI adaptive-sampling step: the multi-round
-# estimator's proc-count determinism, budget/round-cap contracts,
-# round-boundary fault aborts, the sampled-vs-kernel route split, and the
-# adaptive-vs-one-shot differential matrix under the race detector with
-# warm-workspace repetition.
+# sample-sweep mirrors the CI Phase 1 sample step: the one-round
+# sample's shape and its byte-determinism across proc counts and boosted
+# retries, the sample-rate differential matrix, and the sampled-vs-kernel
+# route split, under the race detector with warm-workspace repetition.
 sample-sweep:
-	$(GO) test -race -count=2 -run 'Adaptive|Sampl|SampleRound|SizeModel' ./internal/core/ .
+	$(GO) test -race -count=2 -run 'Sampl' ./internal/core/ .
 
 # soak-smoke mirrors the CI job of the same name: a short leak-gated soak
 # of the resident server under the race detector — mixed distributions,
@@ -81,13 +80,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-smoke mirrors the CI job of the same name: every benchmark for
-# one iteration, gating compilation and setup, not speed. The sampling
-# experiment rides along at a small size so the adaptive-vs-one-shot
-# harness itself (distributions, stress config, table plumbing) cannot
-# rot between full bench runs.
+# one iteration, gating compilation and setup, not speed.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-	$(GO) run ./cmd/semibench -experiment sampling -n 1e5 -procs 2 -reps 2
 
 # Short fuzzing passes over the five fuzz targets.
 fuzz:

@@ -13,7 +13,7 @@
 //
 // Experiments: table1 table2 table3 table4 table5 fig1 fig2 fig3 fig4 fig5
 // seqbaselines rrcompare ablation scatter faults observe reuse reduce
-// dovetail sampling outofcore all.
+// dovetail outofcore all.
 package main
 
 import (
@@ -46,7 +46,6 @@ var experiments = map[string]func(bench.Options) []*bench.Table{
 	"reuse":        bench.RunReuse,
 	"reduce":       bench.RunReduce,
 	"dovetail":     bench.RunDovetail,
-	"sampling":     bench.RunSampling,
 	"outofcore":    bench.RunOutOfCore,
 }
 
@@ -54,7 +53,7 @@ var experiments = map[string]func(bench.Options) []*bench.Table{
 var order = []string{
 	"table1", "table2", "table3", "table4", "table5",
 	"fig1", "fig2", "fig3", "fig4", "fig5", "seqbaselines", "rrcompare", "ablation",
-	"scatter", "faults", "observe", "reuse", "reduce", "dovetail", "sampling",
+	"scatter", "faults", "observe", "reuse", "reduce", "dovetail",
 	"outofcore",
 }
 

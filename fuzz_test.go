@@ -162,32 +162,32 @@ func FuzzAgg(f *testing.F) {
 	})
 }
 
-// FuzzSizeEstimateConfigs stresses unusual Config combinations on a fixed
-// input through the core directly, checking every output against the
-// sequential reference's grouping.
+// FuzzConfigs stresses unusual Config combinations on a fixed input
+// through the core directly: a plain semisort (the dovetail route, or
+// probing when the strategy or probe asks for it) and a fused histogram
+// (the counting route, which reads the sampling, threshold and bucket
+// knobs whatever the strategy says), each checked against the sequential
+// reference's key counts.
 func FuzzConfigs(f *testing.F) {
-	f.Add(uint8(16), uint8(16), uint16(1024), false, false, uint8(0), uint8(0), uint8(3), uint8(49), uint8(3), false)
-	f.Add(uint8(1), uint8(1), uint16(1), true, true, uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), false)
-	f.Add(uint8(63), uint8(63), uint16(65535), false, true, uint8(2), uint8(1), uint8(7), uint8(99), uint8(5), true)
-	// Counting-path seeds: linear probing (anything else forces the
-	// probing scatter) with the counting strategy across the sizing and
-	// merging extremes.
-	f.Add(uint8(16), uint8(16), uint16(1024), false, false, uint8(0), uint8(2), uint8(3), uint8(49), uint8(3), false)
-	f.Add(uint8(1), uint8(1), uint16(1), true, true, uint8(0), uint8(2), uint8(1), uint8(24), uint8(1), false)
-	f.Add(uint8(63), uint8(2), uint16(65535), false, true, uint8(0), uint8(2), uint8(3), uint8(49), uint8(3), true)
-	// Dovetail seeds straddling the planner threshold: rate 1 samples
-	// everything (37 keys × ~81 records each dominate any Delta ≤ 64 →
-	// re-routed to counting); a sparse sample with small Delta finds a
-	// partial heavy set (split + radix); a sparse sample with large Delta
-	// finds none (pure radix).
-	f.Add(uint8(1), uint8(16), uint16(1024), false, false, uint8(0), uint8(3), uint8(3), uint8(49), uint8(3), false)
-	f.Add(uint8(63), uint8(2), uint16(1024), false, false, uint8(0), uint8(3), uint8(3), uint8(49), uint8(3), false)
-	f.Add(uint8(63), uint8(63), uint16(65535), true, true, uint8(0), uint8(3), uint8(3), uint8(49), uint8(3), false)
-	// Adaptive-sampling seeds: a dense pilot capped at a single round (the
-	// estimator must degrade to its pilot), and an unreachable tolerance
-	// that drives the loop to the round cap before the budget runs out.
-	f.Add(uint8(1), uint8(16), uint16(1024), false, false, uint8(0), uint8(0), uint8(1), uint8(49), uint8(0), false)
-	f.Add(uint8(1), uint8(16), uint16(1024), false, false, uint8(0), uint8(2), uint8(3), uint8(0), uint8(5), false)
+	f.Add(uint8(16), uint8(16), uint16(1024), false, false, uint8(0), uint8(0))
+	f.Add(uint8(1), uint8(1), uint16(1), true, true, uint8(1), uint8(0))
+	f.Add(uint8(63), uint8(63), uint16(65535), false, true, uint8(2), uint8(1))
+	// Sizing and merging extremes with linear probing (anything else
+	// forces the probing scatter on the plain call).
+	f.Add(uint8(16), uint8(16), uint16(1024), false, false, uint8(0), uint8(2))
+	f.Add(uint8(1), uint8(1), uint16(1), true, true, uint8(0), uint8(2))
+	f.Add(uint8(63), uint8(2), uint16(65535), false, true, uint8(0), uint8(2))
+	// Heavy-set extremes for the sampled routes: rate 1 samples every
+	// record (37 keys × ~81 records each: every key heavy for any
+	// Delta ≤ 64); a sparse sample with small Delta finds a partial heavy
+	// set; a sparse sample with large Delta finds none.
+	f.Add(uint8(1), uint8(16), uint16(1024), false, false, uint8(0), uint8(3))
+	f.Add(uint8(63), uint8(2), uint16(1024), false, false, uint8(0), uint8(3))
+	f.Add(uint8(63), uint8(63), uint16(65535), true, true, uint8(0), uint8(3))
+	// Delta 1 (every sampled key heavy), and one unmerged light bucket
+	// under random probing at a rate that does not divide the input.
+	f.Add(uint8(16), uint8(0), uint16(1024), false, false, uint8(0), uint8(0))
+	f.Add(uint8(6), uint8(5), uint16(0), true, false, uint8(1), uint8(1))
 
 	base := make([]rec.Record, 3000)
 	for i := range base {
@@ -195,7 +195,7 @@ func FuzzConfigs(f *testing.F) {
 	}
 	refKeys := rec.KeyCounts(seqsemi.TwoPhase(append([]rec.Record(nil), base...)))
 
-	f.Fuzz(func(t *testing.T, rate, delta uint8, buckets uint16, merge, exact bool, probe, strat, pilot, tol, rounds uint8, oneShot bool) {
+	f.Fuzz(func(t *testing.T, rate, delta uint8, buckets uint16, merge, exact bool, probe, strat uint8) {
 		cfg := &core.Config{
 			Procs:                2,
 			SampleRate:           int(rate%64) + 1,
@@ -206,14 +206,6 @@ func FuzzConfigs(f *testing.F) {
 			Probe:                core.ProbeKind(probe % 2),
 			ScatterStrategy:      core.ScatterStrategy(strat % 4),
 			Seed:                 uint64(rate) ^ uint64(buckets),
-			// The adaptive-sampling dimension: pilot density, convergence
-			// tolerance (0.01 never converges on this input, forcing the
-			// round cap), round cap (1 pins the loop to its pilot), and the
-			// one-shot ablation.
-			OneShotSampling:   oneShot,
-			SamplePilotFactor: int(pilot%8) + 1,
-			SampleTolerance:   float64(tol%100+1) / 100,
-			SampleMaxRounds:   int(rounds%6) + 1,
 		}
 		out, _, err := core.Semisort(base, cfg)
 		if err != nil {
@@ -229,6 +221,21 @@ func FuzzConfigs(f *testing.F) {
 		for k, c := range refKeys {
 			if got[k] != c {
 				t.Fatalf("config %+v: key %#x count %d, reference %d", cfg, k, got[k], c)
+			}
+		}
+
+		groups, _, stats, err := core.HistogramShared(nil, base, cfg)
+		if err != nil {
+			t.Fatalf("config %+v: fused histogram failed: %v", cfg, err)
+		}
+		if stats.ScatterStrategy != "counting" || len(groups) != len(refKeys) {
+			t.Fatalf("config %+v: fused histogram took %q to %d groups, reference has %d keys",
+				cfg, stats.ScatterStrategy, len(groups), len(refKeys))
+		}
+		for _, g := range groups {
+			if uint64(refKeys[g.Key]) != g.Value {
+				t.Fatalf("config %+v: fused histogram key %#x count %d, reference %d",
+					cfg, g.Key, g.Value, refKeys[g.Key])
 			}
 		}
 	})

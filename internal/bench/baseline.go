@@ -37,8 +37,11 @@ type Baseline struct {
 	Seed  uint64 `json:"seed"`
 	// PhasesSec is the per-phase minimum across reps, in seconds, keyed
 	// by the paper's phase names (sample, buckets, scatter, localsort,
-	// pack). Each phase's minimum is taken independently, which bounds
-	// per-phase noise tighter than picking one best rep.
+	// pack), plus the dovetail_* and reduce_* route keys. Each phase's
+	// minimum is taken independently, which bounds per-phase noise
+	// tighter than picking one best rep. Baselines that still hold the
+	// retired sampling_* keys (the adaptive-sampling ablation) no longer
+	// compare, like the retired AllocsPerOp keys below.
 	PhasesSec map[string]float64 `json:"phases_sec"`
 	// TotalSec is the minimum across reps of the five-phase total.
 	TotalSec float64 `json:"total_sec"`
@@ -122,49 +125,15 @@ func MeasureBaseline(o Options) Baseline {
 		}
 	}
 
-	// Adaptive-sampling path: the default pipeline runs the multi-round
-	// estimator, so the plain sample/total keys above already cover it on
-	// the uniform workload. The sampling_* keys pin the two interesting
-	// extremes — the one-shot ablation (the historical Phase 1) and the
-	// estimator on the duplicate-heavy workload where the round loop does
-	// real re-targeting — so a regression in either mode is caught even if
-	// the other compensates. Same back-compat convention as dovetail_*:
-	// Compare gates only the keys the stored baseline has.
-	sampling := map[string]time.Duration{}
-	for r := 0; r < o.Reps; r++ {
-		_, st, err := core.SemisortWS(&ws, a, &core.Config{Procs: P, Seed: o.Seed + 7,
-			ScatterStrategy: core.ScatterProbing, OneShotSampling: true})
-		if err != nil {
-			panic(err)
-		}
-		if d := st.Phases.SampleSort; sampling["sampling_oneshot_sample"] == 0 || d < sampling["sampling_oneshot_sample"] {
-			sampling["sampling_oneshot_sample"] = d
-		}
-		_, st, err = core.SemisortWS(&ws, exp, &core.Config{Procs: P, Seed: o.Seed + 7,
-			ScatterStrategy: core.ScatterProbing})
-		if err != nil {
-			panic(err)
-		}
-		if d := st.Phases.SampleSort; sampling["sampling_adaptive_sample"] == 0 || d < sampling["sampling_adaptive_sample"] {
-			sampling["sampling_adaptive_sample"] = d
-		}
-		if d := st.Phases.Total(); sampling["sampling_adaptive_total"] == 0 || d < sampling["sampling_adaptive_total"] {
-			sampling["sampling_adaptive_total"] = d
-		}
-	}
-
 	b := Baseline{
 		N: o.N, Procs: P, Reps: o.Reps, Seed: o.Seed,
-		PhasesSec: make(map[string]float64, len(phases)+len(dovetail)+len(sampling)),
+		PhasesSec: make(map[string]float64, len(phases)+len(dovetail)),
 		TotalSec:  total.Seconds(),
 	}
 	for name, d := range phases {
 		b.PhasesSec[name] = d.Seconds()
 	}
 	for name, d := range dovetail {
-		b.PhasesSec[name] = d.Seconds()
-	}
-	for name, d := range sampling {
 		b.PhasesSec[name] = d.Seconds()
 	}
 

@@ -111,7 +111,7 @@ func TestRunObserveCleanTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	RunObserve(Options{N: 50_000, Procs: []int{2}, Reps: 2, Seed: 7, TracePath: path, Out: io.Discard})
 	events := readTrace(t, path)
-	spans, rounds := 0, 0
+	spans := 0
 	for _, e := range events {
 		if e.Event != "span" {
 			continue
@@ -119,19 +119,10 @@ func TestRunObserveCleanTrace(t *testing.T) {
 		if e.Outcome != "ok" || e.Attempt != 0 {
 			t.Errorf("clean-run span = %+v, want attempt 0 ok", e)
 		}
-		if e.Phase == "sampleround" {
-			// Adaptive sampling nests a span per round inside the sample
-			// span; only top-level phases count toward the six.
-			rounds++
-			continue
-		}
 		spans++
 	}
 	if spans != 12 {
-		t.Errorf("top-level span events = %d, want 12 (6 phases x 2 reps)", spans)
-	}
-	if rounds == 0 {
-		t.Error("no sampleround spans in clean adaptive trace, want >= 1 per rep")
+		t.Errorf("span events = %d, want 12 (6 phases x 2 reps)", spans)
 	}
 }
 
@@ -146,7 +137,6 @@ func TestBaselineRoundTrip(t *testing.T) {
 	for _, ph := range []string{
 		"sample", "buckets", "scatter", "localsort", "pack",
 		"dovetail_localsort", "dovetail_total",
-		"sampling_oneshot_sample", "sampling_adaptive_sample", "sampling_adaptive_total",
 		"reduce_counting", "reduce_histogram",
 	} {
 		if b.PhasesSec[ph] <= 0 {

@@ -42,20 +42,16 @@ func (pl *plan) allocatePhase(st scatterStage) error {
 	}
 
 	// Merged light buckets: combine adjacent hash-range slices until each
-	// merged bucket holds the estimator's Delta·SampleRate-records merge
-	// target — at the uniform one-shot density, exactly the historical
-	// at-least-Delta-samples rule — or a single slice when merging is
-	// disabled.
+	// merged bucket holds at least Delta samples, or a single slice when
+	// merging is disabled.
 	pl.lightBucketOf = grow(&pl.ws.lightBucketOf, pl.numLight)
 	pl.firstLight = pl.numHeavy
 	id := int32(pl.firstLight)
 	start := 0
 	var acc int32
-	var massAcc float64
 	for i := 0; i < pl.numLight; i++ {
 		acc += pl.lightCounts[i]
-		massAcc += pl.model.mass(pl.lightCounts[i], uint64(i))
-		if i < pl.numLight-1 && !c.DisableBucketMerging && !pl.model.merged(acc, massAcc) {
+		if i < pl.numLight-1 && !c.DisableBucketMerging && acc < int32(c.Delta) {
 			continue
 		}
 		for j := start; j <= i; j++ {
@@ -63,7 +59,7 @@ func (pl *plan) allocatePhase(st scatterStage) error {
 		}
 		id++
 		start = i + 1
-		acc, massAcc = 0, 0
+		acc = 0
 	}
 	pl.numLightMerged = int(id) - pl.firstLight
 	pl.buildHeavyDir()

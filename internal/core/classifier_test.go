@@ -32,10 +32,9 @@ func keyWithProduct(p uint64) uint64 { return p * dirMulInv }
 func classifierPlan(t *testing.T, a []rec.Record, heavy []uint64, logLight uint, seed int64) *plan {
 	t.Helper()
 	ws := &Workspace{}
-	cfg := Config{Procs: 1, Seed: 1, ScatterStrategy: ScatterCounting}
+	cfg := Config{Procs: 1, Seed: 1, ScatterStrategy: ScatterCounting, Delta: 2}
 	pl := &ws.plan
 	pl.begin(ws, a, nil, &cfg, 0, 0, nil, &tracer{}, nil)
-	pl.model = sizeModel{logn: pl.logn, c: 1, cln: pl.logn, rate: 1, delta: 2, uniform: true}
 	pl.numLight = 1 << logLight
 	pl.shift = 64 - logLight
 	r := rand.New(rand.NewSource(seed))

@@ -1,13 +1,13 @@
 // Phase 2a — classification (paper Section 4, Phase 2, first half):
 // extract the distinct-key runs of the sorted sample, classify each run
-// as heavy or light against its hash range's estimator threshold (at the
-// uniform one-shot density: ≥ Delta sample occurrences), and histogram
+// as heavy (at least Delta sample occurrences) or light, and histogram
 // the light runs over the hash-range slices. Classification and
 // allocation (buckets.go) share the "bucket construction" phase gate and
 // the PhaseTimes.Buckets clock; they are traced as separate spans.
 package core
 
 import (
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -29,13 +29,31 @@ func (pl *plan) classifyPhase() error {
 	}
 	pl.tr.phaseStart(pl.attempt, obsv.PhaseClassify)
 	pl.bucketsT0 = time.Now()
-
-	// The hash-range geometry (numLight, shift) is fixed by the sampling
-	// phase (plan.computeRanges), which needs it for the adaptive loop's
-	// per-range histogram.
+	pl.computeRanges()
 	_ = pl.tr.labeledPhase(pl, "classify", (*plan).classifyBody)
 	pl.tr.span(pl.attempt, obsv.PhaseClassify, pl.bucketsT0, obsv.OutcomeOK)
 	return nil
+}
+
+// computeRanges fixes the attempt's hash-range geometry: numLight ranges
+// selected by a key's top bits.
+//
+// Effective light bucket count: ~n/1024 hash-range slices, matching the
+// paper's records-per-bucket ratio (2^16 buckets for n=10^8 is ~1500
+// records each); we adapt for smaller n instead of fixing 2^16.
+func (pl *plan) computeRanges() {
+	numLight := 1
+	if pl.n > 1024 {
+		numLight = 1 << uint(bits.Len(uint(pl.n/1024-1)))
+	}
+	if numLight > pl.cfg.MaxLightBuckets {
+		numLight = pl.cfg.MaxLightBuckets
+	}
+	pl.numLight = numLight
+	pl.shift = uint(64 - bits.Len(uint(numLight-1)))
+	if numLight == 1 {
+		pl.shift = 64
+	}
 }
 
 // classifyBody runs the classification proper: run-start extraction, then
@@ -73,16 +91,16 @@ func (pl *plan) runCount(ri int) int32 {
 }
 
 func (pl *plan) classifyCountChunk(blo, bhi int) {
+	delta := int32(pl.cfg.Delta)
 	for blk := blo; blk < bhi; blk++ {
 		s, e := blk*pl.runGrain, min((blk+1)*pl.runGrain, pl.numRuns)
 		var nHeavy int32
 		for ri := s; ri < e; ri++ {
 			count := pl.runCount(ri)
-			b := pl.sample[pl.runStarts[ri]] >> pl.shift
-			if count >= pl.model.heavyThr(b) {
+			if count >= delta {
 				nHeavy++
 			} else {
-				atomic.AddInt32(&pl.lightCounts[b], count)
+				atomic.AddInt32(&pl.lightCounts[pl.sample[pl.runStarts[ri]]>>pl.shift], count)
 			}
 		}
 		pl.blockHeavy[blk] = nHeavy
@@ -90,12 +108,13 @@ func (pl *plan) classifyCountChunk(blo, bhi int) {
 }
 
 func (pl *plan) classifyFillChunk(blo, bhi int) {
+	delta := int32(pl.cfg.Delta)
 	for blk := blo; blk < bhi; blk++ {
 		s, e := blk*pl.runGrain, min((blk+1)*pl.runGrain, pl.numRuns)
 		off := pl.blockHeavy[blk]
 		for ri := s; ri < e; ri++ {
 			count := pl.runCount(ri)
-			if count >= pl.model.heavyThr(pl.sample[pl.runStarts[ri]]>>pl.shift) {
+			if count >= delta {
 				pl.heavyRuns[off] = heavyRun{key: pl.sample[pl.runStarts[ri]], count: count}
 				off++
 			}

@@ -97,39 +97,18 @@ type Config struct {
 	// records. Read by the sampled routes (probing and counting); the
 	// dovetail route draws no pipeline sample. Default 16.
 	SampleRate int
-	// Delta is the heavy-key threshold δ: a key representing at least
-	// Delta·SampleRate records in the sample's estimate is heavy (at the
-	// uniform one-shot density that is exactly Delta sample occurrences).
-	// Read by the sampled routes; the dovetail kernel applies its own
-	// per-node threshold. Default 16.
+	// Delta is the heavy-key threshold δ: a key with at least Delta
+	// occurrences in the sample is heavy, and adjacent light hash ranges
+	// merge until a bucket holds at least Delta samples. Read by the
+	// sampled routes; the dovetail kernel applies its own per-node
+	// threshold. Default 16.
 	Delta int
-	// OneShotSampling restores the paper's single-round stratified sample
-	// (one key per SampleRate-record block) instead of the adaptive
-	// pilot + top-up loop — the ablation baseline for the sampling
-	// experiment. Adaptive runs also degrade to one-shot when the input
-	// is too small for a meaningful pilot.
-	OneShotSampling bool
-	// SamplePilotFactor scales the adaptive pilot's block size: the pilot
-	// round keeps one key per SamplePilotFactor×SampleRate records, i.e.
-	// 1/SamplePilotFactor of the one-shot sample. Default 4.
-	SamplePilotFactor int
-	// SampleTolerance is the adaptive loop's convergence target: a hash
-	// range stops receiving top-up rounds once the relative overshoot of
-	// its f(s) size bound is at most this value. Smaller tolerances spend
-	// more of the sample budget on uncertain ranges. Default 0.5.
-	SampleTolerance float64
-	// SampleMaxRounds caps the adaptive loop's rounds (pilot included);
-	// 1 means pilot only. The loop also stops early when every range is
-	// within SampleTolerance or the one-shot sample budget is spent.
-	// Default 4.
-	SampleMaxRounds int
 	// MaxLightBuckets caps the number of hash-range slices for light keys.
 	// The effective count adapts downward for small inputs. Default 2^16.
 	MaxLightBuckets int
-	// C is the constant c in the f(s) estimate. The sampled routes'
-	// adaptive sampling loop reads it (its convergence target); only the
-	// probing route also sizes slots with it, and the dovetail route
-	// ignores it. Default 1.25.
+	// C is the constant c in the f(s) estimate, with which the probing
+	// route sizes its bucket slot arrays. Read by the probing route
+	// only. Default 1.25.
 	C float64
 	// Slack multiplies f(s) when the probing route sizes its bucket slot
 	// arrays, and its retry ladder doubles it on a resample. Read by the
@@ -168,10 +147,13 @@ type Config struct {
 	// boundaries (never per record), so the hot path is unaffected. On
 	// cancellation the returned error wraps Context.Err().
 	Context context.Context
-	// MaxSlotBytes caps the bucket slot memory (16 bytes per slot) any
-	// attempt may allocate. An attempt whose estimate exceeds the cap
-	// degrades to the sequential fallback instead of allocating.
-	// 0 means no cap.
+	// MaxSlotBytes caps the scatter scratch any attempt may allocate:
+	// the probing route's bucket slots (16 bytes per slot), the counting
+	// route's histograms, bucket-id column, heavy directory and cells and
+	// light staging area (24 bytes per light record), and the dovetail
+	// route's radix scratch (16 bytes per record). An attempt whose
+	// estimate exceeds the cap degrades to the sequential fallback
+	// instead of allocating. 0 means no cap.
 	MaxSlotBytes int64
 	// MaxRetainedBytes caps the scratch memory a Workspace keeps between
 	// calls. After each call (success or failure) the workspace drops
@@ -210,15 +192,6 @@ func (c *Config) withDefaults() Config {
 	if out.Delta <= 0 {
 		out.Delta = 16
 	}
-	if out.SamplePilotFactor <= 0 {
-		out.SamplePilotFactor = 4
-	}
-	if out.SampleTolerance <= 0 {
-		out.SampleTolerance = 0.5
-	}
-	if out.SampleMaxRounds <= 0 {
-		out.SampleMaxRounds = 4
-	}
 	if out.MaxLightBuckets <= 0 {
 		out.MaxLightBuckets = 1 << 16
 	}
@@ -253,15 +226,13 @@ func (p PhaseTimes) Total() time.Duration {
 // Stats describes one semisort execution.
 type Stats struct {
 	N int // number of input records
-	// SampleSize is |S|: the total keys kept across every sampling round
-	// of the winning attempt (cumulative — the pilot plus all top-ups).
-	// Under OneShotSampling it is exactly N/SampleRate, as before. Zero
-	// on the dovetail route, which draws no pipeline sample.
+	// SampleSize is |S|, the keys the Phase 1 sample drew: exactly
+	// N/SampleRate (one per complete block) on the probing and counting
+	// routes. Zero on the dovetail route, which draws no pipeline sample.
 	SampleSize int
-	// SampleRounds is the number of sampling rounds the winning attempt
-	// executed: 1 for a one-shot sample or an adaptive run that converged
-	// at the pilot, up to SampleMaxRounds otherwise, and 0 on the dovetail
-	// route.
+	// SampleRounds is the number of Phase 1 sampling rounds: 1 on the
+	// probing and counting routes, which draw one stratified sample, and
+	// 0 on the dovetail route.
 	SampleRounds int
 	// HeavyKeys is the number of distinct heavy keys: the sample's on the
 	// probing and counting routes, and on the dovetail route the keys the

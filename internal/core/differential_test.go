@@ -106,49 +106,27 @@ func TestDifferentialStrategies(t *testing.T) {
 }
 
 // TestDifferentialAdaptiveSampling crosses the distribution matrix with
-// the adaptive-sampling dimension: the one-shot ablation, a pilot-only
-// run (round cap 1), the default estimator, and an unreachable tolerance
-// that forces the round cap. Every combination must agree with the
-// sequential reference, and the reported round count must respect its
-// configuration. It pins ScatterProbing: a plain semisort under the
-// planner takes the dovetail route, which draws no sample.
+// the Phase 1 sample rate: the default 1/16, a dense 1/4 and a sparse
+// 1/64. Every combination must agree with the sequential reference and
+// draw exactly one stratified round of n/SampleRate keys. It pins
+// ScatterProbing: a plain semisort under the planner takes the dovetail
+// route, which draws no sample.
 func TestDifferentialAdaptiveSampling(t *testing.T) {
 	const n = 20000
-	sampling := []struct {
-		name string
-		cfg  Config
-	}{
-		{"one-shot", Config{OneShotSampling: true}},
-		{"pilot-only", Config{SampleMaxRounds: 1}},
-		{"default", Config{}},
-		{"cap-forced", Config{SampleTolerance: 0.0001, SampleMaxRounds: 6, SamplePilotFactor: 8}},
-	}
 	for _, d := range diffMatrix(n, 41) {
 		refKeys := rec.KeyCounts(seqsemi.TwoPhase(append([]rec.Record(nil), d.data...)))
-		for _, sc := range sampling {
+		for _, rate := range []int{0, 4, 64} {
 			for _, procs := range []int{1, 4} {
-				label := fmt.Sprintf("%s/%s/procs=%d", d.name, sc.name, procs)
-				cfg := sc.cfg
-				cfg.Procs = procs
-				cfg.Seed = 5
-				cfg.ScatterStrategy = ScatterProbing
+				label := fmt.Sprintf("%s/rate=%d/procs=%d", d.name, rate, procs)
+				cfg := Config{Procs: procs, Seed: 5, SampleRate: rate, ScatterStrategy: ScatterProbing}
 				out, stats, err := Semisort(d.data, &cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				sameGrouping(t, label, d.data, out, refKeys)
-				switch sc.name {
-				case "one-shot", "pilot-only":
-					if stats.SampleRounds != 1 {
-						t.Errorf("%s: SampleRounds = %d, want 1", label, stats.SampleRounds)
-					}
-				default:
-					if max := (&cfg).withDefaults().SampleMaxRounds; stats.SampleRounds < 1 || stats.SampleRounds > max {
-						t.Errorf("%s: SampleRounds = %d, want in [1, %d]", label, stats.SampleRounds, max)
-					}
-				}
-				if budget := n / (&cfg).withDefaults().SampleRate; stats.SampleSize > budget {
-					t.Errorf("%s: SampleSize = %d exceeds budget %d", label, stats.SampleSize, budget)
+				want := n / (&cfg).withDefaults().SampleRate
+				if stats.SampleRounds != 1 || stats.SampleSize != want {
+					t.Errorf("%s: %d rounds of %d keys, want 1 of %d", label, stats.SampleRounds, stats.SampleSize, want)
 				}
 			}
 		}

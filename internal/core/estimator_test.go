@@ -71,73 +71,6 @@ func TestBoostSize(t *testing.T) {
 	}
 }
 
-// The generalized bound must reduce to f(s)·rate when every range shares
-// one rate: uniform-mode heavySize and a hand-built per-range model with
-// equal rates must agree on every count.
-func TestSizeBoundReducesToUniform(t *testing.T) {
-	const rate = 16
-	logn := math.Log(1 << 20)
-	cln := 1.25 * logn
-	for _, exact := range []bool{false, true} {
-		for s := 1; s <= 3000; s += 13 {
-			uni := sizeEstimate(s, logn, 1.25, 1.1, rate, exact)
-			gen := finishSize(1.1*sizeBound(float64(s)*rate, rate, cln), exact)
-			if exact {
-				// Float association differs between the two formulas; exact
-				// sizing may land one record apart at ceil boundaries.
-				if d := uni - gen; d < -1 || d > 1 {
-					t.Fatalf("s=%d exact: uniform %d vs generalized %d", s, uni, gen)
-				}
-			} else if uni != gen {
-				t.Fatalf("s=%d pow2: uniform %d vs generalized %d", s, uni, gen)
-			}
-		}
-	}
-}
-
-// sizeModel's uniform mode must delegate to the historical formulas
-// bit-for-bit, and its per-range mode must consume the per-range rate.
-func TestSizeModelModes(t *testing.T) {
-	logn := math.Log(1 << 20)
-	m := sizeModel{
-		logn: logn, c: 1.25, cln: 1.25 * logn,
-		rate: 16, delta: 8, deltaRecs: 8 * 16, uniform: true,
-	}
-	if got, want := m.heavySize(100, 0, 1.1, false), sizeEstimate(100, logn, 1.25, 1.1, 16, false); got != want {
-		t.Errorf("uniform heavySize = %d, want sizeEstimate = %d", got, want)
-	}
-	if m.heavyThr(3) != 8 {
-		t.Errorf("uniform heavyThr = %d, want Delta = 8", m.heavyThr(3))
-	}
-	if !m.merged(8, 0) || m.merged(7, 0) {
-		t.Error("uniform merged must trigger exactly at Delta samples")
-	}
-	if m.mass(5, 0) != 5*16 {
-		t.Errorf("uniform mass = %v, want count*rate = 80", m.mass(5, 0))
-	}
-
-	// Per-range mode: range 1 sampled 4x denser than range 0.
-	m.uniform = false
-	m.rates = []float64{16, 4}
-	m.thr = []int32{8, 32}
-	if m.heavyThr(0) != 8 || m.heavyThr(1) != 32 {
-		t.Errorf("per-range thresholds = %d/%d, want 8/32", m.heavyThr(0), m.heavyThr(1))
-	}
-	if m.mass(10, 0) != 160 || m.mass(10, 1) != 40 {
-		t.Errorf("per-range mass = %v/%v, want 160/40", m.mass(10, 0), m.mass(10, 1))
-	}
-	// Denser range, same count: smaller mass, smaller bucket.
-	if m.heavySize(100, 1, 1.1, false) >= m.heavySize(100, 0, 1.1, false) {
-		t.Errorf("denser range sized no smaller: %d vs %d",
-			m.heavySize(100, 1, 1.1, false), m.heavySize(100, 0, 1.1, false))
-	}
-	// merged is mass-based: 160 records >= deltaRecs = 128 regardless of
-	// which range supplied the samples.
-	if !m.merged(10, 160) || m.merged(10, 120) {
-		t.Error("per-range merged must trigger on estimated mass, not raw samples")
-	}
-}
-
 // MaxSlotBytes must clamp the attempt before slots are allocated: with
 // the fallback disabled a cap far below the input size surfaces
 // ErrOverflow (naming the cap) instead of allocating past it.

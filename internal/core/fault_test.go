@@ -7,8 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/distgen"
 	"repro/internal/fault"
+	"repro/internal/obsv"
 	"repro/internal/parallel"
+	"repro/internal/rec"
 )
 
 // withInjector enables in for the duration of the test body and guarantees
@@ -315,6 +318,40 @@ func TestCountingSlotCapFallsBack(t *testing.T) {
 
 	_, _, _, err = ReduceShared(nil, a, &Config{Procs: 2, MaxSlotBytes: 512, DisableFallback: true}, sumSpec())
 	if !errors.Is(err, ErrOverflow) {
+		t.Fatalf("capped + DisableFallback err = %v, want ErrOverflow", err)
+	}
+}
+
+// The counting route's light staging area (24 B per light record) is its
+// largest scratch, so the cap must price it: a histogram over 2^18
+// uniform keys needs ~1.1 MiB before pass 1 and ~7 MiB with the staging
+// area, and a 2 MiB cap must send it to the fallback (or to ErrOverflow)
+// after pass 1, before anything is staged.
+func TestCountingSlotCapPricesStaging(t *testing.T) {
+	const n = 1 << 18
+	a := distgen.Generate(2, n, distgen.Spec{Kind: distgen.Uniform, Param: n}, 3)
+	var col obsv.Collector
+	cfg := &Config{Procs: 2, MaxSlotBytes: 2 << 20, Observer: &col}
+	out, _, stats, err := HistogramShared(nil, a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCounts(t, "staging cap", a, append([]rec.Record(nil), out...))
+	if !stats.FallbackUsed || stats.Attempts != 1 {
+		t.Errorf("FallbackUsed = %v after %d attempts, want the fallback after 1", stats.FallbackUsed, stats.Attempts)
+	}
+	var scatter []obsv.Span
+	for _, s := range col.Spans() {
+		if s.Phase == obsv.PhaseScatter {
+			scatter = append(scatter, s)
+		}
+	}
+	if len(scatter) != 1 || scatter[0].Outcome != obsv.OutcomeCap {
+		t.Errorf("scatter spans %+v, want one ending in %q", scatter, obsv.OutcomeCap)
+	}
+
+	cfg = &Config{Procs: 2, MaxSlotBytes: 2 << 20, DisableFallback: true}
+	if _, _, _, err := HistogramShared(nil, a, cfg); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("capped + DisableFallback err = %v, want ErrOverflow", err)
 	}
 }

@@ -8,28 +8,16 @@ import (
 	"repro/internal/obsv"
 )
 
-// phasesOf extracts the top-level phase sequence of one attempt's spans,
-// in emission order. Sampling-round spans nest inside the sample span and
-// are checked separately (roundSpansOf).
+// phasesOf extracts the phase sequence of one attempt's spans, in
+// emission order.
 func phasesOf(spans []obsv.Span, attempt int) []obsv.Phase {
 	var ps []obsv.Phase
 	for _, s := range spans {
-		if s.Attempt == attempt && s.Phase != obsv.PhaseSampleRound {
+		if s.Attempt == attempt {
 			ps = append(ps, s.Phase)
 		}
 	}
 	return ps
-}
-
-// roundSpansOf extracts one attempt's nested sampling-round spans.
-func roundSpansOf(spans []obsv.Span, attempt int) []obsv.Span {
-	var rs []obsv.Span
-	for _, s := range spans {
-		if s.Attempt == attempt && s.Phase == obsv.PhaseSampleRound {
-			rs = append(rs, s)
-		}
-	}
-	return rs
 }
 
 func wantPhases(t *testing.T, got, want []obsv.Phase, attempt int) {
@@ -56,8 +44,8 @@ var dovetailPhases = []obsv.Phase{obsv.PhaseAllocate, obsv.PhaseLocalSort}
 // A clean run traces exactly one attempt of kind "fresh" with every
 // span ok and in start order, and scheduler counters flowing into
 // Stats.Sched. The sampled pipeline (probing here) traces all six
-// phases in paper order, with one nested span per sampling round; the
-// planner's default, the dovetail route, traces the kernel route's two.
+// phases in paper order; the planner's default, the dovetail route,
+// traces the kernel route's two.
 // The input is large enough (2^16 records at Procs 4) that the kernel
 // runs its passes on the parallel runtime.
 func TestObserverCleanRunTrace(t *testing.T) {
@@ -95,12 +83,6 @@ func TestObserverCleanRunTrace(t *testing.T) {
 			if s.Outcome != obsv.OutcomeOK {
 				t.Errorf("%v: span %v outcome %q, want ok", route.strat, s.Phase, s.Outcome)
 			}
-			if s.Phase == obsv.PhaseSampleRound {
-				// Round spans nest inside the sample span: they close (and
-				// are emitted) before it, so they sit outside the
-				// top-level start-monotonicity chain.
-				continue
-			}
 			if s.Start < prev {
 				t.Errorf("%v: span %v starts at %v, before previous span's start %v", route.strat, s.Phase, s.Start, prev)
 			}
@@ -110,18 +92,14 @@ func TestObserverCleanRunTrace(t *testing.T) {
 			}
 		}
 
-		// The adaptive estimator traces one nested span per sampling
-		// round, each naming the hash-range count it drew from, and the
-		// count matches Stats.SampleRounds (zero on the dovetail route).
-		rounds := roundSpansOf(spans, 0)
-		if len(rounds) != stats.SampleRounds || (route.strat == ScatterProbing) != (len(rounds) > 0) {
-			t.Fatalf("%v: sampling-round spans = %d, Stats.SampleRounds = %d",
-				route.strat, len(rounds), stats.SampleRounds)
+		// One sampling round on the sampled pipeline, none on the
+		// dovetail route.
+		want := 0
+		if route.strat == ScatterProbing {
+			want = 1
 		}
-		for i, r := range rounds {
-			if r.Ranges <= 0 {
-				t.Errorf("%v: round %d span Ranges = %d, want > 0", route.strat, i, r.Ranges)
-			}
+		if stats.SampleRounds != want {
+			t.Errorf("%v: Stats.SampleRounds = %d, want %d", route.strat, stats.SampleRounds, want)
 		}
 
 		// An Observer turns on the scheduler counters; a 4-worker run

@@ -40,7 +40,9 @@ type scatterStage interface {
 	allocate(pl *plan) error
 	// scatter places every record into its bucket (Phase 3). An
 	// ErrOverflow return (probing only) triggers the Las Vegas retry
-	// ladder; any other error aborts the attempt (cancellation).
+	// ladder; a wrapped errSlotCap (counting only, once pass 1 knows the
+	// light count) degrades to the fallback; any other error aborts the
+	// attempt (cancellation).
 	scatter(pl *plan) error
 	// localSort semisorts (or, on a fused reduce, folds) each light
 	// bucket (Phase 4).
@@ -96,23 +98,9 @@ type plan struct {
 
 	stats Stats
 
-	// Phase 1 products: the cumulative sorted sample, the estimator the
-	// adaptive loop built over it, and the loop's own state (sample.go).
-	ns     int // total keys kept across rounds
+	// Phase 1 product: the sorted sample (sample.go).
+	ns     int // keys drawn: one per SampleRate-record block
 	sample []uint64
-	model  sizeModel
-	// Adaptive-loop state: per-range histogram/density/selection views
-	// plus the in-flight round's geometry.
-	smplHist     []int32
-	smplDens     []float64
-	smplSel      []uint8
-	smplCnt      []int32
-	smplRounds   int
-	smplRound    int
-	smplBS       int
-	smplNBlk     int
-	smplGrain    int
-	smplSelCount int
 
 	// Phase 2 products.
 	bucketsT0 time.Time // classify+allocate share the Buckets phase clock
@@ -237,8 +225,9 @@ func semisortOnce(pl *plan) ([]rec.Record, error) {
 }
 
 // scatterPhase runs Phase 3 through the stage. Overflow (probing only)
-// surfaces as ErrOverflow for the Las Vegas ladder; any other error is a
-// cancellation.
+// surfaces as ErrOverflow for the Las Vegas ladder, and the counting
+// route's scratch cap as errSlotCap for the fallback; any other error is
+// a cancellation.
 func (pl *plan) scatterPhase(st scatterStage) error {
 	if err := phaseGate(pl.ctx, "scatter"); err != nil {
 		return err
@@ -251,13 +240,18 @@ func (pl *plan) scatterPhase(st scatterStage) error {
 		pl.tr.scatterSpan(pl.attempt, t0, obsv.OutcomeOK, pl.strat)
 		return nil
 	}
-	if errors.Is(err, ErrOverflow) {
-		pl.stats.Phases.Scatter = time.Since(t0)
-		pl.tr.scatterSpan(pl.attempt, t0, obsv.OutcomeOverflow, pl.strat)
-		return err
+	outcome := obsv.OutcomeOverflow
+	switch {
+	case errors.Is(err, ErrOverflow):
+	case errors.Is(err, errSlotCap):
+		outcome = obsv.OutcomeCap
+	default:
+		pl.tr.scatterSpan(pl.attempt, t0, obsv.OutcomeCanceled, pl.strat)
+		return fmt.Errorf("semisort: canceled at scatter: %w", err)
 	}
-	pl.tr.scatterSpan(pl.attempt, t0, obsv.OutcomeCanceled, pl.strat)
-	return fmt.Errorf("semisort: canceled at scatter: %w", err)
+	pl.stats.Phases.Scatter = time.Since(t0)
+	pl.tr.scatterSpan(pl.attempt, t0, outcome, pl.strat)
+	return err
 }
 
 // parFor runs f over [0, n) with cooperative cancellation, dispatching

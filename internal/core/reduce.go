@@ -28,9 +28,9 @@
 //
 // The counting scatter places at exact offsets and cannot overflow, so a
 // fused call runs one attempt and never folds a record twice. Its only
-// degradation, the Config.MaxSlotBytes cap, fires in allocate, before any
-// fold; the sequential fallback then sorts and folds each run once
-// (reduceRuns).
+// degradation, the Config.MaxSlotBytes cap, fires in allocate or between
+// the two counting passes, before any fold; the sequential fallback then
+// sorts and folds each run once (reduceRuns).
 package core
 
 import (
@@ -260,6 +260,9 @@ func (pl *plan) countingReduceScatterBody() error {
 	}
 	pl.stats.HeavyRecords = heavyRecs
 	pl.placedTotal = int(prim.ExclusiveScan(1, pl.cbase))
+	if err := pl.capScratch("counting scatter", pl.countingScratch(pl.placedTotal)); err != nil {
+		return err // before pass 2: nothing is folded yet
+	}
 	pl.parForNoCtx(nb, 512, (*plan).countingCursorChunk)
 	pl.redStage = grow(&pl.ws.redStage, pl.placedTotal)
 	pl.redStageReps = grow(&pl.ws.redStageReps, pl.placedTotal)

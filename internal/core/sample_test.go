@@ -1,8 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/distgen"
@@ -50,117 +50,104 @@ func checkCounts(t *testing.T, label string, in, out []rec.Record) {
 	}
 }
 
-// Adaptive sampling on a skewed input must terminate within the round
-// cap and never spend more sample budget than the one-shot rate.
-func TestAdaptiveSamplingBudget(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		keyRange uint64
-	}{
-		{"heavy", 100},
-		{"near-unique", 1 << 62},
-		{"mid", 5000},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a := mkRecords(120000, tc.keyRange, 7)
-			out, stats, err := sampledRun(nil, a, &Config{Procs: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkCounts(t, tc.name, a, out)
-			c := (&Config{}).withDefaults()
-			if stats.SampleRounds < 1 || stats.SampleRounds > c.SampleMaxRounds {
-				t.Errorf("SampleRounds = %d, want in [1, %d]", stats.SampleRounds, c.SampleMaxRounds)
-			}
-			if budget := len(a) / c.SampleRate; stats.SampleSize > budget {
-				t.Errorf("SampleSize = %d exceeds one-shot budget %d", stats.SampleSize, budget)
-			}
-		})
-	}
-}
-
-// OneShotSampling must reproduce the historical Phase 1 exactly: one
-// round, |S| = N/SampleRate.
+// Phase 1 is the paper's one stratified round: the probing route and
+// both counting call kinds (histogram and reduce) draw exactly
+// N/SampleRate keys in one round, at the default rate and at a rate that
+// does not divide N, and the dovetail route draws none.
 func TestOneShotSamplingLegacyShape(t *testing.T) {
 	a := mkRecords(60000, 300, 5)
-	out, stats, err := sampledRun(nil, a, &Config{Procs: 2, OneShotSampling: true})
+	for _, rate := range []int{0, 7} {
+		want := len(a) / (&Config{SampleRate: rate}).withDefaults().SampleRate
+		for _, tc := range []struct {
+			name string
+			run  func(*Config) (Stats, error)
+		}{
+			{"probing", func(c *Config) (Stats, error) {
+				c.ScatterStrategy = ScatterProbing
+				out, st, err := Semisort(a, c)
+				checkSemisorted(t, "probing", a, out)
+				return st, err
+			}},
+			{"histogram", func(c *Config) (Stats, error) {
+				out, st, err := sampledRun(nil, a, c)
+				checkCounts(t, "histogram", a, out)
+				return st, err
+			}},
+			{"reduce", func(c *Config) (Stats, error) { _, _, st, err := ReduceShared(nil, a, c, sumSpec()); return st, err }},
+		} {
+			stats, err := tc.run(&Config{Procs: 2, SampleRate: rate})
+			if err != nil {
+				t.Fatalf("%s/rate=%d: %v", tc.name, rate, err)
+			}
+			if stats.SampleRounds != 1 || stats.SampleSize != want {
+				t.Errorf("%s/rate=%d: %d rounds of %d keys, want 1 of exactly %d",
+					tc.name, rate, stats.SampleRounds, stats.SampleSize, want)
+			}
+		}
+	}
+	_, stats, err := Semisort(a, &Config{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCounts(t, "one-shot", a, out)
-	if stats.SampleRounds != 1 {
-		t.Errorf("SampleRounds = %d, want 1", stats.SampleRounds)
-	}
-	c := (&Config{}).withDefaults()
-	if want := len(a) / c.SampleRate; stats.SampleSize != want {
-		t.Errorf("SampleSize = %d, want exactly %d", stats.SampleSize, want)
+	if stats.SampleRounds != 0 || stats.SampleSize != 0 {
+		t.Errorf("dovetail: %d rounds of %d keys, want none", stats.SampleRounds, stats.SampleSize)
 	}
 }
 
-// Inputs too small to afford a pilot pass degrade to the one-shot shape
-// without the flag.
-func TestAdaptiveSmallInputDegradesToOneShot(t *testing.T) {
-	a := mkRecords(2000, 50, 9)
-	out, stats, err := sampledRun(nil, a, &Config{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCounts(t, "small input", a, out)
-	if stats.SampleRounds != 1 {
-		t.Errorf("SampleRounds = %d, want 1 (n too small for a pilot)", stats.SampleRounds)
-	}
-	c := (&Config{}).withDefaults()
-	if want := len(a) / c.SampleRate; stats.SampleSize != want {
-		t.Errorf("SampleSize = %d, want one-shot %d", stats.SampleSize, want)
-	}
-}
-
-// SampleMaxRounds is a hard cap: 1 pins the loop to the pilot, and an
-// unreachable tolerance drives the loop to exactly the cap.
-func TestSampleRoundCap(t *testing.T) {
-	a := mkRecords(120000, 5000, 11)
-	_, stats, err := sampledRun(nil, a, &Config{Procs: 2, SampleMaxRounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SampleRounds != 1 {
-		t.Errorf("SampleMaxRounds=1: rounds = %d, want 1", stats.SampleRounds)
-	}
-
-	_, stats, err = sampledRun(nil, a, &Config{Procs: 2, SampleMaxRounds: 3, SampleTolerance: 0.0001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An absurd tolerance can never converge, but the budget may run out
-	// before the cap; either bound may bind, never beyond the cap.
-	if stats.SampleRounds < 2 || stats.SampleRounds > 3 {
-		t.Errorf("tolerance-starved rounds = %d, want 2..3", stats.SampleRounds)
-	}
-}
-
-// The sampling loop must be byte-deterministic across proc counts:
-// identical sample rounds, sample size, and (under the deterministic
-// counting scatter) identical output.
+// The sample must be byte-deterministic: the same sorted keys at Procs
+// 1, 2 and 8 on both sampled routes (and, under the deterministic
+// counting scatter, the same output), and the same keys in every
+// boosted retry, which keeps its attempt's sample.
 func TestAdaptiveSamplingProcDeterminism(t *testing.T) {
 	a := mkRecords(150000, 2000, 13)
-	var ref []rec.Record
-	var refStats Stats
-	for i, procs := range []int{1, 2, 8} {
-		out, stats, err := sampledRun(nil, a, &Config{Procs: procs})
-		if err != nil {
-			t.Fatalf("procs=%d: %v", procs, err)
+	var refOut []rec.Record
+	var refSample []uint64
+	for _, strat := range []ScatterStrategy{ScatterAuto, ScatterProbing} {
+		for _, procs := range []int{1, 2, 8} {
+			var ws Workspace
+			cfg := &Config{Procs: procs, Seed: 3, ScatterStrategy: strat}
+			var out []rec.Record
+			var err error
+			if strat == ScatterProbing {
+				_, _, err = SemisortWS(&ws, a, cfg)
+			} else {
+				out, _, err = sampledRun(&ws, a, cfg)
+			}
+			if err != nil {
+				t.Fatalf("%v/procs=%d: %v", strat, procs, err)
+			}
+			if refSample == nil {
+				refSample = append([]uint64(nil), ws.sample...)
+				refOut = out
+				continue
+			}
+			if !slices.Equal(ws.sample, refSample) {
+				t.Errorf("%v/procs=%d: sample differs from counting at procs=1", strat, procs)
+			}
+			if strat != ScatterProbing && !sameRecords(out, refOut) {
+				t.Errorf("%v/procs=%d: output differs from procs=1", strat, procs)
+			}
 		}
-		if i == 0 {
-			ref, refStats = out, stats
-			continue
-		}
-		if stats.SampleRounds != refStats.SampleRounds || stats.SampleSize != refStats.SampleSize {
-			t.Errorf("procs=%d: rounds/size = %d/%d, want %d/%d",
-				procs, stats.SampleRounds, stats.SampleSize,
-				refStats.SampleRounds, refStats.SampleSize)
-		}
-		if !sameRecords(out, ref) {
-			t.Errorf("procs=%d: output differs from procs=1", procs)
+	}
+
+	// Two injected overflows send the probing route through two boosted
+	// retries; each attempt's sample is captured as its scatter starts.
+	var ws Workspace
+	var drawn [][]uint64
+	withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 2).OnFire(fault.ScatterOverflow, func() {
+		drawn = append(drawn, append([]uint64(nil), ws.sample...))
+	}))
+	_, stats, err := SemisortWS(&ws, a, &Config{Procs: 2, Seed: 3, ScatterStrategy: ScatterProbing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drawn = append(drawn, ws.sample)
+	if stats.Attempts != 3 || stats.SampleRounds != 1 || len(drawn) != 3 {
+		t.Fatalf("%d attempts, %d rounds, %d samples captured; want 3, 1, 3", stats.Attempts, stats.SampleRounds, len(drawn))
+	}
+	for i, s := range drawn {
+		if !slices.Equal(s, refSample) {
+			t.Errorf("attempt %d: sample differs from the unretried call's", i)
 		}
 	}
 }
@@ -227,85 +214,8 @@ func TestSampleBufferReuseAcrossAttempts(t *testing.T) {
 	}
 }
 
-// A fault injected at a sampling-round boundary must abort the call
-// cooperatively — error out through the non-retryable path — and leave
-// the workspace reusable for a clean follow-up call.
-func TestInjectedSampleRoundAbort(t *testing.T) {
-	a := mkRecords(120000, 2000, 19)
-	var ws Workspace
-
-	// Occurrence 1 is the first top-up round: the pilot has run and the
-	// loop's cross-round state (cumulative sample, densities) is live.
-	// Counting scatter keeps the clean runs byte-comparable at procs > 1.
-	cfg := func() *Config { return &Config{Procs: 2} }
-	fault.Enable(fault.New(1).Arm(fault.SampleRound, 1, 1))
-	_, _, err := sampledRun(&ws, a, cfg())
-	fault.Disable()
-	if err == nil {
-		t.Fatal("semisort with injected sample-round fault succeeded, want error")
-	}
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("err = %v, want wrapped fault.ErrInjected", err)
-	}
-
-	// The same workspace must complete a clean run bit-identical to a
-	// fresh one: no mid-loop sampling state may leak across calls.
-	out, stats, err := sampledRun(&ws, a, cfg())
-	if err != nil {
-		t.Fatalf("reused workspace after injected abort: %v", err)
-	}
-	checkCounts(t, "post-abort reuse", a, out)
-	fresh, freshStats, err := sampledRun(nil, a, cfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameRecords(out, fresh) {
-		t.Error("post-abort reuse output differs from a fresh workspace")
-	}
-	if stats.SampleRounds != freshStats.SampleRounds || stats.SampleSize != freshStats.SampleSize {
-		t.Errorf("post-abort sampling shape %d/%d differs from fresh %d/%d",
-			stats.SampleRounds, stats.SampleSize, freshStats.SampleRounds, freshStats.SampleSize)
-	}
-}
-
-// The injected round fault must also compose with cancellation
-// semantics: a mid-pilot abort (occurrence 0) dies before any draw.
-func TestInjectedSampleRoundAbortAtPilot(t *testing.T) {
-	a := mkRecords(120000, 2000, 23)
-	withInjector(t, fault.New(1).Arm(fault.SampleRound, 0, 1))
-	_, stats, err := sampledRun(nil, a, &Config{Procs: 2})
-	if err == nil || !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("err = %v, want wrapped fault.ErrInjected", err)
-	}
-	if stats.SampleSize != 0 {
-		t.Errorf("SampleSize = %d after pilot abort, want 0", stats.SampleSize)
-	}
-}
-
-// Adaptive and one-shot sampling must agree on the semisort result's
-// validity across tolerance and round-cap settings (the differential
-// matrix covers value-level equivalence; this pins config plumbing).
-func TestAdaptiveConfigSweep(t *testing.T) {
-	a := mkRecords(80000, 1000, 29)
-	for _, tol := range []float64{0.25, 0.5, 1.0} {
-		for _, rounds := range []int{1, 2, 4} {
-			name := fmt.Sprintf("tol=%v/rounds=%d", tol, rounds)
-			out, stats, err := Semisort(a, &Config{
-				Procs: 2, SampleTolerance: tol, SampleMaxRounds: rounds,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			checkSemisorted(t, name, a, out)
-			if stats.SampleRounds > rounds {
-				t.Errorf("%s: SampleRounds = %d over cap", name, stats.SampleRounds)
-			}
-		}
-	}
-}
-
 // A plain semisort under the planner is one kernel call: no Phase 1 (no
-// sample, no sampling-round span), one fresh attempt, and the output is
+// sample and no sample span), one fresh attempt, and the output is
 // exactly the radix kernel's grouping of the input, on light and on
 // duplicate-heavy inputs alike. The kernel's heavy keys are the call's.
 func TestDefaultRouteSkipsSampling(t *testing.T) {
@@ -331,8 +241,8 @@ func TestDefaultRouteSkipsSampling(t *testing.T) {
 			if atts := col.Attempts(); len(atts) != 1 || atts[0].Kind != obsv.AttemptFresh {
 				t.Fatalf("%s: attempts %+v, want one fresh attempt", label, atts)
 			}
-			if rs := roundSpansOf(col.Spans(), 0); len(rs) != 0 {
-				t.Errorf("%s: %d sampling-round spans on the kernel route", label, len(rs))
+			if ps := phasesOf(col.Spans(), 0); len(ps) != len(dovetailPhases) {
+				t.Errorf("%s: phases %v, want the kernel route's %v", label, ps, dovetailPhases)
 			}
 			want := append([]rec.Record(nil), a...)
 			var dov sortint.DovetailStats
@@ -346,32 +256,6 @@ func TestDefaultRouteSkipsSampling(t *testing.T) {
 				t.Errorf("%s: %d heavy keys holding %d records, the kernel placed %d holding %d",
 					label, stats.HeavyKeys, stats.HeavyRecords, dov.HeavyKeysPlaced, dov.HeavyRecords)
 			}
-		}
-	}
-}
-
-// The sampled routes consume the full estimator and keep running the
-// adaptive loop past the pilot: the counting scatter under a fused
-// histogram and a fused reduce, and the probing scatter.
-func TestSampledRoutesRunFullLoop(t *testing.T) {
-	const n = 1 << 17
-	a := distgen.Generate(2, n, distgen.Spec{Kind: distgen.Exponential, Param: n / 1000}, 7)
-	for _, tc := range []struct {
-		name  string
-		run   func(*Config) (Stats, error)
-		strat ScatterStrategy
-	}{
-		{"counting", func(c *Config) (Stats, error) { _, st, err := sampledRun(nil, a, c); return st, err }, ScatterAuto},
-		{"fused", func(c *Config) (Stats, error) { _, _, st, err := ReduceShared(nil, a, c, sumSpec()); return st, err }, ScatterAuto},
-		{"probing", func(c *Config) (Stats, error) { _, st, err := Semisort(a, c); return st, err }, ScatterProbing},
-	} {
-		stats, err := tc.run(&Config{Procs: 2, Seed: 9, ScatterStrategy: tc.strat})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if stats.SampleRounds < 2 {
-			t.Errorf("%s: %d sampling rounds (route %q), want the full loop (>= 2)",
-				tc.name, stats.SampleRounds, stats.ScatterStrategy)
 		}
 	}
 }

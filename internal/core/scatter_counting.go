@@ -36,21 +36,29 @@ const countingGrainMin = 4096
 type countingStage struct{}
 
 // allocate blocks the two passes over one bin per bucket and prices the
-// route's scratch — the per-block histograms, the bucket-id column and
-// the heavy directory — against Config.MaxSlotBytes before anything is
-// allocated or folded, then sizes the per-worker heavy cells. The
-// attempt allocates no slot slack.
+// scratch known before pass 1 against Config.MaxSlotBytes, then sizes the
+// per-worker heavy cells. The attempt allocates no slot slack.
 func (countingStage) allocate(pl *plan) error {
 	pl.cbins = pl.firstLight + pl.numLightMerged
 	pl.cgrain = parallel.Grain(pl.n, pl.procs, countingGrainMin)
 	pl.cblocks = (pl.n + pl.cgrain - 1) / pl.cgrain
-	need := int64(pl.cblocks)*int64(pl.cbins)*4 + int64(pl.n)*4 + pl.dirBytes()
-	if err := pl.capScratch("counting scatter", need); err != nil {
+	if err := pl.capScratch("counting scatter", pl.countingScratch(0)); err != nil {
 		return err
 	}
 	pl.ensureReduceState()
 	pl.stats.SlotsAllocated = pl.n
 	return nil
+}
+
+// countingScratch is the route's scratch in bytes with light records
+// staged: the per-block histograms, the bucket-id column, the heavy
+// directory, the per-worker heavy cells and the light staging area with
+// its representatives. allocate prices it with no light records;
+// countingReduceScatterBody prices it again with pass 1's exact light
+// count, before it grows the staging area.
+func (pl *plan) countingScratch(light int) int64 {
+	return int64(pl.cblocks)*int64(pl.cbins)*4 + int64(pl.n)*4 + pl.dirBytes() +
+		int64(pl.procs)*int64(pl.firstLight)*20 + int64(light)*24
 }
 
 // scatter runs both passes (countingReduceScatterBody): light records

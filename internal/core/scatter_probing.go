@@ -55,13 +55,14 @@ type bucket struct {
 type probingStage struct{}
 
 // allocate sizes every bucket with the high-probability estimate f(s)
-// from Section 3.1 times Config.Slack (sizeModel), grows the buckets the
-// retry ladder boosted, and carves them all out of one slot array so
+// from Section 3.1 times Config.Slack (sizeEstimate), grows the buckets
+// the retry ladder boosted, and carves them all out of one slot array so
 // Phase 5 can pack with simple interval scans.
 func (probingStage) allocate(pl *plan) error {
-	c, m := &pl.cfg, &pl.model
+	c := &pl.cfg
 	pl.buckets = growEmpty(&pl.ws.buckets, pl.firstLight+pl.numLightMerged)
-	place := func(size int) {
+	place := func(samples int) {
+		size := sizeEstimate(samples, pl.logn, c.C, c.Slack, c.SampleRate, c.ExactBucketSizes)
 		if mult, ok := pl.boost[int32(len(pl.buckets))]; ok {
 			size = boostSize(size, mult, c.ExactBucketSizes)
 		}
@@ -69,22 +70,19 @@ func (probingStage) allocate(pl *plan) error {
 		pl.slotTotal += int64(size)
 	}
 	for _, hr := range pl.heavyRuns {
-		place(m.heavySize(int(hr.count), hr.key>>pl.shift, c.Slack, c.ExactBucketSizes))
+		place(int(hr.count))
 	}
 	pl.heavySlotEnd = pl.slotTotal
-	// A merged light bucket is a run of hash ranges sharing one id; its
-	// size tracks the summed per-range mass and the largest merged rate.
+	// A merged light bucket is a run of hash ranges sharing one id, sized
+	// from their summed sample count.
 	var acc int32
-	var mass, rmax float64
 	for i := 0; i < pl.numLight; i++ {
 		acc += pl.lightCounts[i]
-		mass += m.mass(pl.lightCounts[i], uint64(i))
-		rmax = max(rmax, m.rateOf(uint64(i)))
 		if i+1 < pl.numLight && pl.lightBucketOf[i+1] == pl.lightBucketOf[i] {
 			continue
 		}
-		place(m.lightSize(int(acc), mass, rmax, c.Slack, c.ExactBucketSizes))
-		acc, mass, rmax = 0, 0, 0
+		place(int(acc))
+		acc = 0
 	}
 	if err := pl.capScratch("probing scatter slots", pl.slotTotal*16); err != nil {
 		return err

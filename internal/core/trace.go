@@ -67,23 +67,6 @@ func (t *tracer) scatterSpan(attempt int, start time.Time, outcome string, strat
 	})
 }
 
-// roundSpan closes one adaptive-sampling round span (PhaseSampleRound,
-// nested inside the enclosing sample span), attaching the number of hash
-// ranges the round drew from via Ranges.
-func (t *tracer) roundSpan(attempt int, start time.Time, outcome string, ranges int64) {
-	if t.obs == nil {
-		return
-	}
-	t.obs.PhaseEnd(obsv.Span{
-		Attempt:  attempt,
-		Phase:    obsv.PhaseSampleRound,
-		Start:    start.Sub(t.epoch),
-		Duration: time.Since(start),
-		Outcome:  outcome,
-		Ranges:   ranges,
-	})
-}
-
 // localSortSpan closes a Phase 4 span like span() — PhaseLocalSort on a
 // plain semisort, PhaseReduce on a fused reduce — additionally attaching
 // the kernel name and the number of size-aware bucket ranges the

@@ -20,18 +20,9 @@ import (
 // for concurrent use by multiple semisorts. Buffers only grow unless
 // Config.MaxRetainedBytes caps them or Release drops them.
 type Workspace struct {
-	// Phase 1: sampling (the cumulative adaptive sample and its sort
-	// scratch, plus the estimator loop's per-range state; see sample.go
-	// and estimator.go).
+	// Phase 1: the sample and its sort scratch (sample.go).
 	sample        []uint64
 	sampleScratch []uint64
-	smplHist      []int32   // kept samples per hash range (cumulative)
-	smplCnt       []int32   // per-chunk kept counts, then write offsets
-	smplThr       []int32   // per-range heavy thresholds (sizeModel view)
-	smplDens      []float64 // per-range cumulative sampling density
-	smplRate      []float64 // per-range records-per-sample (sizeModel view)
-	smplOver      []float64 // per-range absolute overshoot (round selection)
-	smplSel       []uint8   // per-range selection flags for the next round
 
 	// Phase 2: classification and bucket construction.
 	runStarts     []int32 // offsets of distinct-key runs in the sorted sample
@@ -128,25 +119,6 @@ func growEmpty[T any](buf *[]T, n int) []T {
 	return (*buf)[:0]
 }
 
-// growKeep is grow preserving existing contents across reallocation, for
-// buffers built up incrementally (the adaptive sample accumulates keys
-// across rounds). Capacity at least doubles so per-round growth
-// amortizes; in steady state (capacity already sufficient) it is a
-// zero-allocation reslice like grow.
-func growKeep[T any](buf *[]T, n int) []T {
-	if cap(*buf) < n {
-		c := 2 * cap(*buf)
-		if c < n {
-			c = n
-		}
-		nb := make([]T, len(*buf), c)
-		copy(nb, *buf)
-		*buf = nb
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
 // getHist returns a zeroed int32 scratch of length m for the counting
 // scatter's per-block histograms.
 func (w *Workspace) getHist(m int) []int32 {
@@ -230,9 +202,6 @@ func (w *Workspace) releaseRed(s int) { w.redFree <- s }
 // do not.
 func (w *Workspace) RetainedBytes() int64 {
 	n := int64(cap(w.sample)+cap(w.sampleScratch)) * 8
-	n += int64(cap(w.smplDens)+cap(w.smplRate)+cap(w.smplOver)) * 8
-	n += int64(cap(w.smplHist)+cap(w.smplCnt)+cap(w.smplThr)) * 4
-	n += int64(cap(w.smplSel))
 	n += int64(cap(w.runStarts)+cap(w.runCounts)+cap(w.blockHeavy)+
 		cap(w.lightCounts)+cap(w.lightBucketOf)+cap(w.lightCnt)+
 		cap(w.lightOffsets)+cap(w.packCounts)+
@@ -263,8 +232,6 @@ func (w *Workspace) RetainedBytes() int64 {
 func (w *Workspace) Release() {
 	w.plan.clearRefs()
 	w.sample, w.sampleScratch = nil, nil
-	w.smplHist, w.smplCnt, w.smplThr = nil, nil, nil
-	w.smplDens, w.smplRate, w.smplOver, w.smplSel = nil, nil, nil, nil
 	w.runStarts, w.runCounts, w.blockHeavy = nil, nil, nil
 	w.heavyRuns, w.lightCounts, w.lightBucketOf, w.heavyDir = nil, nil, nil, nil
 	w.buckets, w.table, w.boost = nil, nil, nil
@@ -309,8 +276,6 @@ func (w *Workspace) shrink(max int64) {
 		return
 	}
 	w.sample, w.sampleScratch = nil, nil
-	w.smplHist, w.smplCnt, w.smplThr = nil, nil, nil
-	w.smplDens, w.smplRate, w.smplOver, w.smplSel = nil, nil, nil, nil
 	if w.RetainedBytes() <= max {
 		return
 	}

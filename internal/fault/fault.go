@@ -74,12 +74,6 @@ const (
 	// occurrences count such nodes. With no OnFire hook the node reports
 	// ErrInjected, cancelling the dovetail local sort cooperatively.
 	RadixNode
-	// SampleRound fires at adaptive-sampling round boundaries, before the
-	// round's draw passes; occurrences count rounds (the pilot is
-	// occurrence 0 of its attempt). With no OnFire hook the round reports
-	// ErrInjected, aborting the attempt cooperatively — mid-loop state
-	// stays inside the Workspace, which remains reusable.
-	SampleRound
 	// ManifestCommit fails a resumable shuffle's manifest commit (the
 	// atomic write+rename that seals a partition or marks it emitted)
 	// with ErrInjected; occurrences count commits, in partition order —
@@ -102,7 +96,6 @@ var pointNames = [numPoints]string{
 	"server-admission",
 	"server-handler-panic",
 	"radix-node",
-	"sample-round",
 	"manifest-commit",
 }
 

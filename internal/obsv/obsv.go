@@ -62,11 +62,6 @@ const (
 	// reduction of the light buckets (it replaces the localsort span on
 	// fused runs; the heavy-cell merge is part of the pack span).
 	PhaseReduce
-	// PhaseSampleRound is one round of the adaptive sampling loop (pilot
-	// or top-up), emitted nested inside the enclosing PhaseSample span —
-	// one span per executed round, with Ranges carrying the number of
-	// hash ranges the round drew from.
-	PhaseSampleRound
 	// PhaseSpill is the out-of-core shuffle's seal step: the time
 	// ForEachGroup spent draining the spill writer pool before read-back
 	// could start — the non-overlapped tail of the spill, not its total
@@ -97,7 +92,6 @@ var phaseNames = [numPhases]string{
 	"hash",
 	"verify",
 	"reduce",
-	"sampleround",
 	"spill",
 	"prefetch",
 	"compress",
@@ -111,8 +105,9 @@ func (p Phase) String() string {
 }
 
 // Span outcomes. A span's Outcome is OutcomeOK unless the phase ended the
-// attempt: a scatter that observed bucket overflow, an allocation that
-// tripped Config.MaxSlotBytes, or a phase cut short by cancellation.
+// attempt: a scatter that observed bucket overflow, an allocation (or a
+// counting scatter, once pass 1 knows its light count) that tripped
+// Config.MaxSlotBytes, or a phase cut short by cancellation.
 const (
 	OutcomeOK       = "ok"
 	OutcomeOverflow = "overflow"
@@ -178,8 +173,7 @@ type Span struct {
 	// empty on every other phase.
 	Kernel string
 	// Ranges is the number of size-aware bucket ranges the Phase 4
-	// schedule used (localsort spans), or the number of hash ranges an
-	// adaptive sampling round drew from (sampleround spans).
+	// schedule used (localsort spans).
 	Ranges int64
 }
 

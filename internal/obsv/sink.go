@@ -94,9 +94,8 @@ func (s *JSONSink) Err() error {
 //
 // The zero value is ready. A single TraceRegionSink must observe one
 // semisort at a time (phases of one call never overlap; concurrent calls
-// need one sink each). Regions are kept on a small stack because spans
-// nest: each adaptive sampling round opens a sampleround region inside
-// the enclosing sample region.
+// need one sink each). Open regions are kept on a small stack and
+// closed innermost first.
 type TraceRegionSink struct {
 	regions []*trace.Region
 }

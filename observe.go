@@ -34,9 +34,6 @@ const (
 	PhaseFallback  = obsv.PhaseFallback
 	PhaseHash      = obsv.PhaseHash
 	PhaseVerify    = obsv.PhaseVerify
-	// PhaseSampleRound spans nest inside PhaseSample: one per adaptive
-	// estimator round (the pilot draw and each top-up).
-	PhaseSampleRound = obsv.PhaseSampleRound
 )
 
 // Attempt describes one scatter attempt (or the fallback) as it begins;

@@ -26,11 +26,6 @@ func ExampleConfig_observer() {
 		fmt.Printf("attempt %d (%s):\n", a.Index, a.Kind)
 	}
 	for _, s := range trace.Spans() {
-		if s.Phase == semisort.PhaseSampleRound {
-			// Adaptive sampling nests one span per estimator round inside
-			// the sample span; skip them to show the pipeline skeleton.
-			continue
-		}
 		fmt.Printf("  %-9s %s\n", s.Phase, s.Outcome)
 	}
 	// Output:

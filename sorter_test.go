@@ -50,12 +50,10 @@ func TestSorterWithStats(t *testing.T) {
 func TestSorterSortConfigOverride(t *testing.T) {
 	s := NewSorter(&Config{SampleRate: 16})
 	a := mkRecords(30000, 200, 6)
-	// OneShotSampling pins the sample to exactly N/SampleRate so the
-	// override is observable through SampleSize (the adaptive estimator
-	// may keep fewer when it converges early). The probing route samples;
-	// the planner's default for a plain semisort does not.
-	out, stats, err := s.SortConfig(a, &Config{SampleRate: 4, Procs: 2, OneShotSampling: true,
-		ScatterStrategy: ScatterProbing})
+	// The sample is exactly N/SampleRate keys, so the override is
+	// observable through SampleSize. The probing route samples; the
+	// planner's default for a plain semisort does not.
+	out, stats, err := s.SortConfig(a, &Config{SampleRate: 4, Procs: 2, ScatterStrategy: ScatterProbing})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,21 +101,20 @@ func TestAutoResolution(t *testing.T) {
 	}
 }
 
-// Strategy resolution must be invariant across the sampling modes: the
-// planner decides from the call, before Phase 1, so one-shot, pilot-only
-// and cap-forced configurations must all route plain semisorts to
-// dovetail (drawing no sample) and fused reduces to counting (which
-// samples under the configured mode), grouping correctly throughout.
+// Strategy resolution must be invariant across the sample rate: the
+// planner decides from the call, before Phase 1, so a dense, the default
+// and a sparse sample must all route plain semisorts to dovetail
+// (drawing no sample) and fused reduces to counting (which draws one
+// round), grouping correctly throughout.
 func TestAutoResolutionAcrossSamplingModes(t *testing.T) {
 	in := strategyInputs(20000)
 	modes := []struct {
 		name string
 		cfg  Config
 	}{
-		{"one-shot", Config{OneShotSampling: true}},
-		{"pilot-only", Config{SampleMaxRounds: 1}},
-		{"adaptive-default", Config{}},
-		{"cap-forced", Config{SampleTolerance: 0.0001, SampleMaxRounds: 6}},
+		{"dense", Config{SampleRate: 2}},
+		{"default", Config{}},
+		{"sparse", Config{SampleRate: 256}},
 	}
 	for _, m := range modes {
 		for _, name := range []string{"heavy", "distinct"} {
@@ -136,8 +135,8 @@ func TestAutoResolutionAcrossSamplingModes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s fused: %v", m.name, name, err)
 			}
-			if stats.ScatterStrategy != "counting" || stats.SampleRounds < 1 {
-				t.Errorf("%s: fused reduce of %s input resolved to %q after %d sampling rounds, want counting after at least 1",
+			if stats.ScatterStrategy != "counting" || stats.SampleRounds != 1 {
+				t.Errorf("%s: fused reduce of %s input resolved to %q after %d sampling rounds, want counting after 1",
 					m.name, name, stats.ScatterStrategy, stats.SampleRounds)
 			}
 		}
