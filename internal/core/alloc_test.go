@@ -225,6 +225,50 @@ func TestMaxRetainedBytes(t *testing.T) {
 	}
 }
 
+// TestWorkspaceRegrowHeadroom: a warm Workspace allocates its output and
+// radix scratch at exactly n, and when a later call outgrows them it
+// reserves 1/8 headroom, so every size up to n+n/8 after that runs in
+// the same two buffers — one reallocation, not one per new maximum —
+// and RetainedBytes counts the headroom.
+func TestWorkspaceRegrowHeadroom(t *testing.T) {
+	const n = 1 << 14
+	a := distgen.Generate(2, n+n/8, distgen.Spec{Kind: distgen.Uniform, Param: n}, 9)
+	cfg := &Config{Procs: 1}
+	ws := &Workspace{}
+	if _, _, err := SemisortShared(ws, a[:n], cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cap(ws.out) != n || cap(ws.rxScratch) != n {
+		t.Fatalf("first call: cap(out) = %d, cap(rxScratch) = %d, want exactly %d", cap(ws.out), cap(ws.rxScratch), n)
+	}
+	retained := ws.RetainedBytes()
+	type backing struct{ out, rx *rec.Record }
+	buffers := func() backing { return backing{&ws.out[:1][0], &ws.rxScratch[:1][0]} }
+	last := buffers()
+	reallocs := 0
+	for m := n + 1; m <= n+n/8; m += n / 64 {
+		out, _, err := SemisortShared(ws, a[:m], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSemisorted(t, fmt.Sprintf("m=%d", m), a[:m], out)
+		if b := buffers(); b != last {
+			reallocs++
+			last = b
+		}
+	}
+	if reallocs != 1 {
+		t.Errorf("%d reallocations over sizes n+1..n+n/8, want 1", reallocs)
+	}
+	const want = (n + 1) + (n+1)/8
+	if cap(ws.out) != want || cap(ws.rxScratch) != want {
+		t.Errorf("after regrow: cap(out) = %d, cap(rxScratch) = %d, want %d", cap(ws.out), cap(ws.rxScratch), want)
+	}
+	if got, grown := ws.RetainedBytes()-retained, int64(2*(want-n)*rec.RecordSize); got < grown {
+		t.Errorf("RetainedBytes grew by %d, want at least the %d bytes of regrown capacity", got, grown)
+	}
+}
+
 // TestBoostMapRetained: the retry ladder's per-bucket boost map is
 // workspace-owned — armed retries reuse one cleared map instead of
 // allocating a fresh one per overflowing call.

@@ -149,11 +149,12 @@ type Config struct {
 	Context context.Context
 	// MaxSlotBytes caps the scatter scratch any attempt may allocate:
 	// the probing route's bucket slots (16 bytes per slot), the counting
-	// route's histograms, bucket-id column, heavy directory and cells and
-	// light staging area (24 bytes per light record), and the dovetail
-	// route's radix scratch (16 bytes per record). An attempt whose
-	// estimate exceeds the cap degrades to the sequential fallback
-	// instead of allocating. 0 means no cap.
+	// route's histograms, bucket-id column, heavy directory and cells,
+	// light staging area (24 bytes per light record) and Phase 4 reduce
+	// arenas (about 48 bytes per record of the largest light bucket, per
+	// worker), and the dovetail route's radix scratch (16 bytes per
+	// record). An attempt whose estimate exceeds the cap degrades to the
+	// sequential fallback instead of allocating. 0 means no cap.
 	MaxSlotBytes int64
 	// MaxRetainedBytes caps the scratch memory a Workspace keeps between
 	// calls. After each call (success or failure) the workspace drops

@@ -356,6 +356,41 @@ func TestCountingSlotCapPricesStaging(t *testing.T) {
 	}
 }
 
+// TestCountingSlotCapPricesArenas checks that the cap also prices the
+// Phase 4 reduce arenas: one light bucket holding every record of a
+// 2^18-record uniform input needs a 2^19-slot naming table and three
+// 2^18-entry buffers (12 MiB) on top of about 7 MiB of staging, so an
+// 8 MiB cap must send the call to the fallback (or ErrOverflow) before
+// pass 2.
+func TestCountingSlotCapPricesArenas(t *testing.T) {
+	const n = 1 << 18
+	a := distgen.Generate(2, n, distgen.Spec{Kind: distgen.Uniform, Param: n}, 3)
+	var col obsv.Collector
+	cfg := &Config{Procs: 2, MaxLightBuckets: 1, MaxSlotBytes: 8 << 20, Observer: &col}
+	out, _, stats, err := HistogramShared(nil, a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCounts(t, "arena cap", a, append([]rec.Record(nil), out...))
+	if !stats.FallbackUsed || stats.Attempts != 1 {
+		t.Errorf("FallbackUsed = %v after %d attempts, want the fallback after 1", stats.FallbackUsed, stats.Attempts)
+	}
+	var scatter []obsv.Span
+	for _, s := range col.Spans() {
+		if s.Phase == obsv.PhaseScatter {
+			scatter = append(scatter, s)
+		}
+	}
+	if len(scatter) != 1 || scatter[0].Outcome != obsv.OutcomeCap {
+		t.Errorf("scatter spans %+v, want one ending in %q", scatter, obsv.OutcomeCap)
+	}
+
+	cfg = &Config{Procs: 2, MaxLightBuckets: 1, MaxSlotBytes: 8 << 20, DisableFallback: true}
+	if _, _, _, err := HistogramShared(nil, a, cfg); !errors.Is(err, ErrOverflow) {
+		t.Fatalf("capped + DisableFallback err = %v, want ErrOverflow", err)
+	}
+}
+
 // A clean counting run's stats must satisfy the path's invariants.
 func TestCountingStatsInvariants(t *testing.T) {
 	a := mkRecords(30000, 100, 41)

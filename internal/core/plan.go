@@ -410,13 +410,18 @@ func (pl *plan) ensureOut() []rec.Record {
 // when its capacity is at least m and it does not alias the input (Shared
 // callers could otherwise feed a workspace's previous output back in as
 // input and have the scatter overwrite what it is reading), a fresh
-// allocation of exactly m otherwise. The fused pack asks for its group
-// count, not n.
+// allocation otherwise: exactly m when there is no destination, m plus
+// headroom when a destination was outgrown (regrowCap). The fused pack
+// asks for its group count, not n.
 func (pl *plan) ensureOutN(m int) []rec.Record {
 	if dst := pl.dst; cap(dst) >= m && !sliceOverlaps(dst, pl.a) {
 		pl.out = dst[:m]
 	} else {
-		pl.out = make([]rec.Record, m)
+		old := cap(dst)
+		if old >= m {
+			old = 0 // aliased, not outgrown
+		}
+		pl.out = make([]rec.Record, m, regrowCap(old, m))
 	}
 	return pl.out
 }

@@ -175,6 +175,25 @@ type lsArena struct {
 	redKeys []uint64
 }
 
+// tableSlots is the naming-table size reduceSeg uses for an n-record
+// segment: a power of two at least 2n (load ≤ 1/2), and at least 4.
+func tableSlots(n int) int {
+	if n <= 2 {
+		return 4
+	}
+	return 1 << uint(bits.Len(uint(2*n-1)))
+}
+
+// arenaBytes is what one arena grows to for an n-record segment: the
+// naming table (an 8-byte key and a 4-byte label per slot) and three
+// n-entry uint64 buffers. countingScratch prices it.
+func arenaBytes(n int) int64 {
+	if n == 0 {
+		return 0
+	}
+	return int64(tableSlots(n))*12 + int64(n)*24
+}
+
 // reduceSeg folds one light bucket's records into one record per distinct
 // key, in place: seg[:m] receives {key, accumulator} records in first-
 // appearance order and reps[:m] each group's representative Value, where
@@ -190,10 +209,7 @@ func (ar *lsArena) reduceSeg(sp *ReduceSpec, seg []rec.Record, reps []uint64) in
 	accs := grow(&ar.redAccs, n)
 	rrep := grow(&ar.redReps, n)
 	keyOf := grow(&ar.redKeys, n)
-	size := 4
-	if n > 2 {
-		size = 1 << uint(bits.Len(uint(2*n-1)))
-	}
+	size := tableSlots(n)
 	if cap(ar.tabKeys) < size {
 		ar.tabKeys = make([]uint64, size)
 		ar.tabLabs = make([]int32, size)
@@ -260,7 +276,11 @@ func (pl *plan) countingReduceScatterBody() error {
 	}
 	pl.stats.HeavyRecords = heavyRecs
 	pl.placedTotal = int(prim.ExclusiveScan(1, pl.cbase))
-	if err := pl.capScratch("counting scatter", pl.countingScratch(pl.placedTotal)); err != nil {
+	maxBucket := int32(0)
+	for _, c := range pl.counts[pl.firstLight:] {
+		maxBucket = max(maxBucket, c)
+	}
+	if err := pl.capScratch("counting scatter", pl.countingScratch(pl.placedTotal, int(maxBucket))); err != nil {
 		return err // before pass 2: nothing is folded yet
 	}
 	pl.parForNoCtx(nb, 512, (*plan).countingCursorChunk)

@@ -42,7 +42,7 @@ func (countingStage) allocate(pl *plan) error {
 	pl.cbins = pl.firstLight + pl.numLightMerged
 	pl.cgrain = parallel.Grain(pl.n, pl.procs, countingGrainMin)
 	pl.cblocks = (pl.n + pl.cgrain - 1) / pl.cgrain
-	if err := pl.capScratch("counting scatter", pl.countingScratch(0)); err != nil {
+	if err := pl.capScratch("counting scatter", pl.countingScratch(0, 0)); err != nil {
 		return err
 	}
 	pl.ensureReduceState()
@@ -52,13 +52,17 @@ func (countingStage) allocate(pl *plan) error {
 
 // countingScratch is the route's scratch in bytes with light records
 // staged: the per-block histograms, the bucket-id column, the heavy
-// directory, the per-worker heavy cells and the light staging area with
-// its representatives. allocate prices it with no light records;
-// countingReduceScatterBody prices it again with pass 1's exact light
-// count, before it grows the staging area.
-func (pl *plan) countingScratch(light int) int64 {
+// directory, the per-worker heavy cells, the light staging area with its
+// representatives, and the Phase 4 reduce arenas, one per worker that
+// can hold a light bucket of maxBucket records at once. allocate prices
+// it with no light records; countingReduceScatterBody prices it again
+// with pass 1's exact light count and largest light bucket, before it
+// grows the staging area.
+func (pl *plan) countingScratch(light, maxBucket int) int64 {
+	workers := int64(min(pl.procs, pl.numLightMerged))
 	return int64(pl.cblocks)*int64(pl.cbins)*4 + int64(pl.n)*4 + pl.dirBytes() +
-		int64(pl.procs)*int64(pl.firstLight)*20 + int64(light)*24
+		int64(pl.procs)*int64(pl.firstLight)*20 + int64(light)*24 +
+		workers*arenaBytes(maxBucket)
 }
 
 // scatter runs both passes (countingReduceScatterBody): light records

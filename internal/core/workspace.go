@@ -94,13 +94,27 @@ type Workspace struct {
 }
 
 // grow returns buf resized to length n, reallocating only when the
-// capacity is insufficient. Contents are unspecified (callers overwrite).
+// capacity is insufficient (to regrowCap). Contents are unspecified
+// (callers overwrite).
 func grow[T any](buf *[]T, n int) []T {
-	if cap(*buf) < n {
-		*buf = make([]T, n)
+	if c := cap(*buf); c < n {
+		*buf = make([]T, n, regrowCap(c, n))
 	}
 	*buf = (*buf)[:n]
 	return *buf
+}
+
+// regrowCap is the capacity a buffer of capacity old gets when it must
+// hold n > old elements: exactly n the first time, n plus 1/8 headroom
+// when an existing buffer is outgrown. A caller whose sizes wander just
+// above a warm high-water mark (an out-of-core shuffle's near-equal
+// partitions) then reallocates once instead of at every new maximum,
+// while a one-shot call (a fresh Workspace) allocates no headroom.
+func regrowCap(old, n int) int {
+	if old == 0 {
+		return n
+	}
+	return n + n/8
 }
 
 // growClear is grow with the returned prefix zeroed.

@@ -137,6 +137,18 @@ type BlockDecoder struct {
 // block occupied, verifying the magic byte, the header's self-consistency
 // and the payload CRC before touching record content.
 func (d *BlockDecoder) DecodeBlock(dst []Record, b []byte) ([]Record, int, error) {
+	return d.decodeBlock(dst, b, 0, false)
+}
+
+// DecodeBlockSum is DecodeBlock for a caller that has already computed
+// the CRC32-C of the block's payload bytes (CRCCombiner.SumBlocks does,
+// while checksumming a whole file): the header's CRC is checked against
+// sum instead of reading the payload a second time.
+func (d *BlockDecoder) DecodeBlockSum(dst []Record, b []byte, sum uint32) ([]Record, int, error) {
+	return d.decodeBlock(dst, b, sum, true)
+}
+
+func (d *BlockDecoder) decodeBlock(dst []Record, b []byte, got uint32, summed bool) ([]Record, int, error) {
 	if len(b) < BlockHeaderSize {
 		return dst, 0, fmt.Errorf("rec: block truncated: %d bytes left, need %d-byte header: %w",
 			len(b), BlockHeaderSize, io.ErrUnexpectedEOF)
@@ -162,7 +174,10 @@ func (d *BlockDecoder) DecodeBlock(dst []Record, b []byte) ([]Record, int, error
 			plen, len(b)-BlockHeaderSize, io.ErrUnexpectedEOF)
 	}
 	payload := b[BlockHeaderSize : BlockHeaderSize+plen]
-	if got := ChecksumBlock(payload); got != sum {
+	if !summed {
+		got = ChecksumBlock(payload)
+	}
+	if got != sum {
 		return dst, 0, fmt.Errorf("rec: block checksum mismatch: got %08x, header says %08x (corrupt payload)", got, sum)
 	}
 
@@ -173,8 +188,8 @@ func (d *BlockDecoder) DecodeBlock(dst []Record, b []byte) ([]Record, int, error
 		} else if err := d.fr.(flate.Resetter).Reset(&d.src, nil); err != nil {
 			return dst, 0, fmt.Errorf("rec: reset inflater: %w", err)
 		}
-		// Inflate straight into the record slice's backing bytes would
-		// need unsafe; decode through a bounded stack chunk instead.
+		// Inflate through a bounded stack chunk, which serves both codecs
+		// (on little-endian hosts DecodeRecords copies it as one memmove).
 		var chunk [256 * RecordSize]byte
 		remaining := count
 		for remaining > 0 {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"unsafe"
 )
 
 // Length-prefixed batch framing for streaming records over pipes and
@@ -22,6 +23,28 @@ const MaxFrameRecords = 64 << 20
 // RecordSize is the wire size of one record in bytes.
 const RecordSize = 16
 
+// The wire layout is the in-memory layout of a Record on a little-endian
+// host: these four declarations fail to compile unless Record is exactly
+// 16 bytes with Key at offset 0 and Value at offset 8, so the fast codec
+// below may copy []Record through a byte view.
+var (
+	_ [unsafe.Sizeof(Record{}) - RecordSize]struct{}
+	_ [RecordSize - unsafe.Sizeof(Record{})]struct{}
+	_ [unsafe.Offsetof(Record{}.Value) - 8]struct{}
+	_ [8 - unsafe.Offsetof(Record{}.Value)]struct{}
+)
+
+// memmoveCodec selects the one-copy codec: on a little-endian host the
+// wire bytes of a record slice are its memory, so encoding and decoding
+// are one memmove. Big-endian hosts run the portable per-field loop (a
+// variable, not a constant, so tests can force the portable path).
+var memmoveCodec = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// recordBytes is the byte view of recs' backing memory.
+func recordBytes(recs []Record) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(recs))), len(recs)*RecordSize)
+}
+
 // AppendRecords appends the wire encoding of recs (without any length
 // prefix) to dst and returns the extended slice. dst is reallocated at
 // most once per call.
@@ -29,6 +52,10 @@ func AppendRecords(dst []byte, recs []Record) []byte {
 	off := len(dst)
 	dst = grow(dst, len(recs)*RecordSize)
 	b := dst[off:]
+	if memmoveCodec {
+		copy(b, recordBytes(recs))
+		return dst
+	}
 	for _, r := range recs {
 		binary.LittleEndian.PutUint64(b[:8], r.Key)
 		binary.LittleEndian.PutUint64(b[8:RecordSize], r.Value)
@@ -47,6 +74,10 @@ func DecodeRecords(dst []Record, b []byte) ([]Record, error) {
 	off := len(dst)
 	dst = grow(dst, len(b)/RecordSize)
 	out := dst[off:]
+	if memmoveCodec {
+		copy(recordBytes(out), b)
+		return dst, nil
+	}
 	for i := range out {
 		out[i] = Record{
 			Key:   binary.LittleEndian.Uint64(b[:8]),
