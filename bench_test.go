@@ -15,7 +15,7 @@
 //	BenchmarkFig3_*     — phase fractions (reported as metrics)
 //	BenchmarkFig4_*     — per-algorithm size sweeps
 //	BenchmarkFig5_*     — semisort vs scatter+pack floor
-//	BenchmarkAblation_* — p, δ, bucket-count, merging, probing, local sort
+//	BenchmarkAblation_* — p, δ, light-bucket count
 //	BenchmarkReduce_*   — fused collect-reduce vs materialize-then-reduce
 //
 // Input sizes default to 2^18 records (the paper uses 10^8; see
@@ -382,26 +382,6 @@ func BenchmarkAblation_LightBuckets(b *testing.B) {
 	}
 }
 
-func BenchmarkAblation_BucketMerging(b *testing.B) {
-	a := workload(benchN, uniSpec(benchN), 1)
-	b.Run("merging_on", func(b *testing.B) {
-		benchSemisort(b, a, core.Config{Seed: 7})
-	})
-	b.Run("merging_off", func(b *testing.B) {
-		benchSemisort(b, a, core.Config{DisableBucketMerging: true, Seed: 7})
-	})
-}
-
-func BenchmarkAblation_ProbeStrategy(b *testing.B) {
-	a := workload(benchN, expSpec(benchN), 1)
-	b.Run("linear", func(b *testing.B) {
-		benchSemisort(b, a, core.Config{Probe: core.ProbeLinear, Seed: 7})
-	})
-	b.Run("random", func(b *testing.B) {
-		benchSemisort(b, a, core.Config{Probe: core.ProbeRandom, Seed: 7})
-	})
-}
-
 // ---------------------------------------------------------------------------
 // Public API overheads.
 
@@ -445,26 +425,6 @@ func BenchmarkSec32_SemisortViaRR(b *testing.B) {
 func BenchmarkSec32_SemisortTopDown(b *testing.B) {
 	a := workload(benchN, expSpec(benchN), 1)
 	benchSemisort(b, a, core.Config{Seed: 7})
-}
-
-func BenchmarkAblation_BlockRounds(b *testing.B) {
-	a := workload(benchN, expSpec(benchN), 1)
-	b.Run("cas_linear", func(b *testing.B) {
-		benchSemisort(b, a, core.Config{Probe: core.ProbeLinear, Seed: 7})
-	})
-	b.Run("block_rounds_theory", func(b *testing.B) {
-		benchSemisort(b, a, core.Config{Probe: core.ProbeBlockRounds, Seed: 7})
-	})
-}
-
-func BenchmarkAblation_ExactSizing(b *testing.B) {
-	a := workload(benchN, uniSpec(benchN), 1)
-	b.Run("pow2_paper", func(b *testing.B) {
-		benchSemisort(b, a, core.Config{Seed: 7})
-	})
-	b.Run("exact", func(b *testing.B) {
-		benchSemisort(b, a, core.Config{ExactBucketSizes: true, Seed: 7})
-	})
 }
 
 func BenchmarkAPI_Sorter(b *testing.B) {

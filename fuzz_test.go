@@ -13,13 +13,13 @@ import (
 // and configuration knobs. Run with `go test -fuzz=FuzzRecords`; the seed
 // corpus below always runs under plain `go test`.
 func FuzzRecords(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(16), uint8(16), false)
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(4), uint8(4), true)
-	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255}, uint8(2), uint8(64), false)
-	f.Add([]byte{}, uint8(16), uint8(16), false)
-	f.Add([]byte{42}, uint8(1), uint8(1), true)
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(16), uint8(16))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(4), uint8(4))
+	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255}, uint8(2), uint8(64))
+	f.Add([]byte{}, uint8(16), uint8(16))
+	f.Add([]byte{42}, uint8(1), uint8(1))
 
-	f.Fuzz(func(t *testing.T, data []byte, rateRaw, deltaRaw uint8, exact bool) {
+	f.Fuzz(func(t *testing.T, data []byte, rateRaw, deltaRaw uint8) {
 		// Derive records: each byte selects a key class; duplicate-heavy
 		// by construction (only up to 256 distinct keys).
 		a := make([]Record, len(data))
@@ -30,10 +30,9 @@ func FuzzRecords(f *testing.F) {
 			a[i] = Record{Key: binary.LittleEndian.Uint64(kb[:]) * 0x9e3779b97f4a7c15, Value: uint64(i)}
 		}
 		cfg := &Config{
-			SampleRate:       int(rateRaw%64) + 1,
-			Delta:            int(deltaRaw%64) + 1,
-			ExactBucketSizes: exact,
-			Seed:             uint64(len(data)),
+			SampleRate: int(rateRaw%64) + 1,
+			Delta:      int(deltaRaw%64) + 1,
+			Seed:       uint64(len(data)),
 		}
 		out, err := Records(a, cfg)
 		if err != nil {
@@ -164,48 +163,47 @@ func FuzzAgg(f *testing.F) {
 
 // FuzzConfigs stresses unusual Config combinations on a fixed input
 // through the core directly: a plain semisort (the dovetail route, or
-// probing when the strategy or probe asks for it) and a fused histogram
-// (the counting route, which reads the sampling, threshold and bucket
-// knobs whatever the strategy says), each checked against the sequential
-// reference's key counts.
+// probing when the strategy asks for it) and a fused histogram (the
+// counting route, which reads the sampling, threshold and bucket knobs
+// whatever the strategy says), each checked against the sequential
+// reference's key counts. The input's 4,096 records ask for 4 light
+// ranges, so buckets can cap them below that, at 1, 2 or 3.
 func FuzzConfigs(f *testing.F) {
-	f.Add(uint8(16), uint8(16), uint16(1024), false, false, uint8(0), uint8(0))
-	f.Add(uint8(1), uint8(1), uint16(1), true, true, uint8(1), uint8(0))
-	f.Add(uint8(63), uint8(63), uint16(65535), false, true, uint8(2), uint8(1))
-	// Sizing and merging extremes with linear probing (anything else
-	// forces the probing scatter on the plain call).
-	f.Add(uint8(16), uint8(16), uint16(1024), false, false, uint8(0), uint8(2))
-	f.Add(uint8(1), uint8(1), uint16(1), true, true, uint8(0), uint8(2))
-	f.Add(uint8(63), uint8(2), uint16(65535), false, true, uint8(0), uint8(2))
+	f.Add(uint8(16), uint8(16), uint16(1024), uint8(0))
+	f.Add(uint8(1), uint8(1), uint16(1), uint8(1))
+	f.Add(uint8(63), uint8(63), uint16(65535), uint8(1))
+	// A light-range cap of 3, which is not a power of two, on the probing
+	// plain call and the fused histogram.
+	f.Add(uint8(16), uint8(16), uint16(2), uint8(1))
+	// Sampling and threshold extremes under the counting alias.
+	f.Add(uint8(1), uint8(1), uint16(1), uint8(2))
+	f.Add(uint8(63), uint8(2), uint16(65535), uint8(2))
 	// Heavy-set extremes for the sampled routes: rate 1 samples every
-	// record (37 keys × ~81 records each: every key heavy for any
+	// record (37 keys × ~111 records each: every key heavy for any
 	// Delta ≤ 64); a sparse sample with small Delta finds a partial heavy
 	// set; a sparse sample with large Delta finds none.
-	f.Add(uint8(1), uint8(16), uint16(1024), false, false, uint8(0), uint8(3))
-	f.Add(uint8(63), uint8(2), uint16(1024), false, false, uint8(0), uint8(3))
-	f.Add(uint8(63), uint8(63), uint16(65535), true, true, uint8(0), uint8(3))
-	// Delta 1 (every sampled key heavy), and one unmerged light bucket
-	// under random probing at a rate that does not divide the input.
-	f.Add(uint8(16), uint8(0), uint16(1024), false, false, uint8(0), uint8(0))
-	f.Add(uint8(6), uint8(5), uint16(0), true, false, uint8(1), uint8(1))
+	f.Add(uint8(1), uint8(16), uint16(1024), uint8(3))
+	f.Add(uint8(63), uint8(2), uint16(1024), uint8(3))
+	f.Add(uint8(63), uint8(63), uint16(65535), uint8(3))
+	// Delta 1 (every sampled key heavy), and one light bucket under
+	// probing at a rate that does not divide the input.
+	f.Add(uint8(16), uint8(0), uint16(1024), uint8(0))
+	f.Add(uint8(6), uint8(5), uint16(0), uint8(1))
 
-	base := make([]rec.Record, 3000)
+	base := make([]rec.Record, 4096)
 	for i := range base {
 		base[i] = rec.Record{Key: uint64(i%37) * 0x9e3779b97f4a7c15, Value: uint64(i)}
 	}
 	refKeys := rec.KeyCounts(seqsemi.TwoPhase(append([]rec.Record(nil), base...)))
 
-	f.Fuzz(func(t *testing.T, rate, delta uint8, buckets uint16, merge, exact bool, probe, strat uint8) {
+	f.Fuzz(func(t *testing.T, rate, delta uint8, buckets uint16, strat uint8) {
 		cfg := &core.Config{
-			Procs:                2,
-			SampleRate:           int(rate%64) + 1,
-			Delta:                int(delta%64) + 1,
-			MaxLightBuckets:      int(buckets) + 1,
-			DisableBucketMerging: merge,
-			ExactBucketSizes:     exact,
-			Probe:                core.ProbeKind(probe % 2),
-			ScatterStrategy:      core.ScatterStrategy(strat % 4),
-			Seed:                 uint64(rate) ^ uint64(buckets),
+			Procs:           2,
+			SampleRate:      int(rate%64) + 1,
+			Delta:           int(delta%64) + 1,
+			MaxLightBuckets: int(buckets) + 1,
+			ScatterStrategy: core.ScatterStrategy(strat % 4),
+			Seed:            uint64(rate) ^ uint64(buckets),
 		}
 		out, _, err := core.Semisort(base, cfg)
 		if err != nil {

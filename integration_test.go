@@ -29,8 +29,8 @@ func TestIntegrationMatrix(t *testing.T) {
 			out, _, err := core.Semisort(a, &core.Config{Procs: 4, Seed: 3})
 			return out, err
 		}},
-		{"parallel_exact", func(a []rec.Record) ([]rec.Record, error) {
-			out, _, err := core.Semisort(a, &core.Config{Procs: 4, Seed: 3, ExactBucketSizes: true})
+		{"parallel_probing", func(a []rec.Record) ([]rec.Record, error) {
+			out, _, err := core.Semisort(a, &core.Config{Procs: 4, Seed: 3, ScatterStrategy: core.ScatterProbing})
 			return out, err
 		}},
 		{"chained", func(a []rec.Record) ([]rec.Record, error) { return seqsemi.Chained(a), nil }},

@@ -8,13 +8,14 @@ import (
 	"repro/internal/distgen"
 )
 
-// RunAblation measures the design choices Section 4 calls out: the
-// sampling probability p, the heavy threshold δ, the light bucket count,
-// the adjacent-bucket merging optimization, the probing strategy, and the
-// local-sort algorithm. Each table varies one knob with the rest at the
-// paper's defaults, on the uniform N=n workload (all light keys — the
-// hardest case for the light-key machinery) and the exponential workload
-// (mixed heavy/light).
+// RunAblation measures the tunable design choices Section 4 calls out:
+// the sampling probability p, the heavy threshold δ and the light bucket
+// count. Each table varies one knob with the rest at the paper's
+// defaults, on the uniform N=n workload (all light keys — the hardest
+// case for the light-key machinery) and the exponential workload (mixed
+// heavy/light). The paper's other Phase 2–3 choices (bucket merging,
+// power-of-two sizing, linear probing) have no knob; EXPERIMENTS.md
+// records their measurements.
 func RunAblation(o Options) []*Table {
 	o = o.withDefaults()
 	P := o.MaxProcs()
@@ -84,57 +85,6 @@ func RunAblation(o Options) []*Table {
 	}
 	bTab.Notes = append(bTab.Notes, "paper default 2^16; fewer buckets mean larger local sorts, more buckets mean worse f(s) accuracy per bucket")
 	out = append(out, bTab)
-
-	// Bucket merging.
-	mTab := &Table{
-		Title:   "Ablation — adjacent light bucket merging (phase 2 optimization)",
-		Headers: []string{"merging", "uni_time(s)", "uni_slots/n", "uni_light_buckets"},
-	}
-	for _, disable := range []bool{false, true} {
-		_, _, ut, us := run(core.Config{DisableBucketMerging: disable})
-		label := "on"
-		if disable {
-			label = "off"
-		}
-		mTab.AddRow(label, secs(ut), fmt.Sprintf("%.2f", float64(us.SlotsAllocated)/float64(o.N)), us.LightBuckets)
-	}
-	mTab.Notes = append(mTab.Notes, "paper: merging reduces overall time by up to 10% by shrinking touched memory")
-	out = append(out, mTab)
-
-	// Probe strategy.
-	prTab := &Table{
-		Title:   "Ablation — scatter probe strategy",
-		Headers: []string{"probe", "exp_time(s)", "exp_max_cluster", "uni_time(s)", "uni_max_cluster"},
-	}
-	for _, pk := range []struct {
-		probe core.ProbeKind
-		label string
-	}{
-		{core.ProbeLinear, "linear"},
-		{core.ProbeRandom, "random"},
-		{core.ProbeBlockRounds, "block-rounds(theory)"},
-	} {
-		et, es, ut, us := run(core.Config{Probe: pk.probe})
-		prTab.AddRow(pk.label, secs(et), es.MaxProbeCluster, secs(ut), us.MaxProbeCluster)
-	}
-	prTab.Notes = append(prTab.Notes, "paper uses linear probing for cache locality over the theoretical random re-probe and block-synchronous rounds")
-	out = append(out, prTab)
-
-	// Bucket sizing: the paper's power-of-two round-up vs exact ⌈slack·f(s)⌉.
-	szTab := &Table{
-		Title:   "Ablation — bucket sizing (pow2 round-up vs exact)",
-		Headers: []string{"sizing", "exp_time(s)", "exp_slots/n", "uni_time(s)", "uni_slots/n"},
-	}
-	for _, ex := range []struct {
-		exact bool
-		label string
-	}{{false, "pow2 (paper)"}, {true, "exact"}} {
-		et, es, ut, us := run(core.Config{ExactBucketSizes: ex.exact})
-		szTab.AddRow(ex.label, secs(et), fmt.Sprintf("%.2f", float64(es.SlotsAllocated)/float64(o.N)),
-			secs(ut), fmt.Sprintf("%.2f", float64(us.SlotsAllocated)/float64(o.N)))
-	}
-	szTab.Notes = append(szTab.Notes, "exact sizing deviates from the paper to cut slot memory ~1.4x; pow2 keeps masking cheap")
-	out = append(out, szTab)
 
 	render(o, out...)
 	return out

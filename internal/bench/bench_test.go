@@ -161,8 +161,8 @@ func TestRunFiguresTiny(t *testing.T) {
 
 func TestRunAblationTiny(t *testing.T) {
 	tabs := RunAblation(tinyOptions())
-	if len(tabs) != 6 {
-		t.Errorf("ablation tables = %d, want 6", len(tabs))
+	if len(tabs) != 3 {
+		t.Errorf("ablation tables = %d, want 3", len(tabs))
 	}
 	for _, tab := range tabs {
 		if len(tab.Rows) == 0 {

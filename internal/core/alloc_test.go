@@ -19,7 +19,7 @@ import (
 )
 
 // allocDists pairs a heavy-duplication and a light (all-distinct)
-// distribution, so both bucketOf paths and both Auto resolutions are
+// distribution, so both classifier paths and both Auto resolutions are
 // covered.
 func allocDists(n int) []diffDist {
 	return []diffDist{

@@ -19,11 +19,10 @@ import (
 // runAttempts runs up to c.MaxRetries attempts. The policy is adaptive:
 // the first two retries on a sample keep it (bucket ids are stable for a
 // fixed sample) and regrow only the buckets that overflowed, 4x per retry
-// (kind "boosted"); when boosting does not converge, or an overflow names
-// no bucket (the block-rounds placement), the next attempt draws a fresh
-// sample with doubled slack (kind "resample"). Exhaustion, or an attempt
-// past Config.MaxSlotBytes, degrades to plan.fallback. c is the driver's
-// own copy: its Slack doubles as the ladder escalates.
+// (kind "boosted"); when boosting does not converge, the next attempt
+// draws a fresh sample with doubled slack (kind "resample"). Exhaustion,
+// or an attempt past Config.MaxSlotBytes, degrades to plan.fallback. c is
+// the driver's own copy: its Slack doubles as the ladder escalates.
 func runAttempts(ws *Workspace, dst, a []rec.Record, c Config, tr *tracer, red *ReduceSpec) ([]rec.Record, []uint64, Stats, error) {
 	pl := &ws.plan
 	var (
@@ -79,7 +78,7 @@ func runAttempts(ws *Workspace, dst, a []rec.Record, c Config, tr *tracer, red *
 				Index: attempt, Outcome: obsv.OutcomeOverflow,
 				OverflowedBuckets: len(of.buckets),
 			})
-			if boostRetries < 2 && len(of.buckets) > 0 {
+			if boostRetries < 2 {
 				if boost == nil {
 					boost = ws.getBoost()
 				}
@@ -89,9 +88,6 @@ func runAttempts(ws *Workspace, dst, a []rec.Record, c Config, tr *tracer, red *
 				boostRetries++
 				continue
 			}
-		case errors.Is(oerr, ErrOverflow):
-			// Overflow without bucket detail (block-rounds scatter).
-			tr.attemptEnd(obsv.AttemptEnd{Index: attempt, Outcome: obsv.OutcomeOverflow})
 		default:
 			// Cancellation, an injected fault or an internal invariant
 			// violation: not retryable.

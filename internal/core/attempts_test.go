@@ -152,42 +152,8 @@ func TestProbeLadderResample(t *testing.T) {
 	}
 }
 
-// An overflow that names no bucket — the block-rounds placement's round
-// cap — skips boosting: every retry resamples with doubled slack, and
-// exhaustion degrades to the fallback. The injector's overflow always
-// names a bucket, so an absurdly small slack provokes a real one.
-func TestProbeLadderBlockRoundsResample(t *testing.T) {
-	a := mkRecords(2000, 20, 23)
-	var col obsv.Collector
-	const slack = 0.001
-	out, stats, err := Semisort(a, &Config{
-		Procs: 1, Probe: ProbeBlockRounds, Slack: slack, C: 0.0001, SampleRate: 50,
-		MaxRetries: 3, Observer: &col,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSemisorted(t, "block-rounds ladder", a, out)
-	want := []string{obsv.AttemptFresh, obsv.AttemptResample, obsv.AttemptResample, obsv.AttemptFallback}
-	if got := attemptKinds(&col); !slices.Equal(got, want) {
-		t.Errorf("attempt kinds %v, want %v", got, want)
-	}
-	for _, e := range col.Ends()[:3] {
-		if e.Outcome != obsv.OutcomeOverflow || e.OverflowedBuckets != 0 {
-			t.Errorf("attempt end %+v, want overflow naming no bucket", e)
-		}
-	}
-	if !stats.FallbackUsed || stats.Attempts != 3 || stats.EffectiveSlack != 4*slack {
-		t.Errorf("FallbackUsed=%v Attempts=%d EffectiveSlack=%v, want true, 3, %v",
-			stats.FallbackUsed, stats.Attempts, stats.EffectiveSlack, 4*slack)
-	}
-	if stats.OverflowedBuckets != 0 {
-		t.Errorf("OverflowedBuckets = %d, want 0 without bucket detail", stats.OverflowedBuckets)
-	}
-}
-
 // The counting and dovetail routes read none of the probing knobs: Slack,
-// ExactBucketSizes and MaxRetries leave their output and every non-timing
+// C and MaxRetries leave their output and every non-timing
 // Stats field byte-identical (EffectiveSlack only echoes Config.Slack).
 // Each call runs exactly one attempt, and the probing fault points never
 // fire.
@@ -204,9 +170,9 @@ func TestDefaultRoutesIgnoreProbingKnobs(t *testing.T) {
 	knobs := []Config{
 		{Slack: 0.001},
 		{Slack: 8},
-		{ExactBucketSizes: true},
+		{C: 0.0001},
 		{MaxRetries: 1},
-		{Slack: 0.001, ExactBucketSizes: true, MaxRetries: 1},
+		{Slack: 0.001, C: 0.0001, MaxRetries: 1},
 	}
 	type result struct {
 		out   []rec.Record
@@ -247,7 +213,7 @@ func TestDefaultRoutesIgnoreProbingKnobs(t *testing.T) {
 						want := run(t, a, base, fused)
 						for _, k := range knobs {
 							cfg := base
-							cfg.Slack, cfg.ExactBucketSizes, cfg.MaxRetries = k.Slack, k.ExactBucketSizes, k.MaxRetries
+							cfg.Slack, cfg.C, cfg.MaxRetries = k.Slack, k.C, k.MaxRetries
 							got := run(t, a, cfg, fused)
 							if slack := cfg.withDefaults().Slack; got.stats.EffectiveSlack != slack {
 								t.Errorf("%+v: EffectiveSlack = %v, want the configured %v", k, got.stats.EffectiveSlack, slack)

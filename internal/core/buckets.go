@@ -42,8 +42,8 @@ func (pl *plan) allocatePhase(st scatterStage) error {
 	}
 
 	// Merged light buckets: combine adjacent hash-range slices until each
-	// merged bucket holds at least Delta samples, or a single slice when
-	// merging is disabled.
+	// merged bucket holds at least Delta samples (the last bucket takes
+	// whatever remains).
 	pl.lightBucketOf = grow(&pl.ws.lightBucketOf, pl.numLight)
 	pl.firstLight = pl.numHeavy
 	id := int32(pl.firstLight)
@@ -51,7 +51,7 @@ func (pl *plan) allocatePhase(st scatterStage) error {
 	var acc int32
 	for i := 0; i < pl.numLight; i++ {
 		acc += pl.lightCounts[i]
-		if i < pl.numLight-1 && !c.DisableBucketMerging && acc < int32(c.Delta) {
+		if i < pl.numLight-1 && acc < int32(c.Delta) {
 			continue
 		}
 		for j := start; j <= i; j++ {
@@ -71,12 +71,12 @@ func (pl *plan) allocatePhase(st scatterStage) error {
 	}
 	// Range filter: flag every light hash range that contains a heavy key
 	// by storing the complement of its bucket id (after st.allocate,
-	// which reads the plain ids). bucketOf then resolves records in
+	// which reads the plain ids). bucketOfBatch then resolves records in
 	// unflagged ranges — the common case when heavy keys are few — with
 	// one array load, and sends only flagged ranges to the heavy
 	// directory. The Empty-key heavy run flags its range too. (numLight
 	// >= 1 always, and a shift of 64 — numLight == 1 — indexes range 0,
-	// matching bucketOf's read.)
+	// matching bucketOfBatch's read.)
 	for _, hr := range pl.heavyRuns {
 		if j := hr.key >> pl.shift; pl.lightBucketOf[j] >= 0 {
 			pl.lightBucketOf[j] = ^pl.lightBucketOf[j]
@@ -117,7 +117,7 @@ const (
 )
 
 // buildHeavyDir fills the heavy directory, the classifier's second step
-// (bucketOf): D = pow2 ≥ max(16, 8·numHeavy) direct-mapped slots indexed
+// (bucketOfBatch): D = pow2 ≥ max(16, 8·numHeavy) direct-mapped slots indexed
 // by (key·dirMul) >> (64 − log2 D). At that load most heavy keys own
 // their slot, so a heavy record resolves with one load and one compare;
 // keys in shared slots fall back to the heavy table. The Empty key lives

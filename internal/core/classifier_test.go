@@ -57,7 +57,7 @@ func classifierPlan(t *testing.T, a []rec.Record, heavy []uint64, logLight uint,
 // TestClassifierMatchesReference pins the classifier — range filter,
 // heavy directory, shared-slot fallback to the table — against a map:
 // a heavy key gets its heavy bucket, every other key the light bucket of
-// its hash range, through both bucketOf and bucketOfBatch. The crafted
+// its hash range, through bucketOfBatch at every batch length. The crafted
 // heavy sets force shared directory slots (the Empty key among them), key
 // 0 on both sides, no heavy keys at all, and a single hash range.
 func TestClassifierMatchesReference(t *testing.T) {
@@ -182,9 +182,6 @@ func TestClassifierMatchesReference(t *testing.T) {
 			}
 			for i, r := range a {
 				wb, wh := ref(r.Key)
-				if gb, gh := pl.bucketOf(r); gb != wb || gh != wh {
-					t.Fatalf("bucketOf(%#x) = (%d, %v), want (%d, %v)", r.Key, gb, gh, wb, wh)
-				}
 				if end := pl.firstLight + pl.numLightMerged; !wh && (wb < int64(pl.firstLight) || wb >= int64(end)) {
 					t.Fatalf("record %d: light id %d outside [%d, %d)", i, wb, pl.firstLight, end)
 				}
@@ -273,6 +270,46 @@ func TestClassifierSharedSlotsEndToEnd(t *testing.T) {
 				t.Fatalf("%s reduce: %d heavy keys, want most of the %d hot keys", label, rstats.HeavyKeys, len(hot))
 			}
 			checkReduced(t, label+" reduce", rout, reps, sum, vals)
+		}
+	}
+}
+
+// TestClassifyNonPow2MaxLightBuckets drives both sampled routes with a
+// MaxLightBuckets that is not a power of two and lies below the count
+// the input size asks for. The hash ranges are selected by a key's top
+// bits, so the cap must round down to a power of two; taken as given, it
+// let the classifier index past the light-range histogram.
+func TestClassifyNonPow2MaxLightBuckets(t *testing.T) {
+	for _, tc := range []struct{ n, cap, pow2 int }{
+		{1 << 17, 100, 64},
+		{4096, 3, 2},
+	} {
+		a := mkRecords(tc.n, 0, int64(tc.cap))
+		count, _, _ := refAgg(a)
+		for _, procs := range []int{1, 2} {
+			label := fmt.Sprintf("n=%d/cap=%d/procs=%d", tc.n, tc.cap, procs)
+			cfg := &Config{Procs: procs, Seed: 3, MaxLightBuckets: tc.cap, ScatterStrategy: ScatterProbing}
+			out, stats, err := Semisort(a, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			checkSemisorted(t, label, a, out)
+			if stats.LightBuckets > tc.pow2 {
+				t.Errorf("%s: %d light buckets, want at most %d", label, stats.LightBuckets, tc.pow2)
+			}
+			groups, _, hstats, err := HistogramShared(&Workspace{}, a, cfg)
+			if err != nil {
+				t.Fatalf("%s histogram: %v", label, err)
+			}
+			if len(groups) != len(count) || hstats.LightBuckets > tc.pow2 {
+				t.Fatalf("%s histogram: %d groups and %d light buckets, want %d and at most %d",
+					label, len(groups), hstats.LightBuckets, len(count), tc.pow2)
+			}
+			for _, g := range groups {
+				if g.Value != count[g.Key] {
+					t.Fatalf("%s histogram: key %#x count %d, want %d", label, g.Key, g.Value, count[g.Key])
+				}
+			}
 		}
 	}
 }

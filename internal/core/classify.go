@@ -36,19 +36,18 @@ func (pl *plan) classifyPhase() error {
 }
 
 // computeRanges fixes the attempt's hash-range geometry: numLight ranges
-// selected by a key's top bits.
+// selected by a key's top bits, so numLight is a power of two.
 //
 // Effective light bucket count: ~n/1024 hash-range slices, matching the
 // paper's records-per-bucket ratio (2^16 buckets for n=10^8 is ~1500
-// records each); we adapt for smaller n instead of fixing 2^16.
+// records each); we adapt for smaller n instead of fixing 2^16. The cap,
+// Config.MaxLightBuckets, rounds down to a power of two.
 func (pl *plan) computeRanges() {
 	numLight := 1
 	if pl.n > 1024 {
 		numLight = 1 << uint(bits.Len(uint(pl.n/1024-1)))
 	}
-	if numLight > pl.cfg.MaxLightBuckets {
-		numLight = pl.cfg.MaxLightBuckets
-	}
+	numLight = min(numLight, 1<<uint(bits.Len(uint(pl.cfg.MaxLightBuckets))-1))
 	pl.numLight = numLight
 	pl.shift = uint(64 - bits.Len(uint(numLight-1)))
 	if numLight == 1 {

@@ -9,26 +9,6 @@ import (
 	"repro/internal/parallel"
 )
 
-// ProbeKind selects the Phase 3 collision strategy.
-type ProbeKind int
-
-const (
-	// ProbeLinear retries at the next slot on CAS failure (the paper's
-	// choice, for cache locality).
-	ProbeLinear ProbeKind = iota
-	// ProbeRandom draws a fresh random slot on CAS failure (the
-	// theoretical placement-problem's per-record strategy); kept for
-	// ablation.
-	ProbeRandom
-	// ProbeBlockRounds runs the placement exactly as Section 3 describes
-	// it: the input is partitioned into blocks of ~log n records and
-	// placement proceeds in synchronous rounds, each block attempting one
-	// uninserted record per round at a fresh random slot. Expected
-	// α/(α−1)·log n rounds; kept for ablation against the practical CAS
-	// loop.
-	ProbeBlockRounds
-)
-
 // ScatterStrategy selects the Phase 3 placement algorithm.
 type ScatterStrategy int
 
@@ -42,11 +22,11 @@ const (
 	// zero value.
 	ScatterAuto ScatterStrategy = iota
 	// ScatterProbing is the paper's placement: a pseudo-random slot per
-	// record, claimed with CAS, probing on collision (parameterized by
-	// Config.Probe). Overflow triggers the Las Vegas retry ladder. Only
-	// a plain semisort that asks for it (or sets a non-linear Probe)
-	// takes it: it is the paper-reproduction mode every internal/bench
-	// table pins. A fused reduce ignores it and runs counting.
+	// record, claimed with CAS, probing linearly on collision. Overflow
+	// triggers the Las Vegas retry ladder. Only a plain semisort that asks
+	// for it takes it: it is the paper-reproduction mode every
+	// internal/bench table pins. A fused reduce ignores it and runs
+	// counting.
 	ScatterProbing
 	// ScatterCounting names the fused reduce's route: the deterministic
 	// two-pass counting scatter over the sampled pipeline's buckets. Pass
@@ -83,7 +63,9 @@ func (s ScatterStrategy) String() string {
 
 // Config holds the algorithm's tuning parameters. The zero value keeps
 // the paper's parameters (Section 4): p = 1/16, δ = 16, 2^16 light
-// buckets, c = 1.25, slack 1.1, bucket merging on, linear probing. Its
+// buckets, c = 1.25, slack 1.1. The paper's other Phase 2–3 choices are
+// fixed: under-sampled light buckets always merge, bucket sizes round up
+// to a power of two, and the probing scatter probes linearly. Its
 // route is the deterministic planner (ScatterAuto: the dovetail radix
 // kernel for a plain semisort, counting for a fused reduce), not the
 // paper's; a plain semisort takes the paper's CAS scatter and probing
@@ -104,7 +86,9 @@ type Config struct {
 	// threshold. Default 16.
 	Delta int
 	// MaxLightBuckets caps the number of hash-range slices for light keys.
-	// The effective count adapts downward for small inputs. Default 2^16.
+	// The slices are selected by a key's top bits, so a cap that is not a
+	// power of two rounds down to one. The effective count adapts
+	// downward for small inputs. Read by the sampled routes. Default 2^16.
 	MaxLightBuckets int
 	// C is the constant c in the f(s) estimate, with which the probing
 	// route sizes its bucket slot arrays. Read by the probing route
@@ -114,19 +98,6 @@ type Config struct {
 	// arrays, and its retry ladder doubles it on a resample. Read by the
 	// probing route only. Default 1.1.
 	Slack float64
-	// DisableBucketMerging turns off the merging of adjacent light buckets
-	// that have fewer than Delta samples (ablation).
-	DisableBucketMerging bool
-	// ExactBucketSizes skips the paper's round-up-to-power-of-two when
-	// the probing route sizes bucket arrays, using ⌈Slack·f(s)⌉ exactly.
-	// This deviates from the paper's Phase 2 but reduces slot memory (and
-	// hence scatter traffic) by ~1.4x on average; see the ablation
-	// benches. Read by the probing route only.
-	ExactBucketSizes bool
-	// Probe selects the Phase 3 collision strategy (probing scatter only).
-	// On a plain semisort a non-linear probe kind forces ScatterProbing,
-	// which it parameterizes. A fused reduce ignores it.
-	Probe ProbeKind
 	// ScatterStrategy selects a plain semisort's route: the paper's CAS +
 	// probing scatter (ScatterProbing), or the default dovetail radix
 	// kernel (every other value). A fused reduce always runs the counting
@@ -276,19 +247,19 @@ type Stats struct {
 	Retries int
 
 	// MaxProbeCluster (probing route only) is the longest linear-probe
-	// run any record needed to claim a slot in Phase 3 — the empirical
-	// counterpart of the paper's O(log n) w.h.p. probe-cluster bound
-	// (Section 3, placement problem). A value far above ~log2(n) means
-	// the size estimate f(s) is too tight for the workload. Always zero
-	// on the counting and dovetail routes, which do not probe.
+	// run any record needed to claim a slot in Phase 3: the number of
+	// occupied slots it stepped past. It is the empirical counterpart of
+	// the paper's O(log n) w.h.p. probe-cluster bound (Section 3,
+	// placement problem); a value far above ~log2(n) means the size
+	// estimate f(s) is too tight for the workload. Always zero on the
+	// counting and dovetail routes, which do not probe.
 	MaxProbeCluster int
 
 	// ScatterStrategy names the route the last attempt took: "probing",
 	// "counting" or "dovetail". It is decided before Phase 1, from the
 	// call alone: "counting" on every fused reduce, "probing" on a plain
-	// semisort with an explicit ScatterProbing (or a non-linear Probe),
-	// and "dovetail" on every other plain semisort. Empty only on an
-	// empty input.
+	// semisort with an explicit ScatterProbing, and "dovetail" on every
+	// other plain semisort. Empty only on an empty input.
 	ScatterStrategy string
 	// PlannerRoutes breaks down the skew-adaptive planner's routing
 	// decisions for the attempt that produced the output. Zero on an
@@ -374,17 +345,16 @@ var errSlotCap = errors.New("semisort: slot memory cap exceeded")
 // route serves exactly one call kind. Every fused reduce goes to the
 // counting scatter, whose pass 2 folds records as it stores them; its
 // exact offsets cannot overflow, so a fused call finishes in one attempt
-// whatever ScatterStrategy or Probe say. A plain semisort goes to the
-// paper's probing scatter on an explicit ScatterProbing or a non-linear
-// Probe (which parameterizes it): the one route that sizes f(s) slots,
-// and with them overflow and the retries of runAttempts. Every other
-// plain call goes to the dovetail route: the radix kernel finds heavy
-// keys per node, in its own distribution passes.
+// whatever ScatterStrategy says. A plain semisort goes to the paper's
+// probing scatter on an explicit ScatterProbing: the one route that sizes
+// f(s) slots, and with them overflow and the retries of runAttempts.
+// Every other plain call goes to the dovetail route: the radix kernel
+// finds heavy keys per node, in its own distribution passes.
 func resolveScatter(c *Config, fused bool) ScatterStrategy {
 	switch {
 	case fused:
 		return ScatterCounting
-	case c.Probe != ProbeLinear || c.ScatterStrategy == ScatterProbing:
+	case c.ScatterStrategy == ScatterProbing:
 		return ScatterProbing
 	}
 	return ScatterDovetail

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/distgen"
 	"repro/internal/hash"
 	"repro/internal/hashtable"
 	"repro/internal/rec"
@@ -214,29 +215,24 @@ func TestSemisortInputUnmodified(t *testing.T) {
 	}
 }
 
-func TestSemisortProbeRandom(t *testing.T) {
-	a := mkRecords(60000, 500, 13)
-	out, _, err := Semisort(a, &Config{Procs: 4, Probe: ProbeRandom})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSemisorted(t, "random probing", a, out)
-}
-
-func TestSemisortNoBucketMerging(t *testing.T) {
-	a := mkRecords(60000, 0, 14)
-	out, statsOff, err := Semisort(a, &Config{Procs: 4, DisableBucketMerging: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSemisorted(t, "merging disabled", a, out)
-	_, statsOn, err := Semisort(a, &Config{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if statsOn.SlotsAllocated > statsOff.SlotsAllocated {
-		t.Errorf("merging should not increase memory: on=%d off=%d",
-			statsOn.SlotsAllocated, statsOff.SlotsAllocated)
+// TestWorkspaceReuse runs many semisorts through one workspace, across
+// growing and shrinking sizes, alternating the probing and dovetail
+// routes.
+func TestWorkspaceReuse(t *testing.T) {
+	var ws Workspace
+	for i, n := range []int{50000, 1000, 100000, 10, 70000} {
+		a := distgen.Generate(2, n, distgen.Spec{Kind: distgen.Uniform, Param: float64(n/10 + 1)}, uint64(i))
+		cfg := &Config{Procs: 2, Seed: uint64(i)}
+		if i%2 == 0 {
+			cfg.ScatterStrategy = ScatterProbing
+		}
+		out, _, err := SemisortWS(&ws, a, cfg)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if !rec.IsSemisorted(out) || !rec.SamePermutation(a, out) {
+			t.Fatalf("n=%d: invalid output on reused workspace", n)
+		}
 	}
 }
 
@@ -369,7 +365,7 @@ func TestSizeEstimateProperties(t *testing.T) {
 	logn := 18.4 // ln(1e8)
 	prev := 0
 	for s := 0; s < 4096; s++ {
-		got := sizeEstimate(s, logn, 1.25, 1.1, 16, false)
+		got := sizeEstimate(s, logn, 1.25, 1.1, 16)
 		if got < prev {
 			t.Fatalf("sizeEstimate not monotone at s=%d: %d < %d", s, got, prev)
 		}
@@ -388,7 +384,7 @@ func TestSizeEstimateQuick(t *testing.T) {
 	prop := func(sRaw uint16, rateRaw uint8) bool {
 		s := int(sRaw)
 		rate := int(rateRaw)%63 + 2
-		got := sizeEstimate(s, 15, 1.25, 1.1, rate, false)
+		got := sizeEstimate(s, 15, 1.25, 1.1, rate)
 		return got >= 4 && got >= s*rate && got&(got-1) == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {

@@ -11,20 +11,16 @@ import (
 	"math/bits"
 )
 
-// sizeEstimate is the paper's f(s) multiplied by slack and, unless exact
-// sizing is requested, rounded up to a power of two (Section 4, Phase 2):
-// the high-probability bound on the record count of a bucket with s sample
-// hits. Exact sizing trades the cheap power-of-two masking for ~1.4x less
-// slot memory (measured in the ablation benches).
-func sizeEstimate(s int, logn float64, c, slack float64, rate int, exact bool) int {
+// sizeEstimate is the paper's f(s) multiplied by slack and rounded up to a
+// power of two (Section 4, Phase 2): the high-probability bound on the
+// record count of a bucket with s sample hits. The power of two lets the
+// scatter turn a random word into a slot index with one mask.
+func sizeEstimate(s int, logn float64, c, slack float64, rate int) int {
 	cln := c * logn
 	f := (float64(s) + cln + math.Sqrt(cln*cln+2*float64(s)*cln)) * float64(rate)
 	size := int(math.Ceil(slack * f))
 	if size < 4 {
 		size = 4
-	}
-	if exact {
-		return size
 	}
 	return 1 << uint(bits.Len(uint(size-1)))
 }

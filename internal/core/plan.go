@@ -303,61 +303,28 @@ func (pl *plan) parForEachNoCtx(n, grain int, f func(*plan, int)) {
 	parallel.ForEach(pl.procs, n, grain, func(i int) { f(pl, i) })
 }
 
-// bucketOf resolves a record to its bucket id and whether it took the
-// heavy path. Hot: called once per record by the block-rounds placement
-// (rounds.go); the CAS scatter and counting pass 1 classify in batches
-// (bucketOfBatch).
-//
-// The classifier costs one cache-resident load for almost every record:
-//  1. lightBucketOf doubles as a range filter: ranges containing no
-//     heavy key store their light bucket id directly, so a light record
-//     in an unflagged range resolves with the one array load Phase 3
-//     needed anyway, no hash and no probe.
-//  2. A flagged range (allocatePhase stores the id's complement) reads
-//     the heavy directory: a slot holding exactly this key names its
-//     heavy bucket with one compare.
-//  3. Only a shared slot — two or more heavy keys map there — consults
-//     emptyKeyBucket and the heavy table.
-//  4. Anything else is light, and the range's complement decodes its id.
-func (pl *plan) bucketOf(r rec.Record) (int64, bool) {
-	if v := pl.lightBucketOf[r.Key>>pl.shift]; v >= 0 {
-		return int64(v), false
-	}
-	return pl.bucketOfSlow(r.Key)
-}
-
-// bucketOfSlow resolves a key whose hash range is flagged as containing a
-// heavy key (steps 2–4 above). Split out so bucketOf's fast path inlines
-// into the scatter loops.
-func (pl *plan) bucketOfSlow(k uint64) (int64, bool) {
-	e := pl.heavyDir[(k*dirMul)>>pl.dirShift]
-	if e.key == k && e.hid >= 0 {
-		return int64(e.hid), true
-	}
-	if e.hid == dirShared {
-		if k == hashtable.Empty {
-			if pl.emptyKeyBucket >= 0 {
-				// The table's reserved key gets a dedicated heavy bucket.
-				return pl.emptyKeyBucket, true
-			}
-		} else if v, ok := pl.table.Lookup(k); ok {
-			return int64(v), true
-		}
-	}
-	return int64(^pl.lightBucketOf[k>>pl.shift]), false
-}
-
 // probeBatch is the record blocking factor of the batched classifiers:
 // matches hashtable's lookup block so one bucketOfBatch resolves its
 // shared-slot keys in a single table-probe burst.
 const probeBatch = 16
 
-// bucketOfBatch resolves records a[base:base+m] (m ≤ probeBatch) into
-// bids/heavy, exactly as m bucketOf calls would. Unflagged ranges and
-// directory hits resolve inline; keys in shared directory slots are
-// gathered and resolved through one hashtable.LookupBatch call, so their
-// dependent probe loads overlap in the memory system instead of
-// serializing. All scratch is fixed-size and stack-allocated.
+// bucketOfBatch is the classifier: it resolves records a[base:base+m]
+// (m ≤ probeBatch) to their bucket ids (bids) and whether each took the
+// heavy path (heavy). Almost every record costs one cache-resident load:
+//  1. lightBucketOf doubles as a range filter: ranges containing no
+//     heavy key store their light bucket id directly, so a light record
+//     in an unflagged range resolves with one array load, no hash and no
+//     probe.
+//  2. A flagged range (allocatePhase stores the id's complement) reads
+//     the heavy directory: a slot holding exactly this key names its
+//     heavy bucket with one compare.
+//  3. Only a shared slot — two or more heavy keys map there — consults
+//     emptyKeyBucket and the heavy table. Those keys are gathered and
+//     resolved through one hashtable.LookupBatch call, so their dependent
+//     probe loads overlap in the memory system instead of serializing.
+//  4. Anything else is light, and the range's complement decodes its id.
+//
+// All scratch is fixed-size and stack-allocated.
 func (pl *plan) bucketOfBatch(base, m int, bids *[probeBatch]int64, heavy *[probeBatch]bool) {
 	var keys [probeBatch]uint64
 	var vals [probeBatch]uint64

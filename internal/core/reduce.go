@@ -83,7 +83,7 @@ func histMerge(a, _, b, _ uint64) uint64 { return a + b }
 // (the group's representative: its first input record's Value). Both
 // slices are workspace-owned, valid until the next call through ws. The
 // input is never modified. Every fused call runs the counting scatter in
-// one attempt; Config.ScatterStrategy and Config.Probe do not apply.
+// one attempt; Config.ScatterStrategy does not apply.
 func ReduceShared(ws *Workspace, a []rec.Record, cfg *Config, sp ReduceSpec) (out []rec.Record, reps []uint64, stats Stats, err error) {
 	if ws == nil {
 		ws = &Workspace{}

@@ -10,15 +10,14 @@ import (
 )
 
 // TestRouteTable pins the planner's three rows over call kind ×
-// ScatterStrategy × Probe: a plain call runs the dovetail kernel unless
-// it asks for probing (ScatterProbing or a non-linear Probe), and every
-// fused call runs counting in one attempt whatever either knob says. A
+// ScatterStrategy: a plain call runs the dovetail kernel unless it asks
+// for ScatterProbing, and every fused call runs counting in one attempt
+// whatever the strategy says. A
 // plain ScatterCounting or ScatterDovetail call is byte-identical to
 // Auto, and every fused combination returns the default's bytes.
 func TestRouteTable(t *testing.T) {
 	a := distgen.Generate(2, 30000, distgen.Spec{Kind: distgen.Zipfian, Param: 1000}, 5)
 	strategies := []ScatterStrategy{ScatterAuto, ScatterProbing, ScatterCounting, ScatterDovetail}
-	probes := []ProbeKind{ProbeLinear, ProbeRandom, ProbeBlockRounds}
 	kinds := []string{"plain", "reduce", "histogram"}
 
 	type result struct {
@@ -46,29 +45,27 @@ func TestRouteTable(t *testing.T) {
 	for _, kind := range kinds {
 		def := run(kind, &Config{Procs: 2, Seed: 9})
 		for _, strat := range strategies {
-			for _, probe := range probes {
-				label := fmt.Sprintf("%s/%v/probe=%d", kind, strat, probe)
-				got := run(kind, &Config{Procs: 2, Seed: 9, ScatterStrategy: strat, Probe: probe})
-				want := "dovetail"
-				switch {
-				case kind != "plain":
-					want = "counting"
-				case strat == ScatterProbing || probe != ProbeLinear:
-					want = "probing"
-				}
-				if got.stats.ScatterStrategy != want {
-					t.Errorf("%s: route %q, want %q", label, got.stats.ScatterStrategy, want)
-				}
-				if want != "probing" && got.stats.Attempts != 1 {
-					t.Errorf("%s: Attempts = %d, want 1", label, got.stats.Attempts)
-				}
-				if want == "probing" {
-					checkSemisorted(t, label, a, got.out)
-					continue
-				}
-				if !slices.Equal(got.out, def.out) || !slices.Equal(got.reps, def.reps) {
-					t.Errorf("%s: output differs from the default %s call", label, kind)
-				}
+			label := fmt.Sprintf("%s/%v", kind, strat)
+			got := run(kind, &Config{Procs: 2, Seed: 9, ScatterStrategy: strat})
+			want := "dovetail"
+			switch {
+			case kind != "plain":
+				want = "counting"
+			case strat == ScatterProbing:
+				want = "probing"
+			}
+			if got.stats.ScatterStrategy != want {
+				t.Errorf("%s: route %q, want %q", label, got.stats.ScatterStrategy, want)
+			}
+			if want != "probing" && got.stats.Attempts != 1 {
+				t.Errorf("%s: Attempts = %d, want 1", label, got.stats.Attempts)
+			}
+			if want == "probing" {
+				checkSemisorted(t, label, a, got.out)
+				continue
+			}
+			if !slices.Equal(got.out, def.out) || !slices.Equal(got.reps, def.reps) {
+				t.Errorf("%s: output differs from the default %s call", label, kind)
 			}
 		}
 	}

@@ -47,7 +47,7 @@ type probeState struct {
 // bucket describes one slot range: [off, off+sz) in the slot arrays.
 type bucket struct {
 	off int64
-	sz  uint64 // a power of two unless Config.ExactBucketSizes is set
+	sz  uint64 // a power of two (sizeEstimate), so a slot index is a mask
 }
 
 // probingStage is the paper's placement: CAS + probing into slack-sized
@@ -62,9 +62,9 @@ func (probingStage) allocate(pl *plan) error {
 	c := &pl.cfg
 	pl.buckets = growEmpty(&pl.ws.buckets, pl.firstLight+pl.numLightMerged)
 	place := func(samples int) {
-		size := sizeEstimate(samples, pl.logn, c.C, c.Slack, c.SampleRate, c.ExactBucketSizes)
+		size := sizeEstimate(samples, pl.logn, c.C, c.Slack, c.SampleRate)
 		if mult, ok := pl.boost[int32(len(pl.buckets))]; ok {
-			size = boostSize(size, mult, c.ExactBucketSizes)
+			size = boostSize(size, mult)
 		}
 		pl.buckets = append(pl.buckets, bucket{off: pl.slotTotal, sz: uint64(size)})
 		pl.slotTotal += int64(size)
@@ -93,44 +93,24 @@ func (probingStage) allocate(pl *plan) error {
 }
 
 // boostSize applies a per-bucket retry multiplier to a size estimate,
-// preserving the power-of-two invariant unless exact sizing is on.
-func boostSize(size int, m float64, exact bool) int {
+// preserving the power-of-two invariant.
+func boostSize(size int, m float64) int {
 	s := int(math.Ceil(float64(size) * m))
 	if s < size {
 		s = size
 	}
-	if exact {
-		return s
-	}
 	return 1 << uint(bits.Len(uint(s-1)))
-}
-
-// bucketPos maps a random word to a slot index in [0, size). Power-of-two
-// sizes use masking (the paper's choice); exact sizes use the multiply-
-// shift reduction.
-func bucketPos(r, size uint64, exact bool) uint64 {
-	if !exact {
-		return r & (size - 1)
-	}
-	hi, _ := bits.Mul64(r, size)
-	return hi
 }
 
 func (probingStage) scatter(pl *plan) error {
 	if fault.Should(fault.ScatterOverflow) {
 		return &overflowError{buckets: map[int32]int32{0: 1}}
 	}
-	if pl.cfg.Probe == ProbeBlockRounds {
-		if err := pl.tr.labeledPhase(pl, "scatter", (*plan).blockRoundsBody); err != nil {
-			return err
-		}
-	} else {
-		if err := pl.tr.labeledPhase(pl, "scatter", (*plan).probeScatterBody); err != nil {
-			return err
-		}
-		if pl.overflow.Load() {
-			return &overflowError{buckets: pl.ofBuckets}
-		}
+	if err := pl.tr.labeledPhase(pl, "scatter", (*plan).probeScatterBody); err != nil {
+		return err
+	}
+	if pl.overflow.Load() {
+		return &overflowError{buckets: pl.ofBuckets}
 	}
 	pl.stats.HeavyRecords = int(pl.heavyPlaced.Load())
 	pl.stats.MaxProbeCluster = int(pl.maxCluster.Load())
@@ -149,21 +129,19 @@ func (pl *plan) probeScatterChunk(lo, hi int) {
 	if pl.overflow.Load() {
 		return
 	}
-	if fault.Should(fault.ProbeSaturation) {
-		bid, _ := pl.bucketOf(pl.a[lo])
-		pl.recordOverflow(bid)
-		return
-	}
-	exact := pl.cfg.ExactBucketSizes
-	random := pl.cfg.Probe == ProbeRandom
-	localHeavy := int64(0)
-	localMaxRun := int64(0)
 	// Records are classified in blocks of probeBatch so the heavy-directory
 	// lookups overlap their cache misses (bucketOfBatch); placement then
 	// proceeds per record in input order with the same per-index RNG, so
-	// the output is bit-for-bit what the scalar loop produced.
+	// the batching does not change the output.
 	var bids [probeBatch]int64
 	var heavy [probeBatch]bool
+	if fault.Should(fault.ProbeSaturation) {
+		pl.bucketOfBatch(lo, 1, &bids, &heavy)
+		pl.recordOverflow(bids[0])
+		return
+	}
+	localHeavy := int64(0)
+	localMaxRun := int64(0)
 	for base := lo; base < hi; base += probeBatch {
 		m := min(probeBatch, hi-base)
 		pl.bucketOfBatch(base, m, &bids, &heavy)
@@ -175,13 +153,10 @@ func (pl *plan) probeScatterChunk(lo, hi int) {
 				localHeavy++
 			}
 			bk := pl.buckets[bid]
-			pos := bucketPos(pl.scatterRNG.Rand(uint64(i)), bk.sz, exact)
+			pos := pl.scatterRNG.Rand(uint64(i)) & (bk.sz - 1)
 			placed := false
 			for try := uint64(0); try < bk.sz; try++ {
 				idx := bk.off + int64(pos)
-				if random {
-					idx = bk.off + int64(bucketPos(pl.scatterRNG.Rand(uint64(i)^(try+1)<<32), bk.sz, exact))
-				}
 				if atomic.CompareAndSwapUint32(&pl.occ[idx], 0, 1) {
 					pl.slots[idx] = r
 					placed = true
@@ -190,10 +165,7 @@ func (pl *plan) probeScatterChunk(lo, hi int) {
 					}
 					break
 				}
-				pos++
-				if pos == bk.sz {
-					pos = 0
-				}
+				pos = (pos + 1) & (bk.sz - 1)
 			}
 			if !placed {
 				pl.recordOverflow(bid)

@@ -3,8 +3,7 @@ package semisort
 // Record-level fused aggregation: reduce records during the semisort
 // instead of grouping first and folding after. Every fused call runs the
 // core's counting scatter in one attempt, whatever Config.ScatterStrategy
-// or Config.Probe say. See docs/AGGREGATION.md for the full surface and
-// its guarantees.
+// says. See docs/AGGREGATION.md for the full surface and its guarantees.
 
 import (
 	"repro/internal/core"

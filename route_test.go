@@ -5,14 +5,13 @@ import (
 	"maps"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obsv"
 )
 
 // TestFusedRouteTable is the front end's side of the planner's route
 // table: every fused call kind (CountBy, SumBy, Distinct, ReduceBy with a
 // Merge, ReduceRecords, Histogram) runs the counting scatter in one
-// attempt whatever ScatterStrategy and Probe say, and returns the
+// attempt whatever ScatterStrategy says, and returns the
 // default's result. Under an unmeetable MaxSlotBytes a fused call falls
 // back to the sequential fold — the one degradation left to it — and
 // ReduceBy's and SumBy's maps stay exact, which is what lets the fused
@@ -72,31 +71,29 @@ func TestFusedRouteTable(t *testing.T) {
 			t.Fatalf("%s default: %v", name, err)
 		}
 		for _, strat := range allStrategies {
-			for _, probe := range []core.ProbeKind{ProbeLinear, ProbeRandom, core.ProbeBlockRounds} {
-				label := fmt.Sprintf("%s/%v/probe=%d", name, strat, probe)
-				var col Collector
-				got, err := call(&Config{Procs: 2, Seed: 3, ScatterStrategy: strat, Probe: probe, Observer: &col})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if !maps.Equal(got, want) {
-					t.Fatalf("%s: result differs from the default call", label)
-				}
-				if n := len(col.Attempts()); n != 1 {
-					t.Errorf("%s: %d core attempts, want 1", label, n)
-				}
-				scatters := 0
-				for _, s := range col.Spans() {
-					if s.Phase == obsv.PhaseScatter {
-						scatters++
-						if s.Strategy != "counting" {
-							t.Errorf("%s: scatter span strategy %q, want counting", label, s.Strategy)
-						}
+			label := fmt.Sprintf("%s/%v", name, strat)
+			var col Collector
+			got, err := call(&Config{Procs: 2, Seed: 3, ScatterStrategy: strat, Observer: &col})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("%s: result differs from the default call", label)
+			}
+			if n := len(col.Attempts()); n != 1 {
+				t.Errorf("%s: %d core attempts, want 1", label, n)
+			}
+			scatters := 0
+			for _, s := range col.Spans() {
+				if s.Phase == obsv.PhaseScatter {
+					scatters++
+					if s.Strategy != "counting" {
+						t.Errorf("%s: scatter span strategy %q, want counting", label, s.Strategy)
 					}
 				}
-				if scatters != 1 {
-					t.Errorf("%s: %d scatter spans, want 1", label, scatters)
-				}
+			}
+			if scatters != 1 {
+				t.Errorf("%s: %d scatter spans, want 1", label, scatters)
 			}
 		}
 		if name != "ReduceBy" && name != "SumBy" {

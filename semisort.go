@@ -16,10 +16,11 @@ type Record = rec.Record
 
 // Config tunes the algorithm; the zero value (and a nil *Config) keeps
 // the paper's parameters — sampling probability 1/16, heavy threshold
-// δ=16, up to 2^16 light buckets, estimate constant c=1.25, slack 1.1,
-// bucket merging enabled, linear probing — but places records with the
-// deterministic planner (ScatterAuto). The paper's algorithm, CAS
-// scatter with probing, needs ScatterStrategy: ScatterProbing.
+// δ=16, up to 2^16 light buckets, estimate constant c=1.25, slack 1.1 —
+// but places records with the deterministic planner (ScatterAuto). The
+// paper's algorithm, CAS scatter with linear probing into power-of-two
+// buckets after merging under-sampled light ranges, needs
+// ScatterStrategy: ScatterProbing.
 type Config = core.Config
 
 // Stats reports what one semisort execution did: sample size, heavy/light
@@ -30,12 +31,6 @@ type Stats = core.Stats
 // PhaseTimes is the five-phase wall-clock breakdown (sample+sort, bucket
 // construction, scatter, local sort, pack).
 type PhaseTimes = core.PhaseTimes
-
-// Probing strategy options (see Config).
-const (
-	ProbeLinear = core.ProbeLinear
-	ProbeRandom = core.ProbeRandom
-)
 
 // ScatterStrategy selects the Phase 3 placement algorithm (see Config).
 type ScatterStrategy = core.ScatterStrategy
