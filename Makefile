@@ -93,10 +93,10 @@ bench-smoke:
 
 # Short fuzzing passes over the five fuzz targets.
 fuzz:
-	$(GO) test -fuzz=FuzzRecords -fuzztime=30s .
-	$(GO) test -fuzz=FuzzBy -fuzztime=30s .
-	$(GO) test -fuzz=FuzzAgg -fuzztime=30s .
-	$(GO) test -fuzz=FuzzConfigs -fuzztime=30s .
+	$(GO) test -fuzz=FuzzRecords -fuzztime=30s -run=^$$ .
+	$(GO) test -fuzz=FuzzBy -fuzztime=30s -run=^$$ .
+	$(GO) test -fuzz=FuzzAgg -fuzztime=30s -run=^$$ .
+	$(GO) test -fuzz=FuzzConfigs -fuzztime=30s -run=^$$ .
 	$(GO) test -fuzz=FuzzDovetailFrom -fuzztime=30s -run=^$$ ./internal/sortint/
 
 # Full reproduction of the paper's evaluation (Section 5) at laptop scale.

@@ -208,9 +208,9 @@ func MeasureBaseline(o Options) Baseline {
 				panic(err)
 			}
 		}),
-		// The dovetail route threads its radix scratch through the
-		// workspace, so a warm run allocates only what probing does; a
-		// recursion buffer escaping the workspace shows up here first.
+		// The dovetail route keeps its child scratch in the workspace's
+		// kernel tables, so a warm run allocates only what probing does;
+		// a recursion buffer escaping the workspace shows up here first.
 		"dovetail": allocsPerOp(allocReps, func() {
 			if _, _, err := core.SemisortWS(&ws, a, &core.Config{Procs: 1, Seed: o.Seed + 7,
 				ScatterStrategy: core.ScatterDovetail}); err != nil {

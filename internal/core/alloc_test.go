@@ -225,11 +225,13 @@ func TestMaxRetainedBytes(t *testing.T) {
 	}
 }
 
-// TestWorkspaceRegrowHeadroom: a warm Workspace allocates its output and
-// radix scratch at exactly n, and when a later call outgrows them it
-// reserves 1/8 headroom, so every size up to n+n/8 after that runs in
-// the same two buffers — one reallocation, not one per new maximum —
-// and RetainedBytes counts the headroom.
+// TestWorkspaceRegrowHeadroom: a warm Workspace allocates its output at
+// exactly n, and when a later call outgrows it it reserves 1/8
+// headroom, so every size up to n+n/8 after that runs in the same
+// buffer — one reallocation, not one per new maximum — and
+// RetainedBytes counts the headroom. The radix kernel's child scratch
+// follows the same policy (TestDovetailChildScratchRegrow in
+// internal/sortint).
 func TestWorkspaceRegrowHeadroom(t *testing.T) {
 	const n = 1 << 14
 	a := distgen.Generate(2, n+n/8, distgen.Spec{Kind: distgen.Uniform, Param: n}, 9)
@@ -238,13 +240,11 @@ func TestWorkspaceRegrowHeadroom(t *testing.T) {
 	if _, _, err := SemisortShared(ws, a[:n], cfg); err != nil {
 		t.Fatal(err)
 	}
-	if cap(ws.out) != n || cap(ws.rxScratch) != n {
-		t.Fatalf("first call: cap(out) = %d, cap(rxScratch) = %d, want exactly %d", cap(ws.out), cap(ws.rxScratch), n)
+	if cap(ws.out) != n {
+		t.Fatalf("first call: cap(out) = %d, want exactly %d", cap(ws.out), n)
 	}
 	retained := ws.RetainedBytes()
-	type backing struct{ out, rx *rec.Record }
-	buffers := func() backing { return backing{&ws.out[:1][0], &ws.rxScratch[:1][0]} }
-	last := buffers()
+	last := &ws.out[:1][0]
 	reallocs := 0
 	for m := n + 1; m <= n+n/8; m += n / 64 {
 		out, _, err := SemisortShared(ws, a[:m], cfg)
@@ -252,7 +252,7 @@ func TestWorkspaceRegrowHeadroom(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkSemisorted(t, fmt.Sprintf("m=%d", m), a[:m], out)
-		if b := buffers(); b != last {
+		if b := &ws.out[:1][0]; b != last {
 			reallocs++
 			last = b
 		}
@@ -261,11 +261,38 @@ func TestWorkspaceRegrowHeadroom(t *testing.T) {
 		t.Errorf("%d reallocations over sizes n+1..n+n/8, want 1", reallocs)
 	}
 	const want = (n + 1) + (n+1)/8
-	if cap(ws.out) != want || cap(ws.rxScratch) != want {
-		t.Errorf("after regrow: cap(out) = %d, cap(rxScratch) = %d, want %d", cap(ws.out), cap(ws.rxScratch), want)
+	if cap(ws.out) != want {
+		t.Errorf("after regrow: cap(out) = %d, want %d", cap(ws.out), want)
 	}
-	if got, grown := ws.RetainedBytes()-retained, int64(2*(want-n)*rec.RecordSize); got < grown {
+	if got, grown := ws.RetainedBytes()-retained, int64((want-n)*rec.RecordSize); got < grown {
 		t.Errorf("RetainedBytes grew by %d, want at least the %d bytes of regrown capacity", got, grown)
+	}
+}
+
+// TestDovetailRouteRetainedBytes: after a warm plain SemisortShared on
+// the radix kernel the workspace pins its output and the kernel's tables,
+// whose child scratch is sized to the top pass's children (two workers'
+// slices of about 2,048 records here), not a record per input record.
+func TestDovetailRouteRetainedBytes(t *testing.T) {
+	const n = 1 << 20
+	a := distgen.Generate(2, n, distgen.Spec{Kind: distgen.Uniform, Param: n}, 17)
+	cfg := &Config{Procs: 2}
+	ws := &Workspace{}
+	for i := 0; i < 2; i++ {
+		out, stats, err := SemisortShared(ws, a, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.ScatterStrategy != "dovetail" {
+			t.Fatalf("route %q, want dovetail", stats.ScatterStrategy)
+		}
+		checkSemisorted(t, "warm", a, out)
+	}
+	outBytes := int64(cap(ws.out)) * rec.RecordSize
+	got := ws.RetainedBytes()
+	t.Logf("retains the %d-byte output plus %d bytes", outBytes, got-outBytes)
+	if got > outBytes+2<<20 {
+		t.Errorf("RetainedBytes() = %d, want at most the %d-byte output plus 2 MiB", got, outBytes)
 	}
 }
 

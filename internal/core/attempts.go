@@ -109,9 +109,11 @@ func runAttempts(ws *Workspace, dst, a []rec.Record, c Config, tr *tracer, red *
 // memory cap, or exhausted retries), so the call falls back to the
 // deterministic two-phase sequential semisort, which needs no slack and
 // cannot overflow — unless DisableFallback asks for ErrOverflow instead.
-// The result lands in the caller's buffer when ensureOutN would bind it
-// (Into and warm Shared calls get their buffer back); otherwise the
-// sequential result is the output, and no second array is allocated.
+// A plain call's result lands in the output the attempt already bound,
+// else in the caller's buffer when ensureOutN would bind it (Into and
+// warm Shared calls get their buffer back), else in a fresh one; a
+// fused call's sequential result is the output unless the caller's
+// buffer holds it. Either way no second array is allocated.
 // stats are the last attempt's; the fallback is traced as one more
 // attempt (index stats.Attempts) holding a single "fallback" span.
 func (pl *plan) fallback(stats Stats, why string) (out []rec.Record, reps []uint64, _ Stats, err error) {
@@ -128,12 +130,20 @@ func (pl *plan) fallback(stats Stats, why string) (out []rec.Record, reps []uint
 	tr.phaseStart(fbIdx, obsv.PhaseFallback)
 	t0 := time.Now()
 	tr.labeled("fallback", func() {
-		out = seqsemi.TwoPhase(pl.a)
-		if pl.red != nil {
-			// The fused fallback: sort sequentially, then fold each
-			// equal-key run in place (reduce.go).
-			out, reps = reduceRuns(pl.ws, out, pl.red)
+		if pl.red == nil {
+			// A plain call sorts straight into its output: the one the
+			// attempt bound before it gave up (the dovetail route's cap
+			// trips after the kernel's top pass has written it), else
+			// the caller's buffer or a fresh one by ensureOutN's rule.
+			if pl.out == nil {
+				pl.ensureOut()
+			}
+			out = seqsemi.TwoPhaseInto(pl.a, pl.out)
+			return
 		}
+		// The fused fallback: sort sequentially, then fold each
+		// equal-key run in place (reduce.go).
+		out, reps = reduceRuns(pl.ws, seqsemi.TwoPhase(pl.a), pl.red)
 		if dst := pl.dst; cap(dst) >= len(out) && !sliceOverlaps(dst, pl.a) {
 			out = append(dst[:0], out...) // ensureOutN's rule
 		}

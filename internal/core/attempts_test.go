@@ -20,13 +20,14 @@ func sameBacking(x, y []rec.Record) bool {
 
 // The sequential fallback honors the caller's buffer like a pack does:
 // SemisortInto returns dst, and back-to-back Shared calls (plain and
-// fused) on one workspace return the same backing array. A 512-byte
-// MaxSlotBytes sends every route to the fallback.
+// fused) on one workspace return the same backing array. A one-record
+// MaxSlotBytes sends every route to the fallback: it is below any
+// scatter's scratch and below the radix kernel's child scratch.
 func TestFallbackKeepsCallerBuffer(t *testing.T) {
 	a := mkRecords(5000, 300, 21)
 	count, _, vals := refAgg(a)
 	for _, s := range []ScatterStrategy{ScatterAuto, ScatterCounting, ScatterDovetail, ScatterProbing} {
-		cfg := &Config{Procs: 2, ScatterStrategy: s, MaxSlotBytes: 512}
+		cfg := &Config{Procs: 2, ScatterStrategy: s, MaxSlotBytes: rec.RecordSize}
 		dst := make([]rec.Record, len(a)+7)
 		out, stats, err := SemisortInto(nil, dst, a, cfg)
 		if err != nil || !stats.FallbackUsed {
@@ -79,15 +80,16 @@ func bytesPerRun(runs int, f func()) float64 {
 	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
 }
 
-// A fallback with no caller buffer returns the sequential result itself:
-// on a warm workspace it allocates what seqsemi.TwoPhase does and not a
-// second n-record output.
+// A fallback with no caller buffer allocates one output: on a warm
+// workspace it allocates what seqsemi.TwoPhase does and not a second
+// n-record output, also on the dovetail route, whose cap trips only
+// after its output is bound (the fallback then sorts into that output).
 func TestFallbackAllocatesOneOutput(t *testing.T) {
 	const n, half = 1 << 16, 1 << 16 * 16 / 2 // half an n-record output
 	a := mkRecords(n, 4000, 23)
 	seq := bytesPerRun(4, func() { seqsemi.TwoPhase(a) })
 	for _, s := range []ScatterStrategy{ScatterAuto, ScatterCounting, ScatterDovetail, ScatterProbing} {
-		cfg := &Config{Procs: 1, ScatterStrategy: s, MaxSlotBytes: 512}
+		cfg := &Config{Procs: 1, ScatterStrategy: s, MaxSlotBytes: rec.RecordSize}
 		ws := &Workspace{}
 		var stats Stats
 		got := bytesPerRun(4, func() {

@@ -123,9 +123,11 @@ type Config struct {
 	// route's histograms, bucket-id column, heavy directory and cells,
 	// light staging area (24 bytes per light record) and Phase 4 reduce
 	// arenas (about 48 bytes per record of the largest light bucket, per
-	// worker), and the dovetail route's radix scratch (16 bytes per
-	// record). An attempt whose estimate exceeds the cap degrades to the
-	// sequential fallback instead of allocating. 0 means no cap.
+	// worker), and the dovetail route's child scratch (16 bytes per
+	// record of the largest child of the kernel's top pass, per worker;
+	// the kernel checks it once that pass has fixed the children). An
+	// attempt whose estimate exceeds the cap degrades to the sequential
+	// fallback instead of allocating. 0 means no cap.
 	MaxSlotBytes int64
 	// MaxRetainedBytes caps the scratch memory a Workspace keeps between
 	// calls. After each call (success or failure) the workspace drops

@@ -118,9 +118,10 @@ func TestInjectedExhaustionDisableFallback(t *testing.T) {
 
 func TestSlotCapFallsBack(t *testing.T) {
 	a := mkRecords(30000, 100, 13)
-	// A cap far below the ~n slots any attempt needs: the attempt must
-	// abort before allocating and degrade to the sequential fallback.
-	out, stats, err := Semisort(a, &Config{Procs: 2, MaxSlotBytes: 1024})
+	// A one-record cap, below the radix kernel's child scratch: the
+	// attempt must abort before the scratch grows and degrade to the
+	// sequential fallback.
+	out, stats, err := Semisort(a, &Config{Procs: 2, MaxSlotBytes: rec.RecordSize})
 	if err != nil {
 		t.Fatalf("slot-capped semisort: %v", err)
 	}
@@ -132,7 +133,7 @@ func TestSlotCapFallsBack(t *testing.T) {
 		t.Errorf("Attempts = %d, want 1 (cap abort is not retryable)", stats.Attempts)
 	}
 
-	_, _, err = Semisort(a, &Config{Procs: 2, MaxSlotBytes: 1024, DisableFallback: true})
+	_, _, err = Semisort(a, &Config{Procs: 2, MaxSlotBytes: rec.RecordSize, DisableFallback: true})
 	if !errors.Is(err, ErrOverflow) {
 		t.Fatalf("capped + DisableFallback err = %v, want ErrOverflow", err)
 	}
@@ -540,12 +541,13 @@ func TestDovetailWorkerPanic(t *testing.T) {
 	}
 }
 
-// The scratch cap prices the radix kernel's n-record scratch; an
-// unmeetable MaxSlotBytes aborts before allocation and
-// degrades to the fallback in a single attempt.
+// The scratch cap prices the radix kernel's child scratch once the top
+// pass has fixed the children: a one-record MaxSlotBytes, below any
+// child of two records, aborts before the scratch grows and degrades to
+// the fallback in a single attempt.
 func TestDovetailSlotCapFallsBack(t *testing.T) {
 	a := mkRecords(30000, 0, 13)
-	out, stats, err := Semisort(a, &Config{Procs: 2, MaxSlotBytes: 512, ScatterStrategy: ScatterDovetail})
+	out, stats, err := Semisort(a, &Config{Procs: 2, MaxSlotBytes: rec.RecordSize, ScatterStrategy: ScatterDovetail})
 	if err != nil {
 		t.Fatalf("scratch-capped dovetail semisort: %v", err)
 	}
@@ -557,7 +559,7 @@ func TestDovetailSlotCapFallsBack(t *testing.T) {
 		t.Errorf("Attempts = %d, want 1 (cap abort is not retryable)", stats.Attempts)
 	}
 
-	_, _, err = Semisort(a, &Config{Procs: 2, MaxSlotBytes: 512, ScatterStrategy: ScatterDovetail, DisableFallback: true})
+	_, _, err = Semisort(a, &Config{Procs: 2, MaxSlotBytes: rec.RecordSize, ScatterStrategy: ScatterDovetail, DisableFallback: true})
 	if !errors.Is(err, ErrOverflow) {
 		t.Fatalf("capped + DisableFallback err = %v, want ErrOverflow", err)
 	}

@@ -115,8 +115,10 @@ func TestObserverCleanRunTrace(t *testing.T) {
 // no pipeline sample and no buckets, the heavy keys and records its
 // nodes pulled out of their distribution passes, and PlannerRoutes
 // counting its nodes plus the top-level hand-off. The localsort span
-// names the "radix" kernel, and the MaxSlotBytes cap on its scratch
-// ends the allocate span with outcome "cap" before the fallback.
+// names the "radix" kernel, and the MaxSlotBytes cap on its child
+// scratch ends the localsort span with outcome "cap" before the
+// fallback: the kernel prices the scratch once its top pass has fixed
+// the children, after the allocate span has bound the output.
 func TestObserverDovetailRouteStats(t *testing.T) {
 	const n = 1 << 16
 	for _, tc := range []struct {
@@ -155,9 +157,12 @@ func TestObserverDovetailRouteStats(t *testing.T) {
 		}
 	}
 
+	// The top pass splits 2^16 unique keys into 128 children of about 512
+	// records, so two workers' slices need about 16 KiB: a 1 KiB cap
+	// binds.
 	a := mkRecords(n, 0, 7)
 	var col obsv.Collector
-	out, stats, err := Semisort(a, &Config{Procs: 2, Observer: &col, MaxSlotBytes: n * 8})
+	out, stats, err := Semisort(a, &Config{Procs: 2, Observer: &col, MaxSlotBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +172,9 @@ func TestObserverDovetailRouteStats(t *testing.T) {
 			stats.FallbackUsed, stats.Attempts)
 	}
 	spans := col.Spans()
-	wantPhases(t, phasesOf(spans, 0), []obsv.Phase{obsv.PhaseAllocate}, 0)
-	if spans[0].Outcome != obsv.OutcomeCap {
-		t.Errorf("capped allocate span outcome %q, want cap", spans[0].Outcome)
+	wantPhases(t, phasesOf(spans, 0), []obsv.Phase{obsv.PhaseAllocate, obsv.PhaseLocalSort}, 0)
+	if spans[0].Outcome != obsv.OutcomeOK || spans[1].Outcome != obsv.OutcomeCap {
+		t.Errorf("capped span outcomes %q, %q, want ok then cap", spans[0].Outcome, spans[1].Outcome)
 	}
 }
 

@@ -378,7 +378,7 @@ func (pl *plan) ensureOut() []rec.Record {
 // callers could otherwise feed a workspace's previous output back in as
 // input and have the scatter overwrite what it is reading), a fresh
 // allocation otherwise: exactly m when there is no destination, m plus
-// headroom when a destination was outgrown (regrowCap). The fused pack
+// headroom when a destination was outgrown (rec.RegrowCap). The fused pack
 // asks for its group count, not n.
 func (pl *plan) ensureOutN(m int) []rec.Record {
 	if dst := pl.dst; cap(dst) >= m && !sliceOverlaps(dst, pl.a) {
@@ -388,7 +388,7 @@ func (pl *plan) ensureOutN(m int) []rec.Record {
 		if old >= m {
 			old = 0 // aliased, not outgrown
 		}
-		pl.out = make([]rec.Record, m, regrowCap(old, m))
+		pl.out = make([]rec.Record, m, rec.RegrowCap(old, m))
 	}
 	return pl.out
 }

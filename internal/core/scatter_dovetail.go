@@ -8,10 +8,14 @@
 // pipeline-level sample, classification and heavy split in front of it
 // would only re-read the input.
 //
-// The kernel's top pass reads the caller's input straight into the radix
-// scratch (SemisortFrom), and its children group into the output, so the
-// route touches n records of output and n of scratch, priced against
-// Config.MaxSlotBytes. Warm runs allocate nothing at Procs 1 and a fixed
+// The kernel's top pass reads the caller's input straight into the output
+// (SemisortFrom), where its heavy groups are final, and each light child
+// then groups in place there through scratch the kernel's tables size to
+// the largest child. The route touches n records of output and only a
+// child's worth of scratch per worker; the kernel prices that scratch
+// against Config.MaxSlotBytes once its top pass has fixed the children,
+// and an over-cap call falls back with its input untouched. Warm runs
+// allocate nothing at Procs 1 and a fixed
 // number of goroutine closures at Procs > 1 (about 120 per call on a
 // light input, whatever its size; TestSteadyStateAllocsParallelDefault).
 //
@@ -24,30 +28,27 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/obsv"
 	"repro/internal/rec"
+	"repro/internal/sortint"
 )
 
 // dovetailRoute runs one attempt on the kernel. Its trace is an
-// "allocate" span (pricing and binding the output and radix scratch) and
-// a "localsort" span with kernel "radix" (the kernel call); there is one
-// phase gate, at the local sort.
+// "allocate" span (binding the output) and a "localsort" span with
+// kernel "radix" (the kernel call, whose outcome is "cap" when the child
+// scratch would exceed Config.MaxSlotBytes); there is one phase gate, at
+// the local sort.
 func (pl *plan) dovetailRoute() ([]rec.Record, error) {
 	if err := phaseGate(pl.ctx, "local sort"); err != nil {
 		return nil, err
 	}
 	pl.tr.phaseStart(pl.attempt, obsv.PhaseAllocate)
 	t0 := time.Now()
-	if err := pl.capScratch("dovetail radix scratch", int64(pl.n)*16); err != nil {
-		pl.stats.Phases.Buckets = time.Since(t0)
-		pl.tr.span(pl.attempt, obsv.PhaseAllocate, t0, obsv.OutcomeCap)
-		return nil, err
-	}
 	pl.ensureOut()
-	grow(&pl.ws.rxScratch, pl.n)
 	pl.stats.SlotsAllocated = pl.n
 	pl.stats.Phases.Buckets = time.Since(t0)
 	pl.tr.span(pl.attempt, obsv.PhaseAllocate, t0, obsv.OutcomeOK)
@@ -55,6 +56,11 @@ func (pl *plan) dovetailRoute() ([]rec.Record, error) {
 	pl.tr.phaseStart(pl.attempt, obsv.PhaseLocalSort)
 	t0 = time.Now()
 	if err := pl.tr.labeledPhase(pl, "localsort", (*plan).dovetailBody); err != nil {
+		if errors.Is(err, sortint.ErrScratchCap) {
+			pl.stats.Phases.LocalSort = time.Since(t0)
+			pl.tr.localSortSpan(pl.attempt, obsv.PhaseLocalSort, t0, obsv.OutcomeCap, "radix", 0)
+			return nil, fmt.Errorf("%w: dovetail child scratch: %w", errSlotCap, err)
+		}
 		pl.tr.localSortSpan(pl.attempt, obsv.PhaseLocalSort, t0, obsv.OutcomeCanceled, "radix", 0)
 		return nil, fmt.Errorf("semisort: canceled at local sort: %w", err)
 	}
@@ -75,5 +81,5 @@ func (pl *plan) dovetailRoute() ([]rec.Record, error) {
 }
 
 func (pl *plan) dovetailBody() error {
-	return pl.ws.rxTables.SemisortFrom(pl.ctx, pl.procs, pl.a, pl.out, pl.ws.rxScratch, &pl.dov)
+	return pl.ws.rxTables.SemisortFrom(pl.ctx, pl.procs, pl.a, pl.out, pl.cfg.MaxSlotBytes, &pl.dov)
 }

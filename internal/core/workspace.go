@@ -47,13 +47,11 @@ type Workspace struct {
 	cbase  []int32
 	bidCol []uint32 // one bucket id per record
 
-	// Dovetail route: scratch for the radix kernel's out-of-place
-	// distribution passes (one record per input record; priced against
-	// Config.MaxSlotBytes before it is grown), and the kernel's count
-	// tables (per-block histograms and per-worker count stacks, a few
-	// hundred KiB at most).
-	rxScratch []rec.Record
-	rxTables  sortint.DovetailTables
+	// Dovetail route: the radix kernel's tables — per-block histograms
+	// and per-worker count stacks (a few hundred KiB at most), and the
+	// child scratch SemisortFrom sizes to the largest child of its top
+	// pass (priced against Config.MaxSlotBytes before it grows).
+	rxTables sortint.DovetailTables
 
 	// Phase 4: per-worker fused-reduce arenas (reduce.go) and the
 	// size-aware schedule's prefix-sum/boundary buffers (localsort.go).
@@ -94,27 +92,14 @@ type Workspace struct {
 }
 
 // grow returns buf resized to length n, reallocating only when the
-// capacity is insufficient (to regrowCap). Contents are unspecified
+// capacity is insufficient (to rec.RegrowCap). Contents are unspecified
 // (callers overwrite).
 func grow[T any](buf *[]T, n int) []T {
 	if c := cap(*buf); c < n {
-		*buf = make([]T, n, regrowCap(c, n))
+		*buf = make([]T, n, rec.RegrowCap(c, n))
 	}
 	*buf = (*buf)[:n]
 	return *buf
-}
-
-// regrowCap is the capacity a buffer of capacity old gets when it must
-// hold n > old elements: exactly n the first time, n plus 1/8 headroom
-// when an existing buffer is outgrown. A caller whose sizes wander just
-// above a warm high-water mark (an out-of-core shuffle's near-equal
-// partitions) then reallocates once instead of at every new maximum,
-// while a one-shot call (a fresh Workspace) allocates no headroom.
-func regrowCap(old, n int) int {
-	if old == 0 {
-		return n
-	}
-	return n + n/8
 }
 
 // growClear is grow with the returned prefix zeroed.
@@ -222,7 +207,7 @@ func (w *Workspace) RetainedBytes() int64 {
 		cap(w.hist)+cap(w.counts)+cap(w.cbase)+cap(w.bidCol)) * 4
 	n += int64(cap(w.heavyRuns))*16 + int64(cap(w.buckets))*16 + int64(cap(w.heavyDir))*16
 	n += int64(cap(w.slots))*16 + int64(cap(w.occ))*4
-	n += int64(cap(w.rxScratch))*16 + w.rxTables.RetainedBytes()
+	n += w.rxTables.RetainedBytes()
 	arenas := w.lsArenas[:cap(w.lsArenas)]
 	for i := range arenas {
 		ar := &arenas[i]
@@ -249,7 +234,7 @@ func (w *Workspace) Release() {
 	w.runStarts, w.runCounts, w.blockHeavy = nil, nil, nil
 	w.heavyRuns, w.lightCounts, w.lightBucketOf, w.heavyDir = nil, nil, nil, nil
 	w.buckets, w.table, w.boost = nil, nil, nil
-	w.slots, w.occ, w.rxScratch = nil, nil, nil
+	w.slots, w.occ = nil, nil
 	w.rxTables.Release()
 	w.hist, w.counts, w.cbase, w.bidCol = nil, nil, nil, nil
 	w.lsArenas, w.lsFree, w.lsCum, w.lsBounds = nil, nil, nil, nil
@@ -272,7 +257,8 @@ func (w *Workspace) shrink(max int64) {
 		return
 	}
 	w.plan.clearRefs() // the plan aliases the buffers being dropped
-	w.slots, w.occ, w.rxScratch = nil, nil, nil
+	w.slots, w.occ = nil, nil
+	w.rxTables.ReleaseScratch()
 	w.redStage, w.redStageReps = nil, nil
 	if w.RetainedBytes() <= max {
 		return

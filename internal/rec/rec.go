@@ -105,3 +105,17 @@ func SamePermutation(a, b []Record) bool {
 	}
 	return true
 }
+
+// RegrowCap is the capacity a buffer of capacity old gets when it must
+// hold n > old elements: exactly n the first time, n plus 1/8 headroom
+// when an existing buffer is outgrown. A caller whose sizes wander just
+// above a warm high-water mark (an out-of-core shuffle's near-equal
+// partitions, the largest child of a radix pass) then reallocates once
+// instead of at every new maximum, while a one-shot call (a fresh
+// buffer) allocates no headroom.
+func RegrowCap(old, n int) int {
+	if old == 0 {
+		return n
+	}
+	return n + n/8
+}

@@ -103,8 +103,14 @@ func OpenAddressing(a []rec.Record) []rec.Record {
 // then allocating exact-size output ranges, then writing each record to
 // its range (the paper's "two-phase approach").
 func TwoPhase(a []rec.Record) []rec.Record {
+	return TwoPhaseInto(a, make([]rec.Record, len(a)))
+}
+
+// TwoPhaseInto is TwoPhase writing into out, which must hold len(a)
+// records and must not overlap a; it returns out[:len(a)].
+func TwoPhaseInto(a, out []rec.Record) []rec.Record {
 	n := len(a)
-	out := make([]rec.Record, n)
+	out = out[:n]
 	if n == 0 {
 		return out
 	}

@@ -111,25 +111,54 @@ func (s *DovetailStats) Add(other DovetailStats) {
 	s.HeavyRecords += other.HeavyRecords
 }
 
-// DovetailTables is caller-owned scratch for the count tables of a
-// dovetail semisort: the per-block histograms of the parallel passes and
-// one count stack per concurrent serial recursion (plus one for the bin
-// tables of the parallel nodes). A zero value is ready to use; it grows on first use
-// and is then reused, so warm runs keep their count tables off both the
-// heap and the goroutine stack. Not safe for concurrent semisorts.
+// DovetailTables is caller-owned scratch for a dovetail semisort: the
+// per-block histograms of the parallel passes, one count stack per
+// concurrent serial recursion (plus one for the bin tables of the
+// parallel nodes), and SemisortFrom's child scratch. A zero value is
+// ready to use; it grows on first use and is then reused, so warm runs
+// keep their tables off both the heap and the goroutine stack. Not safe
+// for concurrent semisorts.
 type DovetailTables struct {
 	hist   []int32  // parallel pass: nblocks × bins counts, then offsets
 	stacks []int32  // count stacks of dtStackLen entries each
 	free   chan int // free-list of worker stack indices (parallel runs)
+	// scratch is SemisortFrom's child scratch, sized to the children of
+	// the top pass (childScratch), not to the input.
+	scratch []rec.Record
 }
 
 // RetainedBytes reports the memory the tables pin.
 func (t *DovetailTables) RetainedBytes() int64 {
-	return int64(cap(t.hist)+cap(t.stacks)) * 4
+	return int64(cap(t.hist)+cap(t.stacks))*4 + int64(cap(t.scratch))*rec.RecordSize
 }
 
 // Release drops the tables; the next semisort regrows what it needs.
 func (t *DovetailTables) Release() { *t = DovetailTables{} }
+
+// ReleaseScratch drops only the child scratch, the tables' one buffer
+// that scales with the input.
+func (t *DovetailTables) ReleaseScratch() { t.scratch = nil }
+
+// childScratch returns the child scratch sliced to n records, growing it
+// to rec.RegrowCap when it is shorter, so that a largest child that
+// wanders just above its warm high-water mark reallocates once rather
+// than at every new maximum. maxBytes > 0 caps the scratch: n records
+// past it are an error wrapping ErrScratchCap, and the headroom never
+// crosses it.
+func (t *DovetailTables) childScratch(n int, maxBytes int64) ([]rec.Record, error) {
+	need := int64(n) * rec.RecordSize
+	if maxBytes > 0 && need > maxBytes {
+		return nil, fmt.Errorf("%w: children need %d bytes, cap %d", ErrScratchCap, need, maxBytes)
+	}
+	if c := cap(t.scratch); c < n {
+		size := rec.RegrowCap(c, n)
+		if maxBytes > 0 {
+			size = min(size, int(maxBytes/rec.RecordSize))
+		}
+		t.scratch = make([]rec.Record, size)
+	}
+	return t.scratch[:n], nil
+}
 
 // ensure sizes the tables for nstacks count stacks and refills the
 // free-list with stack indices [0, workers).
@@ -168,6 +197,7 @@ type dtState struct {
 	procs    int
 	ctx      context.Context
 	tab      *DovetailTables
+	capBytes int64 // SemisortFrom's cap on the child scratch (0: none)
 	radix    atomic.Int64
 	dovetail atomic.Int64
 	heavy    atomic.Int64
@@ -277,15 +307,25 @@ func (t *DovetailTables) Semisort(ctx context.Context, procs int, a, scratch []r
 }
 
 // SemisortFrom is Semisort out of place: it groups src into dst. The top
-// radix pass reads src straight into scratch, so src is never written
-// and no copy of it is made; the result is record for record what
-// copying src into dst and calling Semisort on dst would leave. dst and
-// scratch must each hold at least len(src) records (a shorter buffer is a
-// contract error wrapping ErrShortScratch, with dst untouched), and the
-// three buffers must not overlap. A canceled run leaves dst a
-// permutation of src with no grouping guarantee. Allocation is as for
-// Semisort.
-func (t *DovetailTables) SemisortFrom(ctx context.Context, procs int, src, dst, scratch []rec.Record, stats *DovetailStats) error {
+// radix pass reads src straight into dst, where its heavy groups land in
+// their final place, and every light child then groups in place inside
+// dst through child scratch the tables own: one slice per worker for
+// the serial subtrees, sized to the largest child below the parallel
+// cutoff, and one shared region for the larger children, which recurse
+// one at a time. src is never written and no copy of it is made; the
+// result is record for record what copying src into dst and calling
+// Semisort on dst would leave. dst must hold at least len(src) records
+// (a shorter buffer is a contract error wrapping ErrShortScratch, with
+// dst untouched), and the two must not overlap.
+//
+// maxScratch > 0 caps the child scratch in bytes (RecordSize per
+// record). It is checked once the top pass has fixed the children,
+// before the scratch grows: a call whose children need more returns an
+// error wrapping ErrScratchCap, with src untouched. A canceled run, or
+// one stopped by the cap, leaves dst a permutation of src with no
+// grouping guarantee. Allocation is as for Semisort once the child
+// scratch is warm.
+func (t *DovetailTables) SemisortFrom(ctx context.Context, procs int, src, dst []rec.Record, maxScratch int64, stats *DovetailStats) error {
 	n := len(src)
 	if len(dst) < n {
 		return fmt.Errorf("%w: destination has %d records, need %d", ErrShortScratch, len(dst), n)
@@ -294,21 +334,20 @@ func (t *DovetailTables) SemisortFrom(ctx context.Context, procs int, src, dst, 
 		copy(dst, src)
 		return nil
 	}
-	if len(scratch) < n {
-		return fmt.Errorf("%w: have %d records, need %d", ErrShortScratch, len(scratch), n)
-	}
 	procs = parallel.Procs(procs)
 	if procs == 1 || n < seqCutoff {
 		t.ensure(1, 0)
 		var st dtState
 		st.procs = 1
 		st.ctx = ctx
-		dtSerialFrom(&st, src, dst[:n], scratch[:n], 64, t.stack(0))
+		st.tab = t
+		st.capBytes = maxScratch
+		dtSerialFrom(&st, src, dst[:n], 64, t.stack(0))
 		return dtFinish(&st, stats)
 	}
 	t.ensure(procs+1, procs)
-	st := &dtState{procs: procs, ctx: ctx, tab: t}
-	dtParallelFrom(st, src, dst[:n], scratch[:n], 64, t.stack(procs))
+	st := &dtState{procs: procs, ctx: ctx, tab: t, capBytes: maxScratch}
+	dtParallelFrom(st, src, dst[:n], 64, t.stack(procs))
 	return dtFinish(st, stats)
 }
 
@@ -416,6 +455,22 @@ func (sp *dtSplit) heavyEnd() int {
 		return 0
 	}
 	return int(sp.ends[sp.nh-1])
+}
+
+// lightSizes returns the record counts of the largest light bin below
+// seqCutoff (a serial subtree of a parallel node) and of the largest one
+// at or above it (a parallel child), 0 when there is none.
+func (sp *dtSplit) lightSizes() (serial, par int) {
+	lo := sp.heavyEnd()
+	for _, e := range sp.ends[sp.nh:] {
+		if m := int(e) - lo; m < seqCutoff {
+			serial = max(serial, m)
+		} else {
+			par = max(par, m)
+		}
+		lo = int(e)
+	}
+	return serial, par
 }
 
 // dtSerialPass runs one node's distribution pass from src into dst: it
@@ -561,9 +616,11 @@ func dtSerial(st *dtState, a, scratch []rec.Record, rem int, stk []int32) {
 	dtSerialHome(st, scratch, a, sp, rem-sp.w, stk)
 }
 
-// dtSerialFrom is dtSerial reading src and leaving the result in dst: src
-// is never written, and scratch is clobbered.
-func dtSerialFrom(st *dtState, src, dst, scratch []rec.Record, rem int, stk []int32) {
+// dtSerialFrom is dtSerial reading src and leaving the result in dst; src
+// is never written. Its first pass scatters src into dst, then each light
+// child groups in place there through the tables' child scratch, sized
+// to the largest child.
+func dtSerialFrom(st *dtState, src, dst []rec.Record, rem int, stk []int32) {
 	if len(src) <= smallCutoff {
 		insertionSortInto(src, dst)
 		return
@@ -572,16 +629,30 @@ func dtSerialFrom(st *dtState, src, dst, scratch []rec.Record, rem int, stk []in
 		copy(dst, src)
 		return
 	}
-	sp, stop := dtSerialPass(st, src, scratch, rem, stk)
+	sp, stop := dtSerialPass(st, src, dst, rem, stk)
 	if stop {
 		copy(dst, src) // keep dst a permutation on a stopped run
 		return
 	}
 	if sp.ends == nil {
-		dtSerialFrom(st, src, dst, scratch, rem-sp.w, stk)
+		dtSerialFrom(st, src, dst, rem-sp.w, stk)
 		return
 	}
-	dtSerialHome(st, scratch, dst, sp, rem-sp.w, stk)
+	scratch, err := st.tab.childScratch(max(sp.lightSizes()), st.capBytes)
+	if err != nil {
+		st.fail(err)
+		return
+	}
+	// Heavy records landed in dst already — final.
+	lo := sp.heavyEnd()
+	child := stk[len(sp.ends):]
+	for _, e := range sp.ends[sp.nh:] {
+		hi := int(e)
+		if hi-lo > 1 {
+			dtSerial(st, dst[lo:hi], scratch[:hi-lo], rem-sp.w, child)
+		}
+		lo = hi
+	}
 }
 
 // dtSerialHome finishes a node whose pass left its records in data, with
@@ -677,38 +748,53 @@ func dtParallel(st *dtState, src, dst []rec.Record, rem int, stk []int32, into b
 	}
 	// The node's records now sit in dst; a child's home is dst when into
 	// is set, else src.
-	dtParallelChildren(st, dst, src, !into, sp, rem-sp.w, stk)
+	dtParallelChildren(st, dst, src, !into, false, sp, rem-sp.w, stk)
 }
 
-// dtParallelFrom is dtParallel reading src and leaving the result in dst:
-// src is never written, and scratch is clobbered.
-func dtParallelFrom(st *dtState, src, dst, scratch []rec.Record, rem int, stk []int32) {
+// dtParallelFrom is dtParallel reading src and leaving the result in dst;
+// src is never written. Its first pass scatters src into dst, then the
+// light children group in place there through the tables' child
+// scratch: procs worker slices of the largest serial subtree's size,
+// overlaid by the largest parallel child, which runs after every serial
+// subtree has finished.
+func dtParallelFrom(st *dtState, src, dst []rec.Record, rem int, stk []int32) {
 	if rem == 0 {
 		dtCopy(st.procs, dst, src)
 		return
 	}
-	sp, stop := dtParallelPass(st, src, scratch, rem, stk)
+	sp, stop := dtParallelPass(st, src, dst, rem, stk)
 	if stop {
 		dtCopy(st.procs, dst, src)
 		return
 	}
 	if sp.ends == nil {
-		dtParallelFrom(st, src, dst, scratch, rem-sp.w, stk)
+		dtParallelFrom(st, src, dst, rem-sp.w, stk)
 		return
 	}
-	dtParallelChildren(st, scratch, dst, true, sp, rem-sp.w, stk)
+	serial, par := sp.lightSizes()
+	scratch, err := st.tab.childScratch(max(st.procs*serial, par), st.capBytes)
+	if err != nil {
+		st.fail(err)
+		return
+	}
+	dtParallelChildren(st, dst, scratch, false, true, sp, rem-sp.w, stk)
 }
 
 // dtParallelChildren finishes a parallel node whose pass left its records
 // in data, grouping each light bin by its low crem key bits. With move
 // set the result belongs in other: the final heavy region moves there
 // once and every child groups into it. Otherwise the children group in
-// place in data, with other as their scratch.
-func dtParallelChildren(st *dtState, data, other []rec.Record, move bool, sp dtSplit, crem int, stk []int32) {
+// place in data, with other as their scratch: the bin's own range of
+// other, or, with pooled set, other is child scratch sized by
+// dtParallelFrom, whose worker slot s lends its serial subtrees the
+// s-th of st.procs equal slices and whose parallel children take its
+// front.
+func dtParallelChildren(st *dtState, data, other []rec.Record, move, pooled bool, sp dtSplit, crem int, stk []int32) {
 	heavyEnd := sp.heavyEnd()
 	if move {
 		dtCopy(st.procs, other[:heavyEnd], data[:heavyEnd])
 	}
+	wlen := len(other) / st.procs
 	light := sp.ends[sp.nh:]
 	parallel.For(st.procs, len(light), parallel.Grain(len(light), st.procs, 1), func(blo, bhi int) {
 		s := <-st.tab.free
@@ -720,7 +806,13 @@ func dtParallelChildren(st *dtState, data, other []rec.Record, move bool, sp dtS
 		for _, e := range light[blo:bhi] {
 			hi := int(e)
 			if hi-lo < seqCutoff && hi > lo {
-				dtSubtree(st, data[lo:hi], other[lo:hi], move, crem, wstk)
+				var aside []rec.Record
+				if pooled {
+					aside = other[s*wlen : s*wlen+hi-lo]
+				} else {
+					aside = other[lo:hi]
+				}
+				dtSubtree(st, data[lo:hi], aside, move, crem, wstk)
 			}
 			lo = hi
 		}
@@ -731,7 +823,13 @@ func dtParallelChildren(st *dtState, data, other []rec.Record, move bool, sp dtS
 	for _, e := range light {
 		hi := int(e)
 		if hi-lo >= seqCutoff {
-			dtParallel(st, data[lo:hi], other[lo:hi], crem, child, move)
+			var aside []rec.Record
+			if pooled {
+				aside = other[:hi-lo]
+			} else {
+				aside = other[lo:hi]
+			}
+			dtParallel(st, data[lo:hi], aside, crem, child, move)
 		}
 		lo = hi
 	}

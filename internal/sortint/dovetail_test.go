@@ -486,7 +486,7 @@ func TestDovetailFewKeyArrangementPinned(t *testing.T) {
 			}
 			dst := make([]rec.Record, c.n)
 			var tab DovetailTables
-			if err := tab.SemisortFrom(context.Background(), procs, src, dst, make([]rec.Record, c.n), nil); err != nil {
+			if err := tab.SemisortFrom(context.Background(), procs, src, dst, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 			if d := recDigest(dst); d != c.digest {
@@ -582,7 +582,7 @@ func dtCheckFrom(t *testing.T, label string, procs int, src []rec.Record) {
 	dst := make([]rec.Record, len(src))
 	var tab DovetailTables
 	var st DovetailStats
-	if err := tab.SemisortFrom(context.Background(), procs, src, dst, make([]rec.Record, len(src)), &st); err != nil {
+	if err := tab.SemisortFrom(context.Background(), procs, src, dst, 0, &st); err != nil {
 		t.Fatalf("%s: SemisortFrom: %v", label, err)
 	}
 	for i := range src {
@@ -625,26 +625,45 @@ func TestDovetailSemisortFromParallelChildren(t *testing.T) {
 	}
 }
 
+// Half the keys share their top 11 bits, so the top pass (8 bits at
+// 2^18 records) leaves one child of at least 2^17 records: a parallel
+// child that recurses in place through the shared front of the child
+// scratch while the other children run as serial subtrees through the
+// per-worker slices.
+func TestDovetailSemisortFromBigChild(t *testing.T) {
+	const n = 1 << 18
+	r := rand.New(rand.NewSource(11))
+	src := make([]rec.Record, n)
+	for i := range src {
+		k := r.Uint64()
+		if i%2 == 0 {
+			k = 0x5a5<<53 | k>>11
+		}
+		src[i] = rec.Record{Key: k, Value: uint64(i)}
+	}
+	for _, procs := range []int{2, 8} {
+		dtCheckFrom(t, fmt.Sprintf("p=%d", procs), procs, src)
+	}
+}
+
 func TestDovetailSemisortFromShortBuffers(t *testing.T) {
 	src := randRecords(10, 5, 1)
 	var tab DovetailTables
-	for _, c := range []struct {
-		name         string
-		dst, scratch int
-	}{{"dst", 9, 10}, {"scratch", 10, 4}} {
-		dst := make([]rec.Record, c.dst)
-		err := tab.SemisortFrom(context.Background(), 1, src, dst, make([]rec.Record, c.scratch), nil)
-		if !errors.Is(err, ErrShortScratch) {
-			t.Fatalf("short %s: err = %v, want ErrShortScratch", c.name, err)
-		}
-		for i := range dst {
-			if dst[i] != (rec.Record{}) {
-				t.Fatalf("short %s: dst written", c.name)
-			}
+	dst := make([]rec.Record, 9)
+	err := tab.SemisortFrom(context.Background(), 1, src, dst, 0, nil)
+	if !errors.Is(err, ErrShortScratch) {
+		t.Fatalf("short dst: err = %v, want ErrShortScratch", err)
+	}
+	for i := range dst {
+		if dst[i] != (rec.Record{}) {
+			t.Fatal("short dst: dst written")
 		}
 	}
 }
 
+// A stopped run — canceled before the top pass, or stopped by an injected
+// fault at a node below it, after the top pass has scattered src into
+// dst — leaves dst a permutation of src and src unwritten.
 func TestDovetailSemisortFromCancellation(t *testing.T) {
 	src := randRecords(200000, 50, 7)
 	orig := append([]rec.Record(nil), src...)
@@ -653,7 +672,7 @@ func TestDovetailSemisortFromCancellation(t *testing.T) {
 		cancel()
 		dst := make([]rec.Record, len(src))
 		var tab DovetailTables
-		err := tab.SemisortFrom(ctx, procs, src, dst, make([]rec.Record, len(src)), nil)
+		err := tab.SemisortFrom(ctx, procs, src, dst, 0, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("p=%d: err = %v, want context.Canceled", procs, err)
 		}
@@ -663,20 +682,136 @@ func TestDovetailSemisortFromCancellation(t *testing.T) {
 		if !rec.SamePermutation(orig, src) || src[0] != orig[0] {
 			t.Fatalf("p=%d: stopped run wrote src", procs)
 		}
+
+		inj := fault.New(1).Arm(fault.RadixNode, 1, 1) // the top node passes its gate
+		fault.Enable(inj)
+		clear(dst)
+		err = tab.SemisortFrom(context.Background(), procs, src, dst, 0, nil)
+		fault.Disable()
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("p=%d: fault below the top pass: err = %v, want ErrInjected", procs, err)
+		}
+		if !rec.SamePermutation(orig, dst) {
+			t.Fatalf("p=%d: faulted run's dst is not a permutation of src", procs)
+		}
+		for i := range src {
+			if src[i] != orig[i] {
+				t.Fatalf("p=%d: faulted run wrote src at %d", procs, i)
+			}
+		}
+	}
+}
+
+// The child-scratch cap binds once the top pass has fixed the children:
+// a cap below the largest child's bytes fails with ErrScratchCap before
+// the scratch grows, leaving src unwritten and dst a permutation of it;
+// a cap at exactly that size succeeds, and the scratch it grows (headroom
+// included) stays within the cap.
+func TestDovetailSemisortFromScratchCap(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		src := dtFromInputs(1<<16, 13)["mixed"]
+		orig := append([]rec.Record(nil), src...)
+		var probe DovetailTables
+		if err := probe.SemisortFrom(context.Background(), procs, src, make([]rec.Record, len(src)), 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		need := int64(cap(probe.scratch)) * rec.RecordSize
+		if need == 0 || need >= int64(len(src))*rec.RecordSize/4 {
+			t.Fatalf("p=%d: child scratch of %d bytes for a %d-record input", procs, need, len(src))
+		}
+
+		var tab DovetailTables
+		dst := make([]rec.Record, len(src))
+		err := tab.SemisortFrom(context.Background(), procs, src, dst, need-1, nil)
+		if !errors.Is(err, ErrScratchCap) {
+			t.Fatalf("p=%d: cap %d: err = %v, want ErrScratchCap", procs, need-1, err)
+		}
+		if tab.scratch != nil {
+			t.Fatalf("p=%d: over-cap call grew %d records of scratch", procs, cap(tab.scratch))
+		}
+		if !rec.SamePermutation(orig, dst) {
+			t.Fatalf("p=%d: over-cap call left dst not a permutation of src", procs)
+		}
+		for i := range src {
+			if src[i] != orig[i] {
+				t.Fatalf("p=%d: over-cap call wrote src at %d", procs, i)
+			}
+		}
+
+		// Outgrow a smaller warm scratch under a cap at exactly the need:
+		// the regrow's 1/8 headroom is clamped to the cap.
+		tab.scratch = make([]rec.Record, 1)
+		if err := tab.SemisortFrom(context.Background(), procs, src, dst, need, nil); err != nil {
+			t.Fatalf("p=%d: cap %d: %v", procs, need, err)
+		}
+		if got := int64(cap(tab.scratch)) * rec.RecordSize; got != need {
+			t.Fatalf("p=%d: scratch grew to %d bytes under a %d-byte cap", procs, got, need)
+		}
+		dtCheckGrouped(t, fmt.Sprintf("p=%d/capped", procs), dst, src)
+	}
+}
+
+// The child scratch is sized to the largest child, exactly the first
+// time; once outgrown it reserves 1/8 headroom, so a largest child that
+// wanders up to 1/8 above its high-water mark reallocates once, not at
+// every new maximum.
+func TestDovetailChildScratchRegrow(t *testing.T) {
+	const n = 4096 // one serial top pass of dtDigitBits(n, 64) = 10 bits
+	shift := uint(64 - dtDigitBits(n, 64))
+	input := func(m int) []rec.Record {
+		src := make([]rec.Record, n)
+		for i := range src {
+			k := uint64(i + 1) // the first m records: bin 0, distinct keys
+			if i >= m {
+				k |= uint64(1+i%1023) << shift // about 3 records per other bin
+			}
+			src[i] = rec.Record{Key: k, Value: uint64(i)}
+		}
+		return src
+	}
+	const m0 = 1000
+	var tab DovetailTables
+	dst := make([]rec.Record, n)
+	if err := tab.SemisortFrom(context.Background(), 1, input(m0), dst, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if cap(tab.scratch) != m0 {
+		t.Fatalf("first call: cap(scratch) = %d, want exactly the largest child %d", cap(tab.scratch), m0)
+	}
+	last := &tab.scratch[0]
+	reallocs := 0
+	for m := m0 + 1; m <= m0+m0/8; m += 8 {
+		src := input(m)
+		if err := tab.SemisortFrom(context.Background(), 1, src, dst, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		dtCheckGrouped(t, fmt.Sprintf("m=%d", m), dst, src)
+		if b := &tab.scratch[0]; b != last {
+			reallocs++
+			last = b
+		}
+	}
+	if reallocs != 1 {
+		t.Errorf("%d reallocations over largest children %d..%d, want 1", reallocs, m0+1, m0+m0/8)
+	}
+	if want := (m0 + 1) + (m0+1)/8; cap(tab.scratch) != want {
+		t.Errorf("after regrow: cap(scratch) = %d, want %d", cap(tab.scratch), want)
+	}
+	if got, want := tab.RetainedBytes(), int64(cap(tab.stacks))*4+int64(cap(tab.scratch))*rec.RecordSize; got != want {
+		t.Errorf("RetainedBytes() = %d, want %d (stacks plus child scratch)", got, want)
 	}
 }
 
 func TestDovetailSemisortFromSerialZeroAlloc(t *testing.T) {
 	src := randRecords(100000, 100, 5)
 	dst := make([]rec.Record, len(src))
-	scratch := make([]rec.Record, len(src))
 	var tab DovetailTables
 	var st DovetailStats
-	if err := tab.SemisortFrom(context.Background(), 1, src, dst, scratch, &st); err != nil {
+	if err := tab.SemisortFrom(context.Background(), 1, src, dst, 0, &st); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if err := tab.SemisortFrom(context.Background(), 1, src, dst, scratch, &st); err != nil {
+		if err := tab.SemisortFrom(context.Background(), 1, src, dst, 0, &st); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -687,35 +822,60 @@ func TestDovetailSemisortFromSerialZeroAlloc(t *testing.T) {
 
 // FuzzDovetailFrom checks SemisortFrom against copy + Semisort on fuzzed
 // keys. data supplies the keys, eight little-endian bytes each (a short
-// tail zero-padded); the key list repeats 1 + reps%128 times so that
-// small inputs also reach the parallel passes, and with reps&0x80 set
-// each repeat is made distinct (a light input) instead of a duplicate.
+// tail zero-padded); the key list repeats (1 + reps%128) << (scale%8)
+// times, capped at dtFuzzMaxRecords records, so that small inputs also
+// reach the parallel top pass (2^15 records) and children of that size.
+// With reps&0x80 set each repeat is made distinct instead of a
+// duplicate: spread over all 64 bits (a light input), or, with
+// scale&0x80 also set, shifted by the key count, so that small raw keys
+// stay a dense small range whose shared top bits the top passes skip
+// and whose first real pass can leave children of 2^15 records and more.
 func FuzzDovetailFrom(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), uint8(1))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 9, 9, 9}, uint8(64), uint8(2))
-	f.Add([]byte("dovetail radix semisort, out of place"), uint8(255), uint8(2))
-	f.Add([]byte{}, uint8(3), uint8(8))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), uint8(1), uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 9, 9, 9}, uint8(64), uint8(2), uint8(0))
+	f.Add([]byte("dovetail radix semisort, out of place"), uint8(255), uint8(2), uint8(0))
+	f.Add([]byte{}, uint8(3), uint8(8), uint8(0))
 	// One, two and sixteen keys, repeated into nodes between the insertion
 	// cutoff and the sampling cutoff: the one-key nodes' single-pass exit.
-	f.Add([]byte{0xef, 0xbe, 0xad, 0xde, 0, 0, 0, 0x80}, uint8(100), uint8(1))
-	f.Add([]byte("two keys, ab"), uint8(127), uint8(2))
+	f.Add([]byte{0xef, 0xbe, 0xad, 0xde, 0, 0, 0, 0x80}, uint8(100), uint8(1), uint8(0))
+	f.Add([]byte("two keys, ab"), uint8(127), uint8(2), uint8(0))
 	sixteen := make([]byte, 16*8)
 	for i := range sixteen {
 		sixteen[i] = byte(i*37 + 11)
 	}
-	f.Add(sixteen, uint8(100), uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, reps, procs uint8) {
+	f.Add(sixteen, uint8(100), uint8(2), uint8(0))
+	// Eight keys repeated distinct into 2^15 records: the parallel top pass.
+	f.Add(sixteen[:64], uint8(0xff), uint8(2), uint8(5))
+	// Small-range raw keys 0..7: repeated as duplicates, as a dense range
+	// of 1,632 keys, and as a dense range of 2^16 keys whose first real
+	// pass splits on bit 15 into two children of 2^15 records.
+	small := make([]byte, 8*8)
+	for i := 0; i < 8; i++ {
+		small[i*8] = byte(i)
+	}
+	f.Add(small, uint8(100), uint8(2), uint8(3))
+	f.Add(small, uint8(0x80|50), uint8(1), uint8(0x80|2))
+	f.Add(small, uint8(0xff), uint8(2), uint8(0x80|6))
+	f.Add(small, uint8(0xff), uint8(8), uint8(0x80|6))
+	f.Fuzz(func(t *testing.T, data []byte, reps, procs, scale uint8) {
 		var keys []uint64
 		for i := 0; i < len(data); i += 8 {
 			var kb [8]byte
 			copy(kb[:], data[i:])
 			keys = append(keys, binary.LittleEndian.Uint64(kb[:]))
 		}
-		copies := 1 + int(reps%128)
+		copies := (1 + int(reps%128)) << (scale % 8)
+		if len(keys) > 0 {
+			copies = min(copies, max(1, dtFuzzMaxRecords/len(keys)))
+		}
 		src := make([]rec.Record, 0, len(keys)*copies)
 		for c := 0; c < copies; c++ {
 			for _, k := range keys {
-				if reps&0x80 != 0 {
+				switch {
+				case reps&0x80 == 0:
+				case scale&0x80 != 0:
+					k += uint64(c * len(keys))
+				default:
 					k ^= uint64(c) * 0x9e3779b97f4a7c15
 				}
 				src = append(src, rec.Record{Key: k, Value: uint64(len(src))})
@@ -724,3 +884,7 @@ func FuzzDovetailFrom(f *testing.F) {
 		dtCheckFrom(t, "fuzz", 1+int(procs%8), src)
 	})
 }
+
+// dtFuzzMaxRecords caps a FuzzDovetailFrom input: large enough for a
+// top-level child of 2^15 records, small enough to keep runs fast.
+const dtFuzzMaxRecords = 1 << 17

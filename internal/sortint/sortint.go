@@ -30,6 +30,10 @@ import (
 // input; sized errors from this package wrap it.
 var ErrShortScratch = errors.New("sortint: scratch buffer too small")
 
+// ErrScratchCap reports a SemisortFrom call whose child scratch would
+// exceed the caller's byte cap; the input is untouched.
+var ErrScratchCap = errors.New("sortint: child scratch over cap")
+
 const (
 	radixBits    = 8
 	radixBuckets = 1 << radixBits
