@@ -58,9 +58,10 @@ sweep:
 	$(GO) test -race -count=2 -run 'Spectrum|Dovetail|Classif' ./internal/core/ ./internal/sortint/ .
 
 # sample-sweep mirrors the CI Phase 1 sample step: the one-round
-# sample's shape and its byte-determinism across proc counts and boosted
-# retries, the sample-rate differential matrix, and the sampled-vs-kernel
-# route split, under the race detector with warm-workspace repetition.
+# sample's shape and its byte-determinism across proc counts and Las
+# Vegas restarts, the sample-rate differential matrix, and the
+# sampled-vs-kernel route split, under the race detector with
+# warm-workspace repetition.
 sample-sweep:
 	$(GO) test -race -count=2 -run 'Sampl' ./internal/core/ .
 
@@ -74,8 +75,8 @@ soak-smoke:
 
 # outofcore-smoke mirrors the CI job of the same name: the external
 # shuffle's fault/resume suite under the race detector, then the
-# out-of-core experiment at a small size — serial ablation vs pipelined
-# vs compressed, plus the injected-fault resume demonstration.
+# out-of-core experiment at a small size — in-memory vs pipelined vs
+# compressed, plus the injected-fault resume demonstration.
 outofcore-smoke:
 	$(GO) test -race -count=2 ./external/
 	$(GO) run ./cmd/semibench -experiment outofcore -n 2e5 -procs 2 -reps 2

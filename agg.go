@@ -15,17 +15,12 @@ package semisort
 
 import (
 	"errors"
-	"fmt"
-	"hash/maphash"
 	"math"
 	"reflect"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/obsv"
-	"repro/internal/parallel"
 	"repro/internal/rec"
 )
 
@@ -60,80 +55,39 @@ type Reduction[T, A any] struct {
 // noCell is the fused accumulator sentinel: "no slab cell assigned yet".
 const noCell = ^uint64(0)
 
-// fusedReduce hashes every item's key to a 64-bit record (Value = item
-// index) and runs the fused core reduce over the hashes, retrying with a
-// fresh hash seed when the spec's callbacks report a 64-bit collision
-// between distinct keys via collided (the Las Vegas conversion By uses,
-// with the verification riding inside the fold instead of a second
-// pass). Every hash-seed attempt starts from a clear collided flag and,
-// when reset is non-nil, calls reset first so a spec keeping state behind
-// its accumulators (ReduceBy's cell slab) starts empty. The returned
-// group records and representative indices are valid until the
+// fusedReduce runs the fused core reduce over the items' key hashes
+// (hashRetry), rehashing when the spec's callbacks report a 64-bit
+// collision between distinct keys via collided (the Las Vegas conversion
+// By uses, with the verification riding inside the fold instead of a
+// second pass). Every hash-seed attempt starts from a clear collided flag
+// and, when reset is non-nil, calls reset first so a spec keeping state
+// behind its accumulators (ReduceBy's cell slab) starts empty. The
+// returned group records and representative indices are valid until the
 // function's workspace is garbage-collected; err wraps *PanicError if a
 // user callback panicked on a pipeline worker.
 func fusedReduce[T any, K comparable](items []T, key func(T) K, cfg *Config,
-	sp core.ReduceSpec, collided *atomic.Bool, reset func()) (out []rec.Record, reps []uint64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			pe, ok := r.(*parallel.PanicError)
-			if !ok {
-				panic(r) // not from a fork–join worker; let it crash
-			}
-			out, reps, err = nil, nil, fmt.Errorf("semisort: panic in user callback: %w", pe)
-		}
-	}()
-	n := len(items)
-	procs := 0
-	var obs obsv.Observer
-	if cfg != nil {
-		procs = cfg.Procs
-		obs = cfg.Observer
-	}
-	var epoch time.Time
-	if obs != nil {
-		epoch = time.Now()
-	}
-	recs := make([]rec.Record, n)
+	sp core.ReduceSpec, collided *atomic.Bool, reset func()) ([]rec.Record, []uint64, error) {
 	var ws core.Workspace
-	var lastErr error
-	for attempt := 0; attempt < genericRetries; attempt++ {
+	var out []rec.Record
+	var reps []uint64
+	err := hashRetry(items, key, cfg, func(recs []rec.Record, _ spanFunc) (bool, error) {
 		collided.Store(false)
 		if reset != nil {
 			reset()
 		}
-		seed := maphash.MakeSeed()
-		if obs != nil {
-			obs.PhaseStart(attempt, obsv.PhaseHash)
-		}
-		t0 := time.Now()
-		parallel.For(procs, n, 2048, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				recs[i] = rec.Record{
-					Key:   maphash.Comparable(seed, key(items[i])),
-					Value: uint64(i),
-				}
-			}
-		})
-		if obs != nil {
-			obs.PhaseEnd(obsv.Span{
-				Attempt: attempt, Phase: obsv.PhaseHash,
-				Start: t0.Sub(epoch), Duration: time.Since(t0),
-				Outcome: obsv.OutcomeOK,
-			})
-		}
-		out, reps, _, err := core.ReduceShared(&ws, recs, cfg, sp)
-		if err != nil {
-			return nil, nil, err
+		var err error
+		if out, reps, _, err = core.ReduceShared(&ws, recs, cfg, sp); err != nil {
+			return false, err
 		}
 		if fault.Should(fault.HashCollision) {
 			collided.Store(true)
 		}
-		if !collided.Load() {
-			return out, reps, nil
-		}
-		lastErr = fmt.Errorf("semisort: 64-bit hash collision between distinct keys (attempt %d)", attempt+1)
+		return !collided.Load(), nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, lastErr
+	return out, reps, nil
 }
 
 // sameKey is the Las Vegas check every fused fold and merge runs: items

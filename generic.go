@@ -34,16 +34,7 @@ const genericRetries = 4
 // By is panic-safe: a panic in key while it runs on a parallel worker is
 // captured and returned as an error wrapping *PanicError, carrying the
 // original panic value and the worker stack.
-func By[T any, K comparable](items []T, key func(T) K, cfg *Config) (out []T, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			pe, ok := r.(*parallel.PanicError)
-			if !ok {
-				panic(r) // not from a fork–join worker; let it crash
-			}
-			out, err = nil, fmt.Errorf("semisort: panic in user callback: %w", pe)
-		}
-	}()
+func By[T any, K comparable](items []T, key func(T) K, cfg *Config) ([]T, error) {
 	recs, err := semisortedBy(items, key, cfg)
 	if err != nil {
 		return nil, err
@@ -55,11 +46,7 @@ func By[T any, K comparable](items []T, key func(T) K, cfg *Config) (out []T, er
 // them: the result's i-th item is items[recs[i].Value].
 func gatherBy[T any](items []T, recs []rec.Record, cfg *Config) []T {
 	out := make([]T, len(recs))
-	procs := 0
-	if cfg != nil {
-		procs = cfg.Procs
-	}
-	parallel.For(procs, len(recs), 4096, func(lo, hi int) {
+	parallel.For(cfgProcs(cfg), len(recs), 4096, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = items[recs[i].Value]
 		}
@@ -106,57 +93,92 @@ func CollectGroups[T any, K comparable](items []T, key func(T) K, cfg *Config) (
 }
 
 // semisortedBy hashes every item's key to a record {hash, item index},
-// semisorts the records and verifies that equal hashes mean equal keys,
-// rehashing with a fresh seed on a collision. It returns the verified
-// semisorted records: visiting items[r.Value] for each r in order yields
-// items grouped by key. The records live in the call's own workspace, so
+// semisorts the records and verifies that equal hashes mean equal keys
+// (hashRetry rehashes on a collision). It returns the verified semisorted
+// records: visiting items[r.Value] for each r in order yields items
+// grouped by key. The records live in the call's own workspace, so
 // callers gather straight from them instead of copying out a permutation.
 //
-// With a Config.Observer set, each rehash attempt contributes a "hash"
-// span (keys → 64-bit records) and a "verify" span (the collision check)
-// around the core semisort's own trace; their Attempt index is the rehash
-// attempt, and a verify span that found a collision ends with outcome
-// "collision".
+// With a Config.Observer set, each rehash attempt adds a "verify" span
+// (the collision check) after hashRetry's "hash" span and the core
+// semisort's own trace; a verify span that found a collision ends with
+// outcome "collision".
 func semisortedBy[T any, K comparable](items []T, key func(T) K, cfg *Config) ([]rec.Record, error) {
-	n := len(items)
-	procs := 0
-	var obs obsv.Observer
-	if cfg != nil {
-		procs = cfg.Procs
-		obs = cfg.Observer
-	}
-	var epoch time.Time
-	if obs != nil {
-		epoch = time.Now()
-	}
-	span := func(attempt int, ph obsv.Phase, fn func() string) {
-		if obs == nil {
-			fn()
-			return
+	// One workspace for all rehash attempts: a collision retry (or a Las
+	// Vegas restart inside the core) reuses the first attempt's buffers.
+	// The returned records are the workspace's shared output; the rest of
+	// the workspace dies with this call.
+	var ws core.Workspace
+	var out []rec.Record
+	err := hashRetry(items, key, cfg, func(recs []rec.Record, span spanFunc) (bool, error) {
+		var err error
+		if out, _, err = core.SemisortShared(&ws, recs, cfg); err != nil {
+			return false, err
 		}
-		obs.PhaseStart(attempt, ph)
-		t0 := time.Now()
-		outcome := fn()
-		obs.PhaseEnd(obsv.Span{
-			Attempt:  attempt,
-			Phase:    ph,
-			Start:    t0.Sub(epoch),
-			Duration: time.Since(t0),
-			Outcome:  outcome,
+		collided := false
+		span(obsv.PhaseVerify, func() string {
+			if collided = hasCollision(cfgProcs(cfg), out, items, key); collided {
+				return obsv.OutcomeCollision
+			}
+			return obsv.OutcomeOK
 		})
+		return !collided, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// spanFunc runs fn as one traced phase of the current hash attempt; fn
+// returns the span's outcome.
+type spanFunc func(ph obsv.Phase, fn func() string)
+
+// hashRetry is the generic front end's Las Vegas loop, shared by the
+// grouping calls (semisortedBy) and the fused reductions (fusedReduce).
+// Each attempt hashes every item's key with a fresh seed into a record
+// {hash, item index}, traced as a "hash" span whose Attempt is the
+// rehash attempt, then hands the records to run, which reports whether
+// the grouping it built is free of 64-bit collisions between distinct
+// keys. A collision retries with a new seed, up to genericRetries
+// attempts. A panic in a user callback on a fork–join worker, in the hash
+// pass or inside run, comes back as an error wrapping *PanicError.
+func hashRetry[T any, K comparable](items []T, key func(T) K, cfg *Config,
+	run func(recs []rec.Record, span spanFunc) (ok bool, err error)) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			pe, ok := r.(*parallel.PanicError)
+			if !ok {
+				panic(r) // not from a fork–join worker; let it crash
+			}
+			err = fmt.Errorf("semisort: panic in user callback: %w", pe)
+		}
+	}()
+	n := len(items)
+	procs := cfgProcs(cfg)
+	var obs obsv.Observer
+	var epoch time.Time
+	if cfg != nil && cfg.Observer != nil {
+		obs, epoch = cfg.Observer, time.Now()
 	}
 	recs := make([]rec.Record, n)
-
-	// One workspace for all rehash attempts: a collision retry (or a Las
-	// Vegas retry inside the core) reuses the first attempt's buffers. The
-	// returned records are the workspace's shared output; the rest of the
-	// workspace dies with this call.
-	var ws core.Workspace
-
-	var lastErr error
 	for attempt := 0; attempt < genericRetries; attempt++ {
+		span := func(ph obsv.Phase, fn func() string) {
+			if obs == nil {
+				fn()
+				return
+			}
+			obs.PhaseStart(attempt, ph)
+			t0 := time.Now()
+			outcome := fn()
+			obs.PhaseEnd(obsv.Span{
+				Attempt: attempt, Phase: ph,
+				Start: t0.Sub(epoch), Duration: time.Since(t0),
+				Outcome: outcome,
+			})
+		}
 		seed := maphash.MakeSeed()
-		span(attempt, obsv.PhaseHash, func() string {
+		span(obsv.PhaseHash, func() string {
 			parallel.For(procs, n, 2048, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					recs[i] = rec.Record{
@@ -167,23 +189,23 @@ func semisortedBy[T any, K comparable](items []T, key func(T) K, cfg *Config) ([
 			})
 			return obsv.OutcomeOK
 		})
-		out, _, err := core.SemisortShared(&ws, recs, cfg)
+		ok, err := run(recs, span)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		collided := false
-		span(attempt, obsv.PhaseVerify, func() string {
-			if collided = hasCollision(procs, out, items, key); collided {
-				return obsv.OutcomeCollision
-			}
-			return obsv.OutcomeOK
-		})
-		if !collided {
-			return out, nil
+		if ok {
+			return nil
 		}
-		lastErr = fmt.Errorf("semisort: 64-bit hash collision between distinct keys (attempt %d)", attempt+1)
 	}
-	return nil, lastErr
+	return fmt.Errorf("semisort: 64-bit hash collision between distinct keys (attempt %d)", genericRetries)
+}
+
+// cfgProcs is cfg.Procs, or 0 (all cores) for a nil cfg.
+func cfgProcs(cfg *Config) int {
+	if cfg == nil {
+		return 0
+	}
+	return cfg.Procs
 }
 
 // hasCollision reports whether any run of equal hashes contains two

@@ -164,37 +164,25 @@ func MeasureBaseline(o Options) Baseline {
 	}
 
 	// Out-of-core path: end-to-end shuffle (spill + read-back + per-
-	// partition semisort) on the heavy workload, serial ablation and
-	// pipelined, so a regression in the spill encoding, the writer pool or
-	// the prefetcher fails the same gate. Same back-compat convention:
-	// Compare gates only the keys the stored baseline has.
-	outofcore := map[string]time.Duration{}
-	for name, serial := range map[string]bool{
-		"outofcore_serial":    true,
-		"outofcore_pipelined": false,
-	} {
-		var cfg external.Config
-		cfg.Partitions = 8
-		cfg.Serial = serial
-		cfg.Semisort.Procs = P
-		cfg.Semisort.Seed = o.Seed + 7
-		d := timeIt(o.Reps, func() {
-			sh, err := external.NewShuffler(&cfg)
-			if err != nil {
-				panic(err)
-			}
-			if err := sh.AddBatch(exp); err != nil {
-				panic(err)
-			}
-			if err := sh.ForEachGroup(func(uint64, []rec.Record) error { return nil }); err != nil {
-				panic(err)
-			}
-		})
-		outofcore[name] = d
-	}
-	for name, d := range outofcore {
-		b.PhasesSec[name] = d.Seconds()
-	}
+	// partition semisort) on the heavy workload, so a regression in the
+	// spill encoding, the writer pool or the prefetcher fails the same
+	// gate.
+	var shufCfg external.Config
+	shufCfg.Partitions = 8
+	shufCfg.Semisort.Procs = P
+	shufCfg.Semisort.Seed = o.Seed + 7
+	b.PhasesSec["outofcore_pipelined"] = timeIt(o.Reps, func() {
+		sh, err := external.NewShuffler(&shufCfg)
+		if err != nil {
+			panic(err)
+		}
+		if err := sh.AddBatch(exp); err != nil {
+			panic(err)
+		}
+		if err := sh.ForEachGroup(func(uint64, []rec.Record) error { return nil }); err != nil {
+			panic(err)
+		}
+	}).Seconds()
 
 	// Steady-state allocations per call, one worker, warm workspace: the
 	// zero-allocation contract of the pipeline-over-Workspace design. Kept

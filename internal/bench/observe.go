@@ -13,9 +13,10 @@ import (
 // RunObserve runs the semisort under full instrumentation — a trace
 // Observer plus the scheduler counters — and renders what the paper's
 // clean timing tables cannot show: the span-level phase breakdown
-// (including any retry attempts) and how the fork–join runtime moved
-// the records. With Options.TracePath set it also writes the JSON-lines
-// trace that the docs/OBSERVABILITY.md workflow consumes.
+// (including any Las Vegas restarts, each a full attempt from Phase 1)
+// and how the fork–join runtime moved the records. With
+// Options.TracePath set it also writes the JSON-lines trace that the
+// docs/OBSERVABILITY.md workflow consumes.
 func RunObserve(o Options) []*Table {
 	o = o.withDefaults()
 	P := o.MaxProcs()
@@ -97,8 +98,9 @@ func RunObserve(o Options) []*Table {
 			secs(g.sum/time.Duration(g.count)), share)
 	}
 	spanTable.Notes = append(spanTable.Notes,
-		fmt.Sprintf("best rep: attempts=%d retries=%d fallback=%v (spans cover all %d reps)",
-			best.Attempts, best.Retries, best.FallbackUsed, o.Reps),
+		fmt.Sprintf("best rep: attempts=%d restarts=%d slack=%.2f fallback=%v (spans cover all %d reps)",
+			best.Attempts, best.Retries, best.EffectiveSlack, best.FallbackUsed, o.Reps),
+		"a restart redraws the sample and doubles the slack: its attempt starts with kind resample and runs every phase again",
 		"classify+allocate shares are folded into the bucket-construction time; see share of scatter vs the paper's ~50-70%")
 
 	schedTable := &Table{

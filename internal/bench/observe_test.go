@@ -82,13 +82,16 @@ func TestRunObserveTraceShowsRetries(t *testing.T) {
 	if len(starts) != 3 || len(ends) != 3 {
 		t.Fatalf("attempt starts/ends = %d/%d, want 3/3 (two overflows + success)", len(starts), len(ends))
 	}
-	if starts[0].Kind != "fresh" || starts[1].Kind != "boosted" {
-		t.Errorf("attempt kinds = %q, %q, want fresh, boosted", starts[0].Kind, starts[1].Kind)
+	if starts[0].Kind != "fresh" || starts[1].Kind != "resample" || starts[2].Kind != "resample" {
+		t.Errorf("attempt kinds = %q, %q, %q, want fresh, resample, resample",
+			starts[0].Kind, starts[1].Kind, starts[2].Kind)
 	}
+	// Every attempt, restarts included, draws its own sample before the
+	// scatter the injected overflow cuts short.
 	for attempt := 0; attempt < 2; attempt++ {
 		m := spansPerAttempt[attempt]
-		if m["scatter"] != 1 {
-			t.Errorf("attempt %d: scatter spans = %d, want 1", attempt, m["scatter"])
+		if m["sample"] != 1 || m["scatter"] != 1 {
+			t.Errorf("attempt %d: sample/scatter spans = %d/%d, want 1/1", attempt, m["sample"], m["scatter"])
 		}
 		if ends[attempt].Outcome != "overflow" {
 			t.Errorf("attempt %d outcome = %q, want overflow", attempt, ends[attempt].Outcome)

@@ -296,24 +296,6 @@ func TestDovetailRouteRetainedBytes(t *testing.T) {
 	}
 }
 
-// TestBoostMapRetained: the retry ladder's per-bucket boost map is
-// workspace-owned — armed retries reuse one cleared map instead of
-// allocating a fresh one per overflowing call.
-func TestBoostMapRetained(t *testing.T) {
-	ws := &Workspace{}
-	m1 := ws.getBoost()
-	m1[3] = 4
-	m1[9] = 16
-	m2 := ws.getBoost()
-	if len(m2) != 0 {
-		t.Fatalf("getBoost returned a non-empty map: %v", m2)
-	}
-	m2[1] = 2
-	if len(m1) != 1 {
-		t.Fatal("getBoost did not return the retained map")
-	}
-}
-
 // coreParallelAllocBound is the allocation budget of a warm default-route
 // SemisortShared at Procs 2 on a light input: the goroutines and closures
 // of each phase's parallel loops, about 120 in all (the radix kernel's

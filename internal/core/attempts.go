@@ -2,8 +2,8 @@
 // Section 3. Every call runs attempt 0. The counting and dovetail routes
 // place records at exact offsets and cannot overflow, so only the probing
 // route (a plain ScatterProbing call, resolveScatter), whose f(s)-sized
-// buckets can, ever gets past it:
-// an overflowed attempt is detected and retried with more room.
+// buckets can, ever gets past it: an overflowed attempt restarts from
+// Phase 1 with fresh randomness and doubled slack.
 package core
 
 import (
@@ -16,40 +16,33 @@ import (
 	"repro/internal/seqsemi"
 )
 
-// runAttempts runs up to c.MaxRetries attempts. The policy is adaptive:
-// the first two retries on a sample keep it (bucket ids are stable for a
-// fixed sample) and regrow only the buckets that overflowed, 4x per retry
-// (kind "boosted"); when boosting does not converge, the next attempt
-// draws a fresh sample with doubled slack (kind "resample"). Exhaustion,
-// or an attempt past Config.MaxSlotBytes, degrades to plan.fallback. c is
-// the driver's own copy: its Slack doubles as the ladder escalates.
+// maxAttempts bounds the probing route's Las Vegas attempts; once they
+// are spent the call degrades to plan.fallback.
+const maxAttempts = 4
+
+// runAttempts runs up to maxAttempts attempts, by the paper's one rule:
+// an attempt whose buckets overflow restarts from Phase 1 with fresh
+// randomness (attempt k draws sample seed k) and doubled slack (kind
+// "resample"). Exhaustion, or an attempt past Config.MaxSlotBytes,
+// degrades to plan.fallback. c is the driver's own copy: its Slack
+// doubles on every restart.
 func runAttempts(ws *Workspace, dst, a []rec.Record, c Config, tr *tracer, red *ReduceSpec) ([]rec.Record, []uint64, Stats, error) {
 	pl := &ws.plan
 	var (
 		stats           Stats
-		boost           map[int32]float64 // bucket id → size multiplier
-		boostRetries    int               // boosted retries on the current sample
-		sampleAttempt   int               // bumped only when we resample
 		overflowBuckets int
 		overflowDeficit int
 	)
-	for attempt := 0; attempt < c.MaxRetries; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if cerr := ctxErr(c.Context); cerr != nil {
 			return nil, nil, stats, fmt.Errorf("semisort: canceled: %w", cerr)
 		}
 		kind := obsv.AttemptFresh
-		switch {
-		case attempt == 0:
-		case boost != nil:
-			kind = obsv.AttemptBoosted
-		default:
+		if attempt > 0 {
 			kind = obsv.AttemptResample
 		}
-		tr.attemptStart(obsv.Attempt{
-			Index: attempt, Kind: kind,
-			Slack: c.Slack, BoostedBuckets: len(boost),
-		})
-		pl.begin(ws, a, dst, &c, sampleAttempt, attempt, boost, tr, red)
+		tr.attemptStart(obsv.Attempt{Index: attempt, Kind: kind, Slack: c.Slack})
+		pl.begin(ws, a, dst, &c, attempt, tr, red)
 		res, oerr := semisortOnce(pl)
 		stats = pl.stats
 		stats.Retries = attempt
@@ -78,16 +71,6 @@ func runAttempts(ws *Workspace, dst, a []rec.Record, c Config, tr *tracer, red *
 				Index: attempt, Outcome: obsv.OutcomeOverflow,
 				OverflowedBuckets: len(of.buckets),
 			})
-			if boostRetries < 2 {
-				if boost == nil {
-					boost = ws.getBoost()
-				}
-				for id := range of.buckets {
-					boost[id] = max(boost[id], 1) * 4
-				}
-				boostRetries++
-				continue
-			}
 		default:
 			// Cancellation, an injected fault or an internal invariant
 			// violation: not retryable.
@@ -98,8 +81,6 @@ func runAttempts(ws *Workspace, dst, a []rec.Record, c Config, tr *tracer, red *
 			tr.attemptEnd(obsv.AttemptEnd{Index: attempt, Outcome: outcome})
 			return nil, nil, stats, fmt.Errorf("semisort failed after %d attempts: %w", attempt+1, oerr)
 		}
-		boost, boostRetries = nil, 0
-		sampleAttempt++
 		c.Slack *= 2
 	}
 	return pl.fallback(stats, "retries exhausted")
@@ -158,20 +139,9 @@ func (pl *plan) fallback(stats Stats, why string) (out []rec.Record, reps []uint
 	return out, reps, stats, nil
 }
 
-// getBoost returns the retained (cleared) per-bucket boost map for the
-// retry ladder.
-func (w *Workspace) getBoost() map[int32]float64 {
-	if w.boost == nil {
-		w.boost = make(map[int32]float64, 8)
-	} else {
-		clear(w.boost)
-	}
-	return w.boost
-}
-
 // overflowError is an ErrOverflow carrying which buckets overflowed and
-// how many failed placements were observed, so the retry can regrow only
-// the deficient region.
+// how many failed placements were observed (Stats.OverflowedBuckets and
+// OverflowDeficit).
 type overflowError struct {
 	buckets map[int32]int32 // bucket id → failed placements observed
 }

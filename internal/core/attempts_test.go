@@ -117,23 +117,23 @@ func attemptKinds(col *obsv.Collector) []string {
 	return kinds
 }
 
-// The probing ladder's escalation, pinned: three injected overflows, each
-// naming one deficient bucket, spend the two boosted retries on the
-// sample and then resample with doubled slack, and the fourth attempt
-// succeeds. Only a plain ScatterProbing call climbs the ladder: a fused
-// reduce runs counting (TestReduceRetryNoDoubleCount).
+// The probing route's one recovery rule, pinned: three injected
+// overflows, each naming one deficient bucket, each restart from Phase 1
+// with a fresh sample and doubled slack, and the fourth attempt, the
+// last one allowed, succeeds. Only a plain ScatterProbing call restarts:
+// a fused reduce runs counting (TestReduceRetryNoDoubleCount).
 func TestProbeLadderResample(t *testing.T) {
 	a := mkRecords(30000, 200, 22)
 	inj := fault.New(1).Arm(fault.ScatterOverflow, 0, 3)
 	withInjector(t, inj)
 	var col obsv.Collector
-	cfg := &Config{Procs: 2, MaxRetries: 5, Slack: 1.5, ScatterStrategy: ScatterProbing, Observer: &col}
+	cfg := &Config{Procs: 2, Slack: 1.5, ScatterStrategy: ScatterProbing, Observer: &col}
 	out, stats, err := Semisort(a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSemisorted(t, "ladder", a, out)
-	want := []string{obsv.AttemptFresh, obsv.AttemptBoosted, obsv.AttemptBoosted, obsv.AttemptResample}
+	checkSemisorted(t, "restarts", a, out)
+	want := []string{obsv.AttemptFresh, obsv.AttemptResample, obsv.AttemptResample, obsv.AttemptResample}
 	if got := attemptKinds(&col); !slices.Equal(got, want) {
 		t.Errorf("attempt kinds %v, want %v", got, want)
 	}
@@ -141,8 +141,13 @@ func TestProbeLadderResample(t *testing.T) {
 		t.Errorf("Attempts=%d Retries=%d FallbackUsed=%v, want 4, 3, false",
 			stats.Attempts, stats.Retries, stats.FallbackUsed)
 	}
-	if stats.EffectiveSlack != 2*1.5 {
-		t.Errorf("EffectiveSlack = %v, want %v", stats.EffectiveSlack, 2*1.5)
+	if stats.EffectiveSlack != 8*1.5 {
+		t.Errorf("EffectiveSlack = %v, want %v", stats.EffectiveSlack, 8*1.5)
+	}
+	for i, at := range col.Attempts() {
+		if want := 1.5 * float64(int(1)<<i); at.Slack != want {
+			t.Errorf("attempt %d slack = %v, want %v", i, at.Slack, want)
+		}
 	}
 	// Each injected overflow names bucket 0 with one failed placement.
 	if stats.OverflowedBuckets != 3 || stats.OverflowDeficit != 3 {
@@ -155,7 +160,7 @@ func TestProbeLadderResample(t *testing.T) {
 }
 
 // The counting and dovetail routes read none of the probing knobs: Slack,
-// C and MaxRetries leave their output and every non-timing
+// and C leave their output and every non-timing
 // Stats field byte-identical (EffectiveSlack only echoes Config.Slack).
 // Each call runs exactly one attempt, and the probing fault points never
 // fire.
@@ -173,8 +178,7 @@ func TestDefaultRoutesIgnoreProbingKnobs(t *testing.T) {
 		{Slack: 0.001},
 		{Slack: 8},
 		{C: 0.0001},
-		{MaxRetries: 1},
-		{Slack: 0.001, C: 0.0001, MaxRetries: 1},
+		{Slack: 0.001, C: 0.0001},
 	}
 	type result struct {
 		out   []rec.Record
@@ -215,7 +219,7 @@ func TestDefaultRoutesIgnoreProbingKnobs(t *testing.T) {
 						want := run(t, a, base, fused)
 						for _, k := range knobs {
 							cfg := base
-							cfg.Slack, cfg.C, cfg.MaxRetries = k.Slack, k.C, k.MaxRetries
+							cfg.Slack, cfg.C = k.Slack, k.C
 							got := run(t, a, cfg, fused)
 							if slack := cfg.withDefaults().Slack; got.stats.EffectiveSlack != slack {
 								t.Errorf("%+v: EffectiveSlack = %v, want the configured %v", k, got.stats.EffectiveSlack, slack)

@@ -34,7 +34,7 @@ func classifierPlan(t *testing.T, a []rec.Record, heavy []uint64, logLight uint,
 	ws := &Workspace{}
 	cfg := Config{Procs: 1, Seed: 1, ScatterStrategy: ScatterCounting, Delta: 2}
 	pl := &ws.plan
-	pl.begin(ws, a, nil, &cfg, 0, 0, nil, &tracer{}, nil)
+	pl.begin(ws, a, nil, &cfg, 0, &tracer{}, nil)
 	pl.numLight = 1 << logLight
 	pl.shift = 64 - logLight
 	r := rand.New(rand.NewSource(seed))

@@ -23,7 +23,7 @@ const (
 	ScatterAuto ScatterStrategy = iota
 	// ScatterProbing is the paper's placement: a pseudo-random slot per
 	// record, claimed with CAS, probing linearly on collision. Overflow
-	// triggers the Las Vegas retry ladder. Only a plain semisort that asks
+	// triggers the Las Vegas restart. Only a plain semisort that asks
 	// for it takes it: it is the paper-reproduction mode every
 	// internal/bench table pins. A fused reduce ignores it and runs
 	// counting.
@@ -95,21 +95,14 @@ type Config struct {
 	// only. Default 1.25.
 	C float64
 	// Slack multiplies f(s) when the probing route sizes its bucket slot
-	// arrays, and its retry ladder doubles it on a resample. Read by the
-	// probing route only. Default 1.1.
+	// arrays; every Las Vegas restart doubles it. Read by the probing
+	// route only. Default 1.1.
 	Slack float64
 	// ScatterStrategy selects a plain semisort's route: the paper's CAS +
 	// probing scatter (ScatterProbing), or the default dovetail radix
 	// kernel (every other value). A fused reduce always runs the counting
 	// scatter and ignores it.
 	ScatterStrategy ScatterStrategy
-	// MaxRetries bounds the probing route's Las Vegas attempts after
-	// bucket overflow. The retry policy is adaptive: the first restarts
-	// regrow only the buckets that overflowed (keeping the same sample);
-	// persistent overflow escalates to a fresh sample with doubled Slack.
-	// The counting and dovetail routes run one attempt and ignore it.
-	// Default 4.
-	MaxRetries int
 	// Seed makes runs reproducible; retries derive fresh randomness from
 	// it deterministically.
 	Seed uint64
@@ -175,9 +168,6 @@ func (c *Config) withDefaults() Config {
 	if out.Slack <= 0 {
 		out.Slack = 1.1
 	}
-	if out.MaxRetries <= 0 {
-		out.MaxRetries = 4
-	}
 	out.Procs = parallel.Procs(out.Procs)
 	return out
 }
@@ -228,8 +218,8 @@ type Stats struct {
 	// skipped) on a fused reduce.
 	HeavyRecords int
 	// EffectiveSlack is the probing route's slack for the attempt that
-	// produced the output (doubled per resample). The other routes read
-	// no slack and echo Config.Slack.
+	// produced the output: Config.Slack doubled once per retry. The other
+	// routes read no slack and echo Config.Slack.
 	EffectiveSlack float64
 	Phases         PhaseTimes // per-phase wall-clock breakdown
 
@@ -238,14 +228,12 @@ type Stats struct {
 	// key. Zero on a plain semisort.
 	ReducedGroups int
 
-	// Retries counts the probing route's scatter attempts that failed
-	// before the output was produced; it is always Attempts-1, so zero
-	// on the other routes. A retry is NOT necessarily a Las Vegas restart
-	// in the paper's sense: the first retries on a sample keep that
-	// sample and regrow only the buckets that overflowed, and only the
-	// escalation path — fresh sample, doubled slack — restarts from
-	// Phase 1. Config.Observer distinguishes the two (the AttemptStart
-	// kinds "boosted" vs "resample").
+	// Retries counts the probing route's scatter attempts that
+	// overflowed before the output was produced; it is always
+	// Attempts-1, so zero on the other routes. Each retry is a Las Vegas
+	// restart in the paper's sense: Phase 1 again with a fresh sample
+	// and doubled slack (AttemptStart kind "resample"). At most 4
+	// attempts run before the sequential fallback.
 	Retries int
 
 	// MaxProbeCluster (probing route only) is the longest linear-probe

@@ -56,9 +56,9 @@
 // cannot overflow, so they finish in one attempt. Only the probing
 // scatter is Las Vegas: an overflow (a bucket smaller than its actual
 // multiplicity, which has probability O(n^{-c})) is detected and the
-// algorithm restarts with doubled slack, exactly as the end of Section 3
-// prescribes. The attempt driver and its retry ladder live in
-// runAttempts (attempts.go).
+// algorithm restarts with a fresh sample and doubled slack, exactly as
+// the end of Section 3 prescribes. The attempt driver is runAttempts
+// (attempts.go).
 package core
 
 import (
@@ -81,10 +81,9 @@ func Semisort(a []rec.Record, cfg *Config) ([]rec.Record, Stats, error) {
 // allocates a private workspace for this call.
 //
 // Failure handling (see DESIGN.md, "Failure model & recovery guarantees"):
-// on the probing route, bucket overflow retries adaptively up to
-// MaxRetries attempts — the first restarts keep the sample and regrow only
-// the overflowed buckets, then escalation resamples with doubled slack —
-// and exhaustion degrades to the deterministic sequential semisort unless
+// on the probing route, bucket overflow restarts from Phase 1 with a
+// fresh sample and doubled slack, up to 4 attempts, and exhaustion
+// degrades to the deterministic sequential semisort unless
 // DisableFallback is set. Every route degrades the same way when its
 // scratch would exceed MaxSlotBytes. A panic on a fork–join worker (e.g.
 // out of memory in one chunk) is returned as an error wrapping
@@ -118,7 +117,7 @@ func SemisortShared(ws *Workspace, a []rec.Record, cfg *Config) ([]rec.Record, S
 }
 
 // semisortInto runs the call through the attempt driver (runAttempts):
-// one attempt on the counting and dovetail routes, the Las Vegas ladder
+// one attempt on the counting and dovetail routes, the Las Vegas restarts
 // on the probing route, and the sequential fallback when either gives
 // up. When retain is set the produced output is kept in ws.out for the
 // next Shared call. A non-nil red makes the call a fused reduce, which

@@ -237,30 +237,33 @@ func TestWorkspaceReuse(t *testing.T) {
 }
 
 func TestSemisortOverflowRetry(t *testing.T) {
-	// A pathologically small slack forces bucket overflow; the Las Vegas
-	// path must retry with doubled slack and still succeed. Probing is
-	// pinned: it is the only placement with slack to exhaust.
+	// A pathologically small slack forces a real bucket overflow; the Las
+	// Vegas path must restart with doubled slack and succeed within its
+	// 4 attempts (this input needs 3 at slack 0.4). Probing is pinned: it
+	// is the only placement with slack to exhaust.
 	a := mkRecords(50000, 200, 15)
-	out, stats, err := Semisort(a, &Config{Procs: 4, Slack: 0.05, C: 0.01, MaxRetries: 12,
+	out, stats, err := Semisort(a, &Config{Procs: 4, Slack: 0.4, C: 0.01,
 		ScatterStrategy: ScatterProbing})
 	if err != nil {
 		t.Fatalf("retry path failed: %v (retries=%d)", err, stats.Retries)
 	}
 	checkSemisorted(t, "overflow retry", a, out)
-	if stats.Retries == 0 {
-		t.Log("note: no retry was needed (slack estimate still sufficed)")
+	if stats.Retries == 0 || stats.FallbackUsed {
+		t.Errorf("Retries = %d, FallbackUsed = %v; want a real overflow recovered by a restart",
+			stats.Retries, stats.FallbackUsed)
 	}
-	if stats.EffectiveSlack < 0.05 {
-		t.Errorf("effective slack %f below initial", stats.EffectiveSlack)
+	if want := 0.4 * float64(int(1)<<stats.Retries); stats.EffectiveSlack != want {
+		t.Errorf("EffectiveSlack = %v after %d retries, want %v", stats.EffectiveSlack, stats.Retries, want)
 	}
 }
 
 func TestSemisortOverflowExhaustion(t *testing.T) {
-	// With MaxRetries=1, absurd sizing and the fallback disabled, the
-	// failure must surface as ErrOverflow rather than wrong output.
+	// With absurd sizing that 4 doublings cannot rescue and the fallback
+	// disabled, the failure must surface as ErrOverflow rather than wrong
+	// output.
 	// Probing is pinned: the default planner's routes cannot overflow.
 	a := mkRecords(50000, 3, 16) // few huge keys
-	cfg := Config{Slack: 0.001, C: 0.0001, SampleRate: 50000, MaxRetries: 1, DisableFallback: true,
+	cfg := Config{Slack: 0.001, C: 0.0001, SampleRate: 50000, DisableFallback: true,
 		ScatterStrategy: ScatterProbing}
 	_, _, err := Semisort(a, &cfg)
 	if err == nil {

@@ -50,20 +50,6 @@ func TestSizeEstimatePow2(t *testing.T) {
 	}
 }
 
-// boostSize must never shrink a bucket, scale by the multiplier, and
-// preserve the power-of-two invariant.
-func TestBoostSize(t *testing.T) {
-	if got := boostSize(64, 4); got != 256 {
-		t.Errorf("boostSize(64, 4) = %d, want 256", got)
-	}
-	if got := boostSize(100, 4); got != 512 {
-		t.Errorf("boostSize(100, 4) = %d, want 512", got)
-	}
-	if got := boostSize(64, 0.5); got != 64 {
-		t.Errorf("boostSize with multiplier < 1 shrank the bucket: %d", got)
-	}
-}
-
 // MaxSlotBytes must clamp the attempt before slots are allocated: with
 // the fallback disabled a cap far below the input size surfaces
 // ErrOverflow (naming the cap) instead of allocating past it.

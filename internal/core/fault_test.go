@@ -47,7 +47,7 @@ func TestInjectedOverflowRetries(t *testing.T) {
 	withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 2))
 	// Pinned to probing: the injected faults model probe-slack exhaustion,
 	// which the default dovetail route lacks.
-	out, stats, err := Semisort(a, &Config{Procs: 2, MaxRetries: 4, ScatterStrategy: ScatterProbing})
+	out, stats, err := Semisort(a, &Config{Procs: 2, ScatterStrategy: ScatterProbing})
 	if err != nil {
 		t.Fatalf("semisort after 2 injected overflows: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestInjectedExhaustionFallsBack(t *testing.T) {
 	base := runtime.NumGoroutine()
 	a := mkRecords(20000, 50, 11)
 	withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 100))
-	out, stats, err := Semisort(a, &Config{Procs: 2, MaxRetries: 3, ScatterStrategy: ScatterProbing})
+	out, stats, err := Semisort(a, &Config{Procs: 2, ScatterStrategy: ScatterProbing})
 	if err != nil {
 		t.Fatalf("exhaustion with fallback enabled must succeed: %v", err)
 	}
@@ -98,8 +98,8 @@ func TestInjectedExhaustionFallsBack(t *testing.T) {
 	if !stats.FallbackUsed {
 		t.Error("FallbackUsed = false after every attempt overflowed")
 	}
-	if stats.Attempts != 3 {
-		t.Errorf("Attempts = %d, want 3", stats.Attempts)
+	if stats.Attempts != maxAttempts {
+		t.Errorf("Attempts = %d, want %d", stats.Attempts, maxAttempts)
 	}
 	checkNoLeak(t, base)
 }
@@ -107,7 +107,7 @@ func TestInjectedExhaustionFallsBack(t *testing.T) {
 func TestInjectedExhaustionDisableFallback(t *testing.T) {
 	a := mkRecords(20000, 50, 11)
 	withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 100))
-	out, _, err := Semisort(a, &Config{Procs: 2, MaxRetries: 2, DisableFallback: true, ScatterStrategy: ScatterProbing})
+	out, _, err := Semisort(a, &Config{Procs: 2, DisableFallback: true, ScatterStrategy: ScatterProbing})
 	if !errors.Is(err, ErrOverflow) {
 		t.Fatalf("err = %v, want ErrOverflow", err)
 	}
@@ -241,7 +241,7 @@ func TestCountingIgnoresScatterOverflow(t *testing.T) {
 func TestAutoProbingOverflowAccounting(t *testing.T) {
 	a := mkRecords(30000, 0, 37) // unique keys: no heavy duplication
 	withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 2))
-	out, stats, err := Semisort(a, &Config{Procs: 2, MaxRetries: 4, ScatterStrategy: ScatterProbing})
+	out, stats, err := Semisort(a, &Config{Procs: 2, ScatterStrategy: ScatterProbing})
 	if err != nil {
 		t.Fatalf("probing semisort after 2 injected overflows: %v", err)
 	}
@@ -258,7 +258,7 @@ func TestAutoProbingOverflowAccounting(t *testing.T) {
 
 	inj := fault.New(1).Arm(fault.ScatterOverflow, 0, 2)
 	withInjector(t, inj)
-	out, stats, err = Semisort(a, &Config{Procs: 2, MaxRetries: 4})
+	out, stats, err = Semisort(a, &Config{Procs: 2})
 	if err != nil {
 		t.Fatalf("default semisort with ScatterOverflow armed: %v", err)
 	}
@@ -456,7 +456,7 @@ func TestDovetailStatsInvariants(t *testing.T) {
 
 // An injected fault at a radix recursion node must abort the attempt with
 // a wrapped ErrInjected — not retry (the dovetail path has no Las Vegas
-// ladder) and not fall back — and leave the workspace reusable.
+// restart) and not fall back — and leave the workspace reusable.
 func TestInjectedRadixNodeAborts(t *testing.T) {
 	base := runtime.NumGoroutine()
 	a := mkRecords(200000, 0, 47)

@@ -186,7 +186,7 @@ func TestObserverRetrySpans(t *testing.T) {
 	withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 2))
 	var col obsv.Collector
 	// Pinned to probing: overflow retries exist only on the probing path.
-	out, stats, err := Semisort(a, &Config{Procs: 2, MaxRetries: 4, Observer: &col,
+	out, stats, err := Semisort(a, &Config{Procs: 2, Observer: &col,
 		ScatterStrategy: ScatterProbing})
 	if err != nil {
 		t.Fatalf("semisort after 2 injected overflows: %v", err)
@@ -203,11 +203,13 @@ func TestObserverRetrySpans(t *testing.T) {
 	if atts[0].Kind != obsv.AttemptFresh {
 		t.Errorf("attempt 0 kind = %q, want fresh", atts[0].Kind)
 	}
-	// The first retry keeps the sample and regrows the overflowed
-	// buckets; the injected overflow names bucket 0, so it must be
-	// boosted.
-	if atts[1].Kind != obsv.AttemptBoosted || atts[1].BoostedBuckets == 0 {
-		t.Errorf("attempt 1 = %+v, want kind boosted with boosted buckets", atts[1])
+	// Every retry restarts from Phase 1 with a fresh sample and doubled
+	// slack.
+	for i := 1; i < len(atts); i++ {
+		if atts[i].Kind != obsv.AttemptResample || atts[i].Slack != 2*atts[i-1].Slack {
+			t.Errorf("attempt %d = %+v, want kind resample at twice attempt %d's slack %v",
+				i, atts[i], i-1, atts[i-1].Slack)
+		}
 	}
 
 	spans := col.Spans()
@@ -250,7 +252,7 @@ func TestObserverFallbackSpan(t *testing.T) {
 	a := mkRecords(20000, 100, 11)
 	withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 100))
 	var col obsv.Collector
-	out, stats, err := Semisort(a, &Config{Procs: 2, MaxRetries: 2, Observer: &col,
+	out, stats, err := Semisort(a, &Config{Procs: 2, Observer: &col,
 		ScatterStrategy: ScatterProbing})
 	if err != nil {
 		t.Fatalf("semisort with exhausted retries: %v", err)
@@ -261,10 +263,10 @@ func TestObserverFallbackSpan(t *testing.T) {
 	}
 
 	atts := col.Attempts()
-	if len(atts) != 3 {
-		t.Fatalf("AttemptStart events = %+v, want 2 scatter attempts + fallback", atts)
+	if len(atts) != maxAttempts+1 {
+		t.Fatalf("AttemptStart events = %+v, want %d scatter attempts + fallback", atts, maxAttempts)
 	}
-	fb := atts[2]
+	fb := atts[maxAttempts]
 	if fb.Kind != obsv.AttemptFallback || fb.Index != stats.Attempts {
 		t.Errorf("fallback attempt = %+v, want kind fallback at index %d", fb, stats.Attempts)
 	}

@@ -39,8 +39,8 @@ type scatterStage interface {
 	// scratch would exceed Config.MaxSlotBytes.
 	allocate(pl *plan) error
 	// scatter places every record into its bucket (Phase 3). An
-	// ErrOverflow return (probing only) triggers the Las Vegas retry
-	// ladder; a wrapped errSlotCap (counting only, once pass 1 knows the
+	// ErrOverflow return (probing only) restarts the call (the Las
+	// Vegas rule); a wrapped errSlotCap (counting only, once pass 1 knows the
 	// light count) degrades to the fallback; any other error aborts the
 	// attempt (cancellation).
 	scatter(pl *plan) error
@@ -78,7 +78,7 @@ func (pl *plan) planScatter() {
 // configuration, the attempt's randomness, every phase's products (as
 // views into Workspace-owned buffers), and the attempt's Stats. The
 // counting and dovetail routes run one attempt per call; only the
-// probing route's Las Vegas ladder runs several. begin() resets the plan
+// probing route's Las Vegas restarts run several. begin() resets the plan
 // wholesale between attempts; nothing carries over except the workspace
 // the views point into.
 type plan struct {
@@ -94,7 +94,7 @@ type plan struct {
 	ctx     context.Context
 	attempt int // scatter attempt index (doubles as the span index)
 	logn    float64
-	rng     hash.RNG // sampling randomness: stable across boosted retries
+	rng     hash.RNG // sampling randomness: fresh every attempt
 
 	stats Stats
 
@@ -169,15 +169,14 @@ type plan struct {
 
 // begin resets the plan for one attempt. The whole plan is replaced, so
 // no state can leak from a previous attempt or call.
-func (pl *plan) begin(ws *Workspace, a, dst []rec.Record, c *Config, sampleAttempt, attempt int, boost map[int32]float64, tr *tracer, red *ReduceSpec) {
+func (pl *plan) begin(ws *Workspace, a, dst []rec.Record, c *Config, attempt int, tr *tracer, red *ReduceSpec) {
 	n := len(a)
 	*pl = plan{
 		cfg: *c, ws: ws, tr: *tr, a: a, dst: dst, n: n,
 		procs: c.Procs, ctx: c.Context, attempt: attempt,
 		logn: math.Log(math.Max(float64(n), 2)),
-		rng:  hash.NewRNG(c.Seed + uint64(sampleAttempt)*0x9e3779b97f4a7c15 + 1),
+		rng:  hash.NewRNG(c.Seed + uint64(attempt)*0x9e3779b97f4a7c15 + 1),
 		probeState: probeState{
-			boost:      boost,
 			scatterRNG: hash.NewRNG(c.Seed ^ (uint64(attempt)+1)*0xd1342543de82ef95),
 		},
 		stats:          Stats{N: n},
@@ -225,7 +224,7 @@ func semisortOnce(pl *plan) ([]rec.Record, error) {
 }
 
 // scatterPhase runs Phase 3 through the stage. Overflow (probing only)
-// surfaces as ErrOverflow for the Las Vegas ladder, and the counting
+// surfaces as ErrOverflow for the Las Vegas restart, and the counting
 // route's scratch cap as errSlotCap for the fallback; any other error is
 // a cancellation.
 func (pl *plan) scatterPhase(st scatterStage) error {

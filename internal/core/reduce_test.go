@@ -280,7 +280,7 @@ func TestReduceRetryNoDoubleCount(t *testing.T) {
 			inj := fault.New(1).Arm(tc.point, 0, tc.times)
 			withInjector(t, inj)
 			out, reps, stats, err := ReduceShared(nil, a,
-				&Config{Procs: 2, MaxRetries: 5, ScatterStrategy: ScatterProbing}, sumSpec())
+				&Config{Procs: 2, ScatterStrategy: ScatterProbing}, sumSpec())
 			if err != nil {
 				t.Fatalf("reduce with %s armed: %v", tc.name, err)
 			}

@@ -9,8 +9,8 @@
 //
 // Determinism: the draw for block b is keyed by b through the attempt's
 // sampling RNG and lands at sample[b], so the sample is byte-identical
-// across proc counts, and boosted retries (which keep sampleAttempt)
-// redraw it identically.
+// across proc counts; attempt k of the Las Vegas restart draws from
+// sample seed k, so its sample is the same at any Procs too.
 package core
 
 import (

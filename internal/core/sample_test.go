@@ -96,8 +96,8 @@ func TestOneShotSamplingLegacyShape(t *testing.T) {
 
 // The sample must be byte-deterministic: the same sorted keys at Procs
 // 1, 2 and 8 on both sampled routes (and, under the deterministic
-// counting scatter, the same output), and the same keys in every
-// boosted retry, which keeps its attempt's sample.
+// counting scatter, the same output). A Las Vegas restart draws a new
+// sample, and attempt k's sample is the same at every Procs.
 func TestAdaptiveSamplingProcDeterminism(t *testing.T) {
 	a := mkRecords(150000, 2000, 13)
 	var refOut []rec.Record
@@ -130,36 +130,52 @@ func TestAdaptiveSamplingProcDeterminism(t *testing.T) {
 		}
 	}
 
-	// Two injected overflows send the probing route through two boosted
-	// retries; each attempt's sample is captured as its scatter starts.
-	var ws Workspace
-	var drawn [][]uint64
-	withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 2).OnFire(fault.ScatterOverflow, func() {
-		drawn = append(drawn, append([]uint64(nil), ws.sample...))
-	}))
-	_, stats, err := SemisortWS(&ws, a, &Config{Procs: 2, Seed: 3, ScatterStrategy: ScatterProbing})
-	if err != nil {
-		t.Fatal(err)
+	// Two injected overflows send the probing route through two
+	// restarts; each attempt's sample is captured as its scatter starts.
+	var perProcs [][][]uint64
+	for _, procs := range []int{1, 2, 8} {
+		var ws Workspace
+		var drawn [][]uint64
+		withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 2).OnFire(fault.ScatterOverflow, func() {
+			drawn = append(drawn, append([]uint64(nil), ws.sample...))
+		}))
+		_, stats, err := SemisortWS(&ws, a, &Config{Procs: procs, Seed: 3, ScatterStrategy: ScatterProbing})
+		fault.Disable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		drawn = append(drawn, ws.sample)
+		if stats.Attempts != 3 || stats.SampleRounds != 1 || len(drawn) != 3 {
+			t.Fatalf("procs=%d: %d attempts, %d rounds, %d samples captured; want 3, 1, 3",
+				procs, stats.Attempts, stats.SampleRounds, len(drawn))
+		}
+		if !slices.Equal(drawn[0], refSample) {
+			t.Errorf("procs=%d: attempt 0's sample differs from the unretried call's", procs)
+		}
+		for k := 1; k < len(drawn); k++ {
+			if slices.Equal(drawn[k], drawn[k-1]) {
+				t.Errorf("procs=%d: attempt %d redrew attempt %d's sample, want a fresh one", procs, k, k-1)
+			}
+		}
+		perProcs = append(perProcs, drawn)
 	}
-	drawn = append(drawn, ws.sample)
-	if stats.Attempts != 3 || stats.SampleRounds != 1 || len(drawn) != 3 {
-		t.Fatalf("%d attempts, %d rounds, %d samples captured; want 3, 1, 3", stats.Attempts, stats.SampleRounds, len(drawn))
-	}
-	for i, s := range drawn {
-		if !slices.Equal(s, refSample) {
-			t.Errorf("attempt %d: sample differs from the unretried call's", i)
+	for i, drawn := range perProcs[1:] {
+		for k := range drawn {
+			if !slices.Equal(drawn[k], perProcs[0][k]) {
+				t.Errorf("procs index %d: attempt %d's sample differs from procs=1", i+1, k)
+			}
 		}
 	}
 }
 
 // Regression for the dropped getSample second return: the sample sort's
 // scratch buffer must come from (and stay in) the workspace, so repeated
-// warm calls — including the escalation path that resamples mid-call —
+// warm calls — including the restarts that resample mid-call —
 // reuse both sample buffers instead of growing fresh ones.
 func TestSampleBufferReuseAcrossAttempts(t *testing.T) {
 	a := mkRecords(60000, 100, 17)
 	var ws Workspace
-	cfg := &Config{Procs: 1, Seed: 11, MaxRetries: 6, ScatterStrategy: ScatterProbing}
+	cfg := &Config{Procs: 1, Seed: 11, ScatterStrategy: ScatterProbing}
 	ref, _, err := SemisortWS(&ws, a, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -181,26 +197,26 @@ func TestSampleBufferReuseAcrossAttempts(t *testing.T) {
 			sampCap, scratchCap, cap(ws.sample), cap(ws.sampleScratch))
 	}
 
-	// Escalation resamples within one call (fresh draws, same buffers):
-	// three injected overflows exhaust the boost ladder and force a
-	// resample attempt before success. The resample's kept count jitters,
-	// so the buffers may grow to fit — but only marginally, never like a
-	// from-scratch allocation.
+	// Restarts resample within one call (fresh draws, same buffers):
+	// three injected overflows force three resample attempts before the
+	// fourth succeeds. A resample's kept count jitters, so the buffers may
+	// grow to fit — but only marginally, never like a from-scratch
+	// allocation.
 	withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 3))
 	out, stats, err := SemisortWS(&ws, a, cfg)
 	fault.Disable()
 	if err != nil {
-		t.Fatalf("semisort with escalation: %v", err)
+		t.Fatalf("semisort with restarts: %v", err)
 	}
-	checkSemisorted(t, "escalation reuse", a, out)
+	checkSemisorted(t, "restart reuse", a, out)
 	if stats.Retries != 3 {
-		t.Errorf("Retries = %d, want 3 (two boosts + one resample)", stats.Retries)
+		t.Errorf("Retries = %d, want 3 resamples", stats.Retries)
 	}
 	if c := cap(ws.sample); c > sampCap*5/4 {
-		t.Errorf("escalation grew the sample buffer %d -> %d, want at most resample jitter", sampCap, c)
+		t.Errorf("restarts grew the sample buffer %d -> %d, want at most resample jitter", sampCap, c)
 	}
 	if c := cap(ws.sampleScratch); c > scratchCap*5/4 {
-		t.Errorf("escalation grew the sort scratch %d -> %d, want at most resample jitter", scratchCap, c)
+		t.Errorf("restarts grew the sort scratch %d -> %d, want at most resample jitter", scratchCap, c)
 	}
 
 	// Back on the clean path the workspace must reproduce the warm-up run
@@ -210,7 +226,7 @@ func TestSampleBufferReuseAcrossAttempts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sameRecords(out, ref) {
-		t.Error("post-escalation warm call differs from the warm-up output")
+		t.Error("post-restart warm call differs from the warm-up output")
 	}
 }
 

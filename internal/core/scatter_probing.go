@@ -5,13 +5,12 @@
 // semisorts the light buckets in the slot arrays, and Phase 5 packs the
 // heavy region with the interval technique and copies the already-compact
 // light buckets into the output. An undersized bucket overflows, and the
-// Las Vegas retry ladder (runAttempts, attempts.go) regrows it.
+// Las Vegas restart (runAttempts, attempts.go) redraws the sample with
+// doubled slack.
 package core
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -25,8 +24,7 @@ import (
 // probeState is the plan state only the probing stage reads, embedded in
 // the plan so begin and clearRefs reset it with the rest.
 type probeState struct {
-	boost      map[int32]float64 // bucket id → size multiplier (runAttempts)
-	scatterRNG hash.RNG          // placement randomness: fresh every attempt
+	scatterRNG hash.RNG // placement randomness: fresh every attempt
 	// Phase 2: f(s)-sized slot ranges, heavy buckets first.
 	buckets                 []bucket
 	heavySlotEnd, slotTotal int64
@@ -55,17 +53,13 @@ type bucket struct {
 type probingStage struct{}
 
 // allocate sizes every bucket with the high-probability estimate f(s)
-// from Section 3.1 times Config.Slack (sizeEstimate), grows the buckets
-// the retry ladder boosted, and carves them all out of one slot array so
-// Phase 5 can pack with simple interval scans.
+// from Section 3.1 times Config.Slack (sizeEstimate) and carves them all
+// out of one slot array so Phase 5 can pack with simple interval scans.
 func (probingStage) allocate(pl *plan) error {
 	c := &pl.cfg
 	pl.buckets = growEmpty(&pl.ws.buckets, pl.firstLight+pl.numLightMerged)
 	place := func(samples int) {
 		size := sizeEstimate(samples, pl.logn, c.C, c.Slack, c.SampleRate)
-		if mult, ok := pl.boost[int32(len(pl.buckets))]; ok {
-			size = boostSize(size, mult)
-		}
 		pl.buckets = append(pl.buckets, bucket{off: pl.slotTotal, sz: uint64(size)})
 		pl.slotTotal += int64(size)
 	}
@@ -90,16 +84,6 @@ func (probingStage) allocate(pl *plan) error {
 	pl.slots, pl.occ = pl.ws.getSlots(pl.slotTotal)
 	pl.stats.SlotsAllocated = int(pl.slotTotal)
 	return nil
-}
-
-// boostSize applies a per-bucket retry multiplier to a size estimate,
-// preserving the power-of-two invariant.
-func boostSize(size int, m float64) int {
-	s := int(math.Ceil(float64(size) * m))
-	if s < size {
-		s = size
-	}
-	return 1 << uint(bits.Len(uint(s-1)))
 }
 
 func (probingStage) scatter(pl *plan) error {
@@ -182,8 +166,8 @@ func (pl *plan) probeScatterChunk(lo, hi int) {
 	}
 }
 
-// recordOverflow notes which bucket rejected a record, so the retry can
-// regrow only the deficient region. Failures are terminal for the attempt
+// recordOverflow notes which bucket rejected a record, for
+// Stats.OverflowedBuckets and OverflowDeficit. Failures are terminal for the attempt
 // (each worker records at most one), so a mutex-protected map is fine.
 func (pl *plan) recordOverflow(bid int64) {
 	pl.ofMu.Lock()

@@ -9,8 +9,8 @@ import (
 // A Workspace owns every per-attempt buffer of the pipeline — sample
 // arrays, run/bucket descriptors, light histograms, slot and occupancy
 // arrays, the counting scatter's histograms and bucket-id column, the
-// heavy directory and heavy-key hash table, the retry boost
-// map, and (for SemisortShared) a retained output buffer — so repeated
+// heavy directory and heavy-key hash table, and (for SemisortShared) a
+// retained output buffer — so repeated
 // semisorts reuse memory instead of reallocating ~4-6n bytes per call. In
 // steady state a call through a warm Workspace allocates nothing beyond
 // the returned slice (and nothing at all via SemisortShared) when
@@ -34,7 +34,6 @@ type Workspace struct {
 	heavyDir      []dirEntry // direct-mapped heavy directory (buckets.go)
 	buckets       []bucket
 	table         *hashtable.Table
-	boost         map[int32]float64 // bucket id → size multiplier (runAttempts)
 
 	// Phase 3: probing scatter.
 	slots []rec.Record
@@ -197,8 +196,7 @@ func (w *Workspace) releaseRed(s int) { w.redFree <- s }
 
 // RetainedBytes reports the scratch memory the workspace currently pins,
 // the quantity Config.MaxRetainedBytes caps. The heavy directory and
-// table and the retained Shared output count; the boost map's few entries
-// do not.
+// table and the retained Shared output count.
 func (w *Workspace) RetainedBytes() int64 {
 	n := int64(cap(w.sample)+cap(w.sampleScratch)) * 8
 	n += int64(cap(w.runStarts)+cap(w.runCounts)+cap(w.blockHeavy)+
@@ -233,7 +231,7 @@ func (w *Workspace) Release() {
 	w.sample, w.sampleScratch = nil, nil
 	w.runStarts, w.runCounts, w.blockHeavy = nil, nil, nil
 	w.heavyRuns, w.lightCounts, w.lightBucketOf, w.heavyDir = nil, nil, nil, nil
-	w.buckets, w.table, w.boost = nil, nil, nil
+	w.buckets, w.table = nil, nil
 	w.slots, w.occ = nil, nil
 	w.rxTables.Release()
 	w.hist, w.counts, w.cbase, w.bidCol = nil, nil, nil, nil

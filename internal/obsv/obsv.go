@@ -122,13 +122,11 @@ const (
 	OutcomeError = "error"
 )
 
-// Attempt kinds, reported by AttemptStart. They name the recovery ladder
-// of DESIGN.md: a fresh first attempt, a boosted retry that keeps the
-// sample and regrows only the overflowed buckets, an escalated resample
-// with doubled slack, and the sequential fallback.
+// Attempt kinds, reported by AttemptStart. They name the recovery rule
+// of DESIGN.md: a fresh first attempt, a Las Vegas restart with a fresh
+// sample and doubled slack, and the sequential fallback.
 const (
 	AttemptFresh    = "fresh"
-	AttemptBoosted  = "boosted"
 	AttemptResample = "resample"
 	AttemptFallback = "fallback"
 )
@@ -141,11 +139,8 @@ type Attempt struct {
 	// Kind is one of the Attempt* constants.
 	Kind string `json:"kind"`
 	// Slack is the bucket-sizing slack in force for this attempt (doubled
-	// on each resample escalation).
+	// on each resample).
 	Slack float64 `json:"slack,omitempty"`
-	// BoostedBuckets is how many buckets carry a regrowth multiplier
-	// (non-zero only for AttemptBoosted).
-	BoostedBuckets int `json:"boosted_buckets,omitempty"`
 }
 
 // Span is one completed phase of one attempt. (JSONSink encodes spans

@@ -117,7 +117,8 @@ type RequestSpan struct {
 	SortUS int64 `json:"sort_us"`
 	// TotalUS is the end-to-end handler time.
 	TotalUS int64 `json:"total_us"`
-	// Attempts and FallbackUsed surface the sort's recovery ladder.
+	// Attempts and FallbackUsed surface the sort's Las Vegas restarts and
+	// fallback.
 	Attempts     int  `json:"attempts,omitempty"`
 	FallbackUsed bool `json:"fallback,omitempty"`
 }

@@ -38,7 +38,6 @@ type jsonEvent struct {
 	Attempt           int     `json:"attempt"`
 	Kind              string  `json:"kind,omitempty"`
 	Slack             float64 `json:"slack,omitempty"`
-	BoostedBuckets    int     `json:"boosted_buckets,omitempty"`
 	Phase             string  `json:"phase,omitempty"`
 	StartUS           int64   `json:"start_us,omitempty"`
 	DurUS             int64   `json:"dur_us,omitempty"`
@@ -59,7 +58,7 @@ func (s *JSONSink) emit(e jsonEvent) {
 
 func (s *JSONSink) AttemptStart(a Attempt) {
 	s.emit(jsonEvent{Event: "attempt_start", Attempt: a.Index, Kind: a.Kind,
-		Slack: a.Slack, BoostedBuckets: a.BoostedBuckets})
+		Slack: a.Slack})
 }
 
 func (s *JSONSink) PhaseStart(attempt int, ph Phase) {}

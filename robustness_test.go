@@ -3,6 +3,7 @@ package semisort
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -28,35 +29,70 @@ func settleGoroutines(t *testing.T, base int) {
 	}
 }
 
+// TestByPanicInKeyCallback: every generic entry point that hashes keys
+// on the fork–join workers returns a panicking key callback as an error
+// wrapping *PanicError, with nil output, and leaks no goroutine.
+// Distinct has no key callback; its row panics in the hash of an
+// unhashable dynamic value instead.
 func TestByPanicInKeyCallback(t *testing.T) {
-	base := runtime.NumGoroutine()
 	items := make([]int, 50000)
 	for i := range items {
 		items[i] = i
 	}
-	out, err := By(items, func(v int) int {
+	const boom = "key callback exploded"
+	key := func(v int) int {
 		if v == 31337 {
-			panic("key callback exploded")
+			panic(boom)
 		}
 		return v % 100
-	}, &Config{Procs: 2})
-	if err == nil {
-		t.Fatal("panicking key callback returned no error")
 	}
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want a wrapped *PanicError", err)
+	cfg := &Config{Procs: 2}
+	sum := Reduction[int, int]{
+		Fold:  func(acc, v int) int { return acc + v },
+		Merge: func(a, b int) int { return a + b },
 	}
-	if pe.Value != "key callback exploded" {
-		t.Errorf("panic value = %v", pe.Value)
+	anys := make([]any, len(items))
+	for i := range anys {
+		anys[i] = i % 100
 	}
-	if len(pe.Stack) == 0 {
-		t.Error("no worker stack captured")
+	anys[31337] = []int{31337}
+	for _, tc := range []struct {
+		name    string
+		run     func() (out any, err error)
+		wantVal any // nil: any panic value
+	}{
+		{"By", func() (any, error) { return By(items, key, cfg) }, boom},
+		{"StableBy", func() (any, error) { return StableBy(items, key, cfg) }, boom},
+		{"GroupBy", func() (any, error) { return GroupBy(items, key, cfg) }, boom},
+		{"CountBy", func() (any, error) { return CountBy(items, key, cfg) }, boom},
+		{"SumBy", func() (any, error) {
+			return SumBy(items, key, func(v int) int { return v }, cfg)
+		}, boom},
+		{"ReduceBy", func() (any, error) { return ReduceBy(items, key, sum, cfg) }, boom},
+		{"Distinct", func() (any, error) { return Distinct(anys, cfg) }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			out, err := tc.run()
+			if err == nil {
+				t.Fatal("panicking key callback returned no error")
+			}
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want a wrapped *PanicError", err)
+			}
+			if pe.Value == nil || (tc.wantVal != nil && pe.Value != tc.wantVal) {
+				t.Errorf("panic value = %v, want %v", pe.Value, tc.wantVal)
+			}
+			if len(pe.Stack) == 0 {
+				t.Error("no worker stack captured")
+			}
+			if v := reflect.ValueOf(out); v.IsValid() && !v.IsNil() {
+				t.Errorf("output %T non-nil alongside an error", out)
+			}
+			settleGoroutines(t, base)
+		})
 	}
-	if out != nil {
-		t.Error("output non-nil alongside an error")
-	}
-	settleGoroutines(t, base)
 }
 
 func TestRecordsCtxCancellation(t *testing.T) {

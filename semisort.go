@@ -42,7 +42,7 @@ type ScatterStrategy = core.ScatterStrategy
 // finds heavy keys per node (the dovetail route; see Stats.PlannerRoutes
 // for where records went). Its output is byte-identical across Procs and
 // it never retries. Probing selects the paper's CAS scatter with its Las
-// Vegas retry ladder for a plain semisort, the reproduction mode.
+// Vegas restart for a plain semisort, the reproduction mode.
 // Counting and Dovetail are equivalent to Auto, kept for compatibility.
 const (
 	ScatterAuto     = core.ScatterAuto

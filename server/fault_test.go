@@ -113,7 +113,6 @@ func TestReduceEndpointIgnoresProbingOverflow(t *testing.T) {
 		PoolSize: 1,
 		Semisort: semisort.Config{
 			DisableFallback: true,
-			MaxRetries:      2,
 			ScatterStrategy: semisort.ScatterProbing,
 		},
 	})
@@ -148,14 +147,13 @@ func TestReduceEndpointIgnoresProbingOverflow(t *testing.T) {
 
 func TestBucketOverflowFaultYieldsClean500(t *testing.T) {
 	// DisableFallback turns retry exhaustion into an error; arming
-	// ScatterOverflow for more attempts than MaxRetries guarantees
+	// ScatterOverflow for more than the 4 attempts guarantees
 	// exhaustion. The request must fail with a clean 500 and the pool
 	// must stay reusable.
 	s, ts := newTestServer(t, Config{
 		PoolSize: 1,
 		Semisort: semisort.Config{
 			DisableFallback: true,
-			MaxRetries:      2,
 			ScatterStrategy: semisort.ScatterProbing,
 		},
 	})

@@ -16,6 +16,9 @@ import (
 // runs are sorted in parallel across groups. A single group containing
 // nearly all records degrades that pass to O(n log n) sequential, like any
 // comparison post-sort would.
+//
+// Like By, StableBy returns a panic in key on a parallel worker as an
+// error wrapping *PanicError.
 func StableBy[T any, K comparable](items []T, key func(T) K, cfg *Config) ([]T, error) {
 	recs, err := semisortedBy(items, key, cfg)
 	if err != nil {
@@ -23,11 +26,7 @@ func StableBy[T any, K comparable](items []T, key func(T) K, cfg *Config) ([]T, 
 	}
 	// The records are verified, so each run of equal hashes is exactly
 	// one group; ordering it by Value restores input order within it.
-	procs := 0
-	if cfg != nil {
-		procs = cfg.Procs
-	}
-	sortRunsByValue(procs, recs)
+	sortRunsByValue(cfgProcs(cfg), recs)
 	return gatherBy(items, recs, cfg), nil
 }
 
@@ -37,10 +36,7 @@ func StableBy[T any, K comparable](items []T, key func(T) K, cfg *Config) ([]T, 
 func StableRecords(a []Record, cfg *Config) ([]Record, error) {
 	n := len(a)
 	tagged := make([]rec.Record, n)
-	procs := 0
-	if cfg != nil {
-		procs = cfg.Procs
-	}
+	procs := cfgProcs(cfg)
 	parallel.For(procs, n, 8192, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			tagged[i] = rec.Record{Key: a[i].Key, Value: uint64(i)}
